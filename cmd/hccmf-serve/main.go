@@ -22,6 +22,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -103,7 +104,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "hccmf-serve: %d users × %d items, k=%d, serving on %s (workers=%d, max-n=%d)\n",
 		model.M, model.N, model.K, ln.Addr(), *workers, svc.MaxN())
 
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer(srv)
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
 
@@ -173,6 +174,31 @@ func readModelFile(path string) (*mf.Factors, error) {
 	}
 	return model, nil
 }
+
+// Connection deadlines, so a slow or stalled client cannot hold a
+// connection (and its goroutine) open indefinitely: the request line and
+// headers must arrive within readHeaderTimeout, the whole request within
+// readTimeout, and a keep-alive connection may sit idle for idleTimeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server with the connection deadlines.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// batchBodyLimit bounds a POST /topn body before it is decoded: maxBatch
+// users at the widest int32 ("-2147483648") plus a separator and some
+// whitespace each, and 1 KiB for the envelope and n.
+func batchBodyLimit(maxBatch int) int64 { return 1<<10 + 24*int64(maxBatch) }
 
 // server is the HTTP layer over a recommend.Service; split from main so
 // tests drive it through httptest without sockets or signals.
@@ -293,8 +319,14 @@ func (s *server) topNSingle(w http.ResponseWriter, r *http.Request, start float6
 
 func (s *server) topNBatch(w http.ResponseWriter, r *http.Request, start float64) {
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, start, http.StatusBadRequest, fmt.Errorf("body: %w", err))
+	body := http.MaxBytesReader(w, r.Body, batchBodyLimit(s.maxBatch))
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.fail(w, start, code, fmt.Errorf("body: %w", err))
 		return
 	}
 	if len(req.Users) == 0 {

@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"hccmf/internal/mf"
 	"hccmf/internal/obs"
@@ -283,5 +287,67 @@ func TestLoadServeModel(t *testing.T) {
 		if m.P[i] != m2.P[i] {
 			t.Fatal("synthetic model not seeded")
 		}
+	}
+}
+
+func TestOversizedBatchBodyRejected(t *testing.T) {
+	srv, _, ts := newTestServer(t)
+	limit := batchBodyLimit(srv.maxBatch)
+	// A well-formed batch whose whitespace pushes it past the bound is
+	// refused before decoding finishes.
+	body := `{"users":[0,1` + strings.Repeat(" ", int(limit)) + `],"n":5}`
+	resp, err := http.Post(ts.URL+"/topn", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	// A full batch of the widest user ids still fits the bound: it gets
+	// past decoding and is refused for its out-of-range users instead.
+	ids := make([]string, srv.maxBatch)
+	for i := range ids {
+		ids[i] = "-2147483648"
+	}
+	widest := `{"users":[` + strings.Join(ids, ", ") + `],"n":5}`
+	resp, err = http.Post(ts.URL+"/topn", "application/json", strings.NewReader(widest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("widest full batch: status %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+}
+
+func TestSlowHeaderConnectionClosed(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	hs := newHTTPServer(srv)
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout || hs.IdleTimeout != idleTimeout {
+		t.Fatalf("deadlines not wired: %v %v %v", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	}
+	// Same server, a deadline short enough for a test.
+	hs.ReadHeaderTimeout = 100 * time.Millisecond
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = hs
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Half a request: the header block never ends.
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: test\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("server held a slow-header connection open for %v", time.Since(start))
 	}
 }

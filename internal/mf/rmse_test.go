@@ -97,19 +97,3 @@ func BenchmarkDotK32(b *testing.B) {
 	}
 	_ = sink
 }
-
-func BenchmarkEpochSerial(b *testing.B)  { benchEpoch(b, Serial{}) }
-func BenchmarkEpochHogwild(b *testing.B) { benchEpoch(b, &Hogwild{Threads: 4}) }
-func BenchmarkEpochFPSGD(b *testing.B)   { benchEpoch(b, &FPSGD{Threads: 4}) }
-func BenchmarkEpochBatched(b *testing.B) { benchEpoch(b, &Batched{Groups: 8, BatchSize: 4096}) }
-
-func benchEpoch(b *testing.B, e Engine) {
-	m := trainSet(b, 2000, 1000, 200000, 1)
-	f := NewFactorsInit(m.Rows, m.Cols, 32, m.MeanRating(), sparse.NewRand(1))
-	h := HyperParams{Gamma: 0.005, Lambda1: 0.01, Lambda2: 0.01}
-	b.SetBytes(int64(m.NNZ()) * int64(UpdateBytes(32)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Epoch(f, m, h)
-	}
-}

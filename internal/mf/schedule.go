@@ -168,6 +168,14 @@ func tileOrder(entries []sparse.Rating, colLo, k, budget int) int {
 	return ntiles
 }
 
+// TileOrder is tileOrder at the default budget, for callers outside the
+// engine that want the same cache-blocked traversal over one column range
+// starting at colLo — the parameter server's async streams order each item
+// slice's entries with it.
+func TileOrder(entries []sparse.Rating, colLo, k int) int {
+	return tileOrder(entries, colLo, k, tileBytesDefault)
+}
+
 // RunScheduled executes n epochs with a per-epoch learning rate from the
 // schedule, holding the regularisers fixed. BoldDriver schedules are fed
 // the training loss after each epoch.

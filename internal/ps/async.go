@@ -21,7 +21,16 @@ func updateOneLocal(f *mf.Factors, e sparse.Rating, h mf.HyperParams) {
 // pipelines. A stream owns one item-range slice of Q: it pulls only that
 // slice, trains the shard entries whose items fall inside it, and pushes
 // the slice back — so the per-epoch feature traffic stays one Q per worker
-// while the exposed transfer time drops to ~1/Streams.
+// while one stream's transfers overlap the others' compute.
+//
+// The slices are cut by rating count, not item count (ratingSlices), so
+// the streams carry equal compute. Under skewed item popularity this makes
+// the slices very unequal in width: the hot slice is a few hundred items
+// and transfers in a fraction of the time the long tail's slice needs, so
+// exposed transfer time no longer drops to ~1/Streams per stream. Each
+// stream walks its entries tile-major over L2-sized column tiles of its
+// slice (sliceChunks), so even the wide tail slice keeps its Q rows in
+// cache while P streams.
 //
 // Two consequences the paper calls out are reproduced faithfully:
 //
@@ -41,10 +50,8 @@ func (c *Cluster) runEpochAsync(epoch, total int) error {
 	c.snapshotBaseQ()
 
 	coord := c.coordinator(streams)
-	slices := coord.slices
-
 	workers, errs := c.runPhase(func(ws *workerState) error {
-		return c.workerEpochAsync(ws, coord, slices, epoch, total)
+		return c.workerEpochAsync(ws, coord, epoch, total)
 	})
 	evicted, err := c.settle(epoch, workers, errs)
 	if err != nil {
@@ -62,9 +69,10 @@ func (c *Cluster) runEpochAsync(epoch, total int) error {
 }
 
 // workerEpochAsync runs one worker's stream pipelines for one epoch.
-func (c *Cluster) workerEpochAsync(ws *workerState, coord *sliceCoordinator, slices []itemSlice, epoch, total int) error {
+func (c *Cluster) workerEpochAsync(ws *workerState, coord *sliceCoordinator, epoch, total int) error {
 	h := c.hyperFor(epoch)
-	chunks := ws.sliceChunks(slices)
+	slices := coord.slices
+	chunks := ws.sliceChunks(coord, c.cfg.K)
 	var wg sync.WaitGroup
 	errs := make([]error, len(slices))
 	for sj := range slices {
@@ -174,41 +182,72 @@ func (c *Cluster) foldP(ws *workerState, epoch, total int) {
 // itemSlice is one stream's contiguous item range [lo, hi).
 type itemSlice struct{ lo, hi int }
 
-// itemSlices cuts n items into s contiguous slices (the last absorbs the
-// remainder). s is clamped to [1, n].
-func itemSlices(n, s int) []itemSlice {
-	if s < 1 {
-		s = 1
-	}
-	if s > n {
-		s = n
+// ratingSlices cuts the item axis (counts[i] = ratings of item i) into s
+// contiguous, non-empty slices of about equal rating count, s clamped to
+// [1, len(counts)]. Slice j closes at the first item where the running
+// count reaches j+1 s-ths of the total, so every slice holds at most
+// total/s plus the largest single item's count.
+func ratingSlices(counts []int64, s int) []itemSlice {
+	n := len(counts)
+	s = max(1, min(s, n))
+	var total int64
+	for _, c := range counts {
+		total += c
 	}
 	out := make([]itemSlice, s)
-	for j := 0; j < s; j++ {
-		out[j] = itemSlice{lo: j * n / s, hi: (j + 1) * n / s}
+	item := 0
+	var run int64 // ratings in items [0, item)
+	for j := 0; j < s-1; j++ {
+		target := total * int64(j+1) / int64(s)
+		lo := item
+		last := n - (s - 1 - j) // leave one item for each later slice
+		for item < last && (item == lo || run < target) {
+			run += counts[item]
+			item++
+		}
+		out[j] = itemSlice{lo: lo, hi: item}
 	}
+	out[s-1] = itemSlice{lo: item, hi: n}
 	return out
 }
 
-// sliceChunks buckets the worker's shard entries by item slice, caching
-// the result (the slicing is stable across epochs).
-func (ws *workerState) sliceChunks(slices []itemSlice) [][]sparse.Rating {
-	if len(ws.chunks) == len(slices) {
+// sliceChunks buckets the worker's shard entries by item slice and orders
+// each chunk tile-major — L2-sized column tiles of its slice, (row, col)
+// within a tile (mf.TileOrder) — so a stream's Q rows stay cache-resident
+// while P streams past. The result is cached: the slicing is stable across
+// epochs, and eviction and rebalance reset the cache when the shard moves.
+// One count-then-place scatter fills a single backing array.
+func (ws *workerState) sliceChunks(sc *sliceCoordinator, k int) [][]sparse.Rating {
+	if len(ws.chunks) == len(sc.slices) {
 		return ws.chunks
 	}
-	chunks := make([][]sparse.Rating, len(slices))
-	sliceOf := func(item int32) int {
-		for j, sl := range slices {
-			if int(item) < sl.hi {
-				return j
-			}
-		}
-		return len(slices) - 1
+	entries := ws.conf.Shard.Entries
+	starts := make([]int, len(sc.slices)+1)
+	for _, e := range entries {
+		starts[sc.sliceOf[e.I]+1]++
 	}
-	for _, e := range ws.conf.Shard.Entries {
-		j := sliceOf(e.I)
-		chunks[j] = append(chunks[j], e)
+	for j := range sc.slices {
+		starts[j+1] += starts[j]
 	}
+	next := append([]int(nil), starts[:len(sc.slices)]...)
+	backing := make([]sparse.Rating, len(entries))
+	for _, e := range entries {
+		j := sc.sliceOf[e.I]
+		backing[next[j]] = e
+		next[j]++
+	}
+	chunks := make([][]sparse.Rating, len(sc.slices))
+	var wg sync.WaitGroup
+	for j, sl := range sc.slices {
+		chunk := backing[starts[j]:starts[j+1]:starts[j+1]]
+		chunks[j] = chunk
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mf.TileOrder(chunk, sl.lo, k)
+		}()
+	}
+	wg.Wait()
 	ws.chunks = chunks
 	return chunks
 }
@@ -220,6 +259,8 @@ func (ws *workerState) sliceChunks(slices []itemSlice) [][]sparse.Rating {
 type sliceCoordinator struct {
 	cluster *Cluster
 	slices  []itemSlice
+	// sliceOf maps each item to the index of the slice holding it.
+	sliceOf []int32
 	mu      sync.Mutex
 	pending []int
 	arrived []map[*workerState]bool
@@ -227,14 +268,30 @@ type sliceCoordinator struct {
 
 // coordinator returns the epoch's slice coordinator, reusing the previous
 // epoch's allocation (slices, counters, arrival maps) when the stream count
-// is unchanged; only the bookkeeping is rewound each epoch.
+// is unchanged; only the bookkeeping is rewound each epoch. The slices are
+// cut by rating count over the union of all workers' shards, once: they
+// stay cluster-wide, so every worker pulls, pushes and folds the same
+// ranges.
 func (c *Cluster) coordinator(streams int) *sliceCoordinator {
 	sc := c.coord
 	if sc == nil || c.coordStreams != streams {
-		slices := itemSlices(c.cfg.N, streams)
+		counts := make([]int64, c.cfg.N)
+		for _, ws := range c.workers {
+			for _, e := range ws.conf.Shard.Entries {
+				counts[e.I]++
+			}
+		}
+		slices := ratingSlices(counts, streams)
+		sliceOf := make([]int32, c.cfg.N)
+		for j, sl := range slices {
+			for i := sl.lo; i < sl.hi; i++ {
+				sliceOf[i] = int32(j)
+			}
+		}
 		sc = &sliceCoordinator{
 			cluster: c,
 			slices:  slices,
+			sliceOf: sliceOf,
 			pending: make([]int, len(slices)),
 			arrived: make([]map[*workerState]bool, len(slices)),
 		}

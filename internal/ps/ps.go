@@ -137,7 +137,8 @@ type workerState struct {
 	// pushes): the shared region the server folds from.
 	pushQ []float32
 	pushP []float32
-	// chunks caches the shard bucketed by item slice (async mode).
+	// chunks caches the shard bucketed by item slice and tile-ordered
+	// (async mode; see sliceChunks).
 	chunks [][]sparse.Rating
 	// epochSeconds accumulates this epoch's measured pull+compute+push
 	// span durations for the rebalancer. Written only by the worker's own
