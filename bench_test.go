@@ -29,9 +29,7 @@ import (
 
 func BenchmarkUpdateOne(b *testing.B)        { kernelbench.UpdateOne(b) }
 func BenchmarkFPSGDEpoch(b *testing.B)       { kernelbench.FPSGDEpoch(b) }
-func BenchmarkFPSGDEpochTiled(b *testing.B)  { kernelbench.FPSGDEpochTiled(b) }
 func BenchmarkBatchedEpoch(b *testing.B)     { kernelbench.BatchedEpoch(b) }
-func BenchmarkBatchedEpochSoA(b *testing.B)  { kernelbench.BatchedEpochSoA(b) }
 func BenchmarkHogwildEpoch(b *testing.B)     { kernelbench.HogwildEpoch(b) }
 func BenchmarkRMSEParallel(b *testing.B)     { kernelbench.RMSEParallel(b) }
 func BenchmarkBuildWorkerConfs(b *testing.B) { kernelbench.BuildWorkerConfs(b) }

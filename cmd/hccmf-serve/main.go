@@ -178,10 +178,13 @@ func readModelFile(path string) (*mf.Factors, error) {
 // Connection deadlines, so a slow or stalled client cannot hold a
 // connection (and its goroutine) open indefinitely: the request line and
 // headers must arrive within readHeaderTimeout, the whole request within
-// readTimeout, and a keep-alive connection may sit idle for idleTimeout.
+// readTimeout, the response must be written within writeTimeout of the
+// headers being read (a reader that stops draining its reply is cut off),
+// and a keep-alive connection may sit idle for idleTimeout.
 const (
 	readHeaderTimeout = 5 * time.Second
 	readTimeout       = 30 * time.Second
+	writeTimeout      = 30 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
@@ -191,6 +194,7 @@ func newHTTPServer(h http.Handler) *http.Server {
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 }
@@ -199,6 +203,10 @@ func newHTTPServer(h http.Handler) *http.Server {
 // users at the widest int32 ("-2147483648") plus a separator and some
 // whitespace each, and 1 KiB for the envelope and n.
 func batchBodyLimit(maxBatch int) int64 { return 1<<10 + 24*int64(maxBatch) }
+
+// reloadBodyLimit bounds a POST /reload body: one model path (PATH_MAX is
+// 4 KiB on Linux) plus its JSON envelope and escapes.
+const reloadBodyLimit = 8 << 10
 
 // server is the HTTP layer over a recommend.Service; split from main so
 // tests drive it through httptest without sockets or signals.
@@ -371,8 +379,14 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req reloadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "body: "+err.Error(), http.StatusBadRequest)
+	body := http.MaxBytesReader(w, r.Body, reloadBodyLimit)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "body: "+err.Error(), code)
 		return
 	}
 	if req.Model == "" {

@@ -321,11 +321,45 @@ func TestOversizedBatchBodyRejected(t *testing.T) {
 	}
 }
 
+func TestOversizedReloadBodyRejected(t *testing.T) {
+	srv, _, ts := newTestServer(t)
+	loads := 0
+	srv.loadModel = func(string) (*mf.Factors, error) {
+		loads++
+		return nil, fmt.Errorf("no model")
+	}
+	// A path longer than the bound is refused while decoding, before the
+	// loader ever sees it.
+	body := `{"model":"` + strings.Repeat("a", reloadBodyLimit) + `"}`
+	resp, err := http.Post(ts.URL+"/reload", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized reload: status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if loads != 0 {
+		t.Fatalf("oversized reload reached the loader %d times", loads)
+	}
+	// A PATH_MAX-long path still fits and reaches the loader.
+	body = `{"model":"` + strings.Repeat("a", 4096) + `"}`
+	resp, err = http.Post(ts.URL+"/reload", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || loads != 1 {
+		t.Fatalf("PATH_MAX reload: status %d, %d loads; want %d, 1 load", resp.StatusCode, loads, http.StatusBadRequest)
+	}
+}
+
 func TestSlowHeaderConnectionClosed(t *testing.T) {
 	srv, _, _ := newTestServer(t)
 	hs := newHTTPServer(srv)
-	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout || hs.IdleTimeout != idleTimeout {
-		t.Fatalf("deadlines not wired: %v %v %v", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout ||
+		hs.WriteTimeout != writeTimeout || hs.IdleTimeout != idleTimeout {
+		t.Fatalf("deadlines not wired: %v %v %v %v", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout)
 	}
 	// Same server, a deadline short enough for a test.
 	hs.ReadHeaderTimeout = 100 * time.Millisecond

@@ -59,7 +59,6 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON document (load in chrome://tracing or Perfetto) to this file")
 	progress := flag.Bool("progress", false, "print a per-epoch progress line to stderr while training")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
-	fastMath := flag.Bool("fast-math", false, "enable the versioned fast-math kernels (reordered accumulation, SoA batching, tiled traversal); results follow the fast-math goldens instead of the default bit-exact contract")
 	rebalance := flag.Bool("rebalance", false, "adaptively re-shard the training data at epoch boundaries from observed per-worker throughput")
 	rebHysteresis := flag.Float64("rebalance-hysteresis", 0, "predicted makespan gain a re-shard must exceed (0 uses the default, "+fmt.Sprintf("%.2f", schedule.DefaultHysteresis)+")")
 	rebMinEpochs := flag.Int("rebalance-min-epochs", 0, "minimum epochs between re-shards (0 uses the default, "+fmt.Sprintf("%d", schedule.DefaultMinEpochs)+")")
@@ -143,7 +142,6 @@ func main() {
 		Schedule:         schedCfg,
 		Seed:             *seed,
 		TransportSpec:    comm.Spec{Kind: kind, Addr: *connect, OpTimeout: *netTimeout},
-		Tuning:           core.Tuning{FastMath: *fastMath},
 		Obs:              observer,
 		OnEpoch: func(epoch, total int, rmse, simSeconds float64) {
 			if *progress {
@@ -169,9 +167,6 @@ func main() {
 	}
 
 	fmt.Printf("plan: %v\n", res.Plan)
-	if *fastMath {
-		fmt.Printf("fast-math: on (kernel %s)\n", mf.KernelName(*k, true))
-	}
 	fmt.Printf("simulated full-size run: %.3fs for %d epochs (%.3g updates/s, %.0f%% of ideal)\n",
 		res.Sim.TotalTime, *epochs, res.Power, res.Utilization*100)
 	fmt.Println("\nconvergence (simulated time axis):")

@@ -110,13 +110,6 @@ type Tuning struct {
 	// EvalThreads is the evaluation (RMSE) parallelism; default
 	// min(GOMAXPROCS, HostCap).
 	EvalThreads int
-	// FastMath opts every worker engine into the versioned fast-math mode
-	// (DESIGN.md §16): reordered-accumulation kernels, SoA mini-batch
-	// staging on the batched engine, cache-blocked Q tiles on FPSGD, and
-	// column-sorted shard traversal. Training results leave the default
-	// bit-exact contract and follow the fast-math goldens instead. Off by
-	// default.
-	FastMath bool
 }
 
 // hostCap resolves the effective engine-thread cap.
@@ -358,15 +351,6 @@ func BuildWorkerConfs(plat Platform, plan Plan, train *sparse.COO, tuning Tuning
 	if err != nil {
 		return nil, err
 	}
-	if tuning.FastMath {
-		// Prefetch-friendly traversal: order each shard row-major with
-		// ascending columns inside a row, so sweeps walk Q forward. Shards
-		// share a fresh backing array cut by RowShards, so the in-place sort
-		// never touches the caller's entry order.
-		for _, sh := range shards {
-			sparse.SortRatings(sh.Entries, sh.Rows, sh.Cols)
-		}
-	}
 	confs := make([]ps.WorkerConf, len(slices))
 	for i, sl := range slices {
 		confs[i] = ps.WorkerConf{
@@ -390,12 +374,12 @@ func EngineFor(d *device.Device, tuning Tuning) mf.Engine {
 	cap := tuning.hostCap()
 	switch d.Kind {
 	case device.GPU:
-		return &mf.Batched{Groups: cap, BatchSize: 1 << 14, FastMath: tuning.FastMath}
+		return &mf.Batched{Groups: cap, BatchSize: 1 << 14}
 	default:
 		threads := d.Threads
 		if threads > cap {
 			threads = cap
 		}
-		return &mf.FPSGD{Threads: threads, FastMath: tuning.FastMath}
+		return &mf.FPSGD{Threads: threads}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"hccmf/internal/device"
 	"hccmf/internal/mf"
 	"hccmf/internal/raceflag"
-	"hccmf/internal/sparse"
 )
 
 // skipRealTrainingUnderRace: real runs drive GPU workers through the
@@ -195,49 +194,6 @@ func TestEngineForMapping(t *testing.T) {
 	fp = EngineFor(device.Xeon6242(24), Tuning{HostCap: 16}).(*mf.FPSGD)
 	if fp.Threads != 16 {
 		t.Fatalf("HostCap 16 not honoured: %d threads", fp.Threads)
-	}
-	// FastMath tuning reaches both engine kinds.
-	if !EngineFor(device.RTX2080(), Tuning{FastMath: true}).(*mf.Batched).FastMath {
-		t.Fatal("FastMath not propagated to the batched engine")
-	}
-	if !EngineFor(device.Xeon6242(24), Tuning{FastMath: true}).(*mf.FPSGD).FastMath {
-		t.Fatal("FastMath not propagated to FPSGD")
-	}
-}
-
-func TestBuildWorkerConfsFastMathSortsShards(t *testing.T) {
-	spec := dataset.Spec{
-		Name: "fm-sort", M: 400, N: 300, NNZ: 20_000, Rank: 8,
-		Params: dataset.Params{Gamma: 0.005, Lambda1: 0.01, Lambda2: 0.01},
-	}
-	ds, err := dataset.Generate(spec, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plat := PaperPlatformOverall()
-	plan, err := PlanRun(plat, spec, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := append([]sparse.Rating(nil), ds.Train.Entries...)
-	confs, err := BuildWorkerConfs(plan.Platform, plan, ds.Train, Tuning{FastMath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, conf := range confs {
-		e := conf.Shard.Entries
-		for i := 1; i < len(e); i++ {
-			if e[i].U < e[i-1].U || (e[i].U == e[i-1].U && e[i].I < e[i-1].I) {
-				t.Fatalf("worker %s: shard not (row, col)-sorted at %d", conf.Name, i)
-			}
-		}
-	}
-	// Shards are views over a fresh backing array; the caller's entry order
-	// must be untouched.
-	for i := range before {
-		if ds.Train.Entries[i] != before[i] {
-			t.Fatalf("FastMath shard sort mutated the input matrix at %d", i)
-		}
 	}
 }
 

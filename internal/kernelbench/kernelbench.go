@@ -93,28 +93,12 @@ func FPSGDEpoch(b *testing.B) {
 	epochBench(b, &mf.FPSGD{Threads: 4})
 }
 
-// FPSGDEpochTiled benchmarks the fast-math FPSGD epoch: cache-blocked Q
-// tiles and the reordered-accumulation kernel. Not race-gated — the block
-// scheduler keeps concurrent sweeps row/column-disjoint in this mode too.
-func FPSGDEpochTiled(b *testing.B) {
-	epochBench(b, &mf.FPSGD{Threads: 4, FastMath: true})
-}
-
 // BatchedEpoch benchmarks one cuMF_SGD-style batched epoch (8 groups).
 func BatchedEpoch(b *testing.B) {
 	if raceflag.Enabled {
 		b.Skip("batched kernel is intentionally lock-free; skipped under -race")
 	}
 	epochBench(b, &mf.Batched{Groups: 8, BatchSize: 4096})
-}
-
-// BatchedEpochSoA benchmarks the fast-math batched epoch: per-group SoA
-// mini-batch staging with batch-end write-back.
-func BatchedEpochSoA(b *testing.B) {
-	if raceflag.Enabled {
-		b.Skip("batched kernel is intentionally lock-free; skipped under -race")
-	}
-	epochBench(b, &mf.Batched{Groups: 8, BatchSize: 4096, FastMath: true})
 }
 
 // HogwildEpoch benchmarks one lock-free Hogwild epoch (4 threads).

@@ -80,9 +80,7 @@ func Suite() []Bench {
 	return []Bench{
 		{"UpdateOne", UpdateOne},
 		{"FPSGDEpoch", FPSGDEpoch},
-		{"FPSGDEpochTiled", FPSGDEpochTiled},
 		{"BatchedEpoch", BatchedEpoch},
-		{"BatchedEpochSoA", BatchedEpochSoA},
 		{"HogwildEpoch", HogwildEpoch},
 		{"RMSEParallel", RMSEParallel},
 		{"BuildWorkerConfs", BuildWorkerConfs},

@@ -80,24 +80,6 @@ func TestBatchedEpochZeroAllocs(t *testing.T) {
 	})
 }
 
-func TestFPSGDFastMathEpochZeroAllocs(t *testing.T) {
-	skipAllocGuardUnderRace(t)
-	f, m, h := allocModel(t, 1<<14)
-	e := &FPSGD{Threads: 4, FastMath: true}
-	assertZeroAllocs(t, "FPSGD.Epoch(fast-math)", func() {
-		e.Epoch(f, m, h)
-	})
-}
-
-func TestBatchedSoAEpochZeroAllocs(t *testing.T) {
-	skipAllocGuardUnderRace(t)
-	f, m, h := allocModel(t, 1<<14)
-	e := &Batched{Groups: 4, BatchSize: 4096, FastMath: true}
-	assertZeroAllocs(t, "Batched.Epoch(soa)", func() {
-		e.Epoch(f, m, h)
-	})
-}
-
 func TestHogwildEpochZeroAllocs(t *testing.T) {
 	skipAllocGuardUnderRace(t)
 	f, m, h := allocModel(t, 1<<14)

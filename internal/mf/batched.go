@@ -22,25 +22,12 @@ type Batched struct {
 	// BatchSize is the number of ratings consumed per simulated kernel
 	// launch; 0 selects the whole epoch as one batch.
 	BatchSize int
-	// FastMath opts the engine into the versioned fast-math mode
-	// (DESIGN.md §16): group sweeps run the SoA mini-batch staging loop
-	// (see soa.go) with the 8-accumulator kernel. Results leave the
-	// default bit-exact contract — they follow the fast-math goldens
-	// instead. Off by default.
-	FastMath bool
 
 	sweeper
-	// soa holds one staging scratch per group when FastMath is on.
-	soa []*soaScratch
 }
 
 // Name implements Engine.
-func (bt *Batched) Name() string {
-	if bt.FastMath {
-		return fmt.Sprintf("batched-%d-soa", bt.Groups)
-	}
-	return fmt.Sprintf("batched-%d", bt.Groups)
-}
+func (bt *Batched) Name() string { return fmt.Sprintf("batched-%d", bt.Groups) }
 
 // Epoch implements Engine.
 //
@@ -73,53 +60,25 @@ func (bt *Batched) epoch(f *Factors, train *sparse.COO, h HyperParams) {
 
 // launch is one simulated kernel launch over a batch. The group sweeps run
 // on the engine's persistent worker pool; the wg.Wait is the kernel-launch
-// barrier. Under FastMath each group stages its chunk through its own SoA
-// scratch; a single-group launch runs the staging loop inline, which keeps
-// Groups=1 fast-math runs deterministic (the golden-results configuration).
+// barrier.
 //
 // lint:hotpath
 func (bt *Batched) launch(f *Factors, entries []sparse.Rating, h HyperParams, groups int) {
 	n := len(entries)
-	kern := bt.kernel(f.K, bt.FastMath)
+	kern := bt.kernel(f.K)
 	if groups == 1 || n < 4*groups {
-		if bt.FastMath {
-			bt.soaEnsure(1, f, n)
-			trainEntriesSoA(f, entries, h, bt.soa[0])
-		} else {
-			trainEntriesKernel(f, entries, h, kern)
-		}
+		trainEntriesKernel(f, entries, h, kern)
 		return
 	}
 	chunk := (n + groups - 1) / groups
 	pool := bt.ensure(groups)
-	if bt.FastMath {
-		bt.soaEnsure(groups, f, chunk)
-	}
-	g := 0
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		t := sweepTask{f: f, h: h, entries: entries[lo:hi], wg: &bt.wg, kern: kern}
-		if bt.FastMath {
-			t.soa = bt.soa[g]
-		}
 		bt.wg.Add(1)
-		pool.tasks <- t
-		g++
+		pool.tasks <- sweepTask{f: f, h: h, entries: entries[lo:hi], wg: &bt.wg, kern: kern}
 	}
 	bt.wg.Wait()
-}
-
-// soaEnsure sizes one SoA scratch per group for chunks of up to chunk
-// entries. Setup path: it allocates only when the group count or batch
-// geometry first appears or grows; steady-state launches reuse everything.
-func (bt *Batched) soaEnsure(groups int, f *Factors, chunk int) {
-	for len(bt.soa) < groups {
-		bt.soa = append(bt.soa, new(soaScratch))
-	}
-	for g := 0; g < groups; g++ {
-		bt.soa[g].prepare(f.N, f.K, chunk)
-	}
 }

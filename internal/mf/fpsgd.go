@@ -17,36 +17,17 @@ import (
 type FPSGD struct {
 	// Threads is the number of worker threads (≥1).
 	Threads int
-	// GridExtra widens the grid to (Threads+1+GridExtra) per side; larger
-	// grids give the scheduler more freedom at the cost of smaller blocks.
-	GridExtra int
-	// FastMath opts the engine into the versioned fast-math mode
-	// (DESIGN.md §16): the 8-accumulator kernel plus a cache-blocked block
-	// traversal — each grid block's entries are reordered into L2-sized
-	// column tiles (see tileOrder in schedule.go) so the Q rows a sweep
-	// touches stay resident across the tile. Off by default; default mode
-	// keeps the bit-exact row-sorted traversal.
-	FastMath bool
-	// TileBytes bounds the Q-tile footprint used by the fast-math block
-	// traversal; 0 selects tileBytesDefault (a conservative per-core L2
-	// share). Ignored unless FastMath is set.
-	TileBytes int
 
 	mu    sync.Mutex
 	grid  *sparse.BlockGridded
 	src   *sparse.COO // grid cache key
 	nside int
-	gridK int             // factor dimension the cached grid was tiled for
-	tiled bool            // whether the cached grid's blocks are tile-ordered
 	sched *blockScheduler // reused across epochs, reset() each time
 	sweeper
 }
 
 // Name implements Engine.
 func (fp *FPSGD) Name() string {
-	if fp.FastMath {
-		return fmt.Sprintf("fpsgd-%d-tiled", fp.Threads)
-	}
 	return fmt.Sprintf("fpsgd-%d", fp.Threads)
 }
 
@@ -65,7 +46,7 @@ func (fp *FPSGD) epoch(f *Factors, train *sparse.COO, h HyperParams) {
 	if threads < 1 {
 		threads = 1
 	}
-	nside := threads + 1 + fp.GridExtra
+	nside := threads + 1
 	if nside > train.Rows {
 		nside = train.Rows
 	}
@@ -75,8 +56,8 @@ func (fp *FPSGD) epoch(f *Factors, train *sparse.COO, h HyperParams) {
 	if nside < 1 {
 		nside = 1
 	}
-	kern := fp.kernel(f.K, fp.FastMath)
-	grid := fp.cachedGrid(train, nside, f.K)
+	kern := fp.kernel(f.K)
+	grid := fp.cachedGrid(train, nside)
 	if grid == nil || threads == 1 || nside < 2 {
 		trainEntriesKernel(f, train.Entries, h, kern)
 		return
@@ -108,41 +89,24 @@ func (fp *FPSGD) scheduler(grid *sparse.BlockGridded) *blockScheduler {
 }
 
 // cachedGrid reuses the block grid across epochs as long as the engine
-// trains the same matrix with the same grid side, factor dimension and
-// traversal mode. Grid construction is a per-matrix setup cost, so the
-// (cold) tile reorder happens here, not per epoch.
-func (fp *FPSGD) cachedGrid(train *sparse.COO, nside, k int) *sparse.BlockGridded {
+// trains the same matrix with the same grid side. Grid construction (and
+// the per-block row sort) is a per-matrix setup cost, not a per-epoch one.
+func (fp *FPSGD) cachedGrid(train *sparse.COO, nside int) *sparse.BlockGridded {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
-	if fp.grid != nil && fp.src == train && fp.nside == nside &&
-		fp.tiled == fp.FastMath && (!fp.tiled || fp.gridK == k) {
+	if fp.grid != nil && fp.src == train && fp.nside == nside {
 		return fp.grid
 	}
 	g, err := sparse.NewBlockGrid(train, nside, nside)
 	if err != nil {
 		return nil
 	}
-	if fp.FastMath {
-		// Cache-blocked traversal: order each block's entries into L2-sized
-		// column tiles, (row, col) within a tile, so a sweep's Q working set
-		// stays tile-resident (DESIGN.md §16).
-		budget := fp.TileBytes
-		if budget <= 0 {
-			budget = tileBytesDefault
-		}
-		for i := range g.Blocks {
-			colLo, _ := g.ColRange(g.Blocks[i].BC)
-			tileOrder(g.Blocks[i].Entries, colLo, k, budget)
-		}
-	} else {
-		// Sort blocks by row for cache locality, as the paper's modified
-		// baseline does ("block sorting by row").
-		for i := range g.Blocks {
-			sortEntriesByRow(g.Blocks[i].Entries)
-		}
+	// Sort blocks by row for cache locality, as the paper's modified
+	// baseline does ("block sorting by row").
+	for i := range g.Blocks {
+		sortEntriesByRow(g.Blocks[i].Entries)
 	}
 	fp.grid, fp.src, fp.nside = g, train, nside
-	fp.tiled, fp.gridK = fp.FastMath, k
 	return g
 }
 

@@ -17,9 +17,6 @@ import (
 type Hogwild struct {
 	// Threads is the number of concurrent updaters (≥1).
 	Threads int
-	// FastMath selects the reordered-accumulation fast-math kernel
-	// (DESIGN.md §16) for the chunk sweeps. Off by default.
-	FastMath bool
 
 	sweeper
 }
@@ -46,7 +43,7 @@ func (hw *Hogwild) epoch(f *Factors, train *sparse.COO, h HyperParams) {
 		threads = 1
 	}
 	n := len(train.Entries)
-	kern := hw.kernel(f.K, hw.FastMath)
+	kern := hw.kernel(f.K)
 	if threads == 1 || n < 4*threads {
 		trainEntriesKernel(f, train.Entries, h, kern)
 		return

@@ -1,8 +1,6 @@
 package mf
 
 import (
-	"hash/fnv"
-	"math"
 	"testing"
 
 	"hccmf/internal/sparse"
@@ -58,47 +56,6 @@ func TestUpdateOneMatchesReference(t *testing.T) {
 	}
 }
 
-// referenceFastUpdateOne is the rolled form of the fast-math accumulation
-// contract (see UpdateOneFastMath): eight partial sums with element j
-// folding into s(j mod 8) across full 8-element rounds, a single 4-wide
-// remainder round into s0..s3, the scalar tail into s0, the lanewise fold
-// t_j = s_j + s_{j+4}, and the ordered final reduction. Both fast-math
-// implementations (SSE and the mirrored Go kernel) must match it bit for
-// bit, which is what makes fast-math cross-architecture deterministic.
-func referenceFastUpdateOne(p, q []float32, r float32, h HyperParams) float32 {
-	var s [8]float32
-	n := len(p)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		for j := 0; j < 8; j++ {
-			s[j] += p[i+j] * q[i+j]
-		}
-	}
-	if n-i >= 4 {
-		for j := 0; j < 4; j++ {
-			s[j] += p[i+j] * q[i+j]
-		}
-		i += 4
-	}
-	for ; i < n; i++ {
-		s[0] += p[i] * q[i]
-	}
-	t0 := s[0] + s[4]
-	t1 := s[1] + s[5]
-	t2 := s[2] + s[6]
-	t3 := s[3] + s[7]
-	e := r - (((t0 + t1) + t2) + t3)
-	ge := h.Gamma * e
-	gl1 := h.Gamma * h.Lambda1
-	gl2 := h.Gamma * h.Lambda2
-	for i := range p {
-		p0, q0 := p[i], q[i]
-		p[i] = p0 + ge*q0 - gl1*p0
-		q[i] = q0 + ge*p0 - gl2*q0
-	}
-	return e
-}
-
 // kernelVariant names one single-rating kernel implementation and the
 // dimensions it supports.
 type kernelVariant struct {
@@ -119,14 +76,11 @@ func kernelVariants() []kernelVariant {
 		{"updateOneK32", updateOneK32, referenceUpdateOne, func(k int) bool { return k == 32 }},
 		{"updateOneK64", updateOneK64, referenceUpdateOne, func(k int) bool { return k == 64 }},
 		{"updateOneK128", updateOneK128, referenceUpdateOne, func(k int) bool { return k == 128 }},
-		{"UpdateOneFastMath", UpdateOneFastMath, referenceFastUpdateOne, any},
-		{"updateOneFastGeneric", updateOneFastGeneric, referenceFastUpdateOne, any},
 	}
 }
 
 // TestKernelVariantsMatchReference sweeps every kernel implementation —
-// generic, vector, each unrolled specialization, and both fast-math
-// implementations — across k = 1..160 (every remainder shape, including
+// generic, vector and each unrolled specialization — across k = 1..160 (every remainder shape, including
 // non-multiples of 4 and 8) and pins each bit-for-bit to its reference
 // accumulation order.
 func TestKernelVariantsMatchReference(t *testing.T) {
@@ -176,7 +130,6 @@ func TestTrainEntriesKernelMatchesReference(t *testing.T) {
 		{"k32", kernK32, 32, referenceUpdateOne},
 		{"k64", kernK64, 64, referenceUpdateOne},
 		{"k128", kernK128, 128, referenceUpdateOne},
-		{"fast", kernFast, 24, referenceFastUpdateOne},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -202,15 +155,10 @@ func TestTrainEntriesKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestKernelIDForSelection pins the selection table: fast-math always picks
-// the fast kernel; otherwise the build's vector kernel wins when present,
-// and the unrolled specializations cover 32/64/128 on portable builds.
+// TestKernelIDForSelection pins the selection table: the build's vector
+// kernel wins when present, and the unrolled specializations cover
+// 32/64/128 on portable builds.
 func TestKernelIDForSelection(t *testing.T) {
-	for _, k := range []int{8, 32, 64, 128, 129} {
-		if got := kernelIDFor(k, true); got != kernFast {
-			t.Fatalf("kernelIDFor(%d, fast) = %v, want kernFast", k, got)
-		}
-	}
 	for _, tc := range []struct {
 		k    int
 		want kernelID
@@ -221,77 +169,8 @@ func TestKernelIDForSelection(t *testing.T) {
 		if haveVec {
 			want = kernVec
 		}
-		if got := kernelIDFor(tc.k, false); got != want {
-			t.Fatalf("kernelIDFor(%d, false) = %v, want %v", tc.k, got, want)
-		}
-	}
-}
-
-// fastMathGoldens pins the fast-math training trajectory: FNV-1a over the
-// factor bits after three kernFast sweeps of a fixed problem, per
-// dimension. Fast-math reorders accumulation relative to the default
-// kernels, but it is its own versioned contract — the SSE kernel and the
-// mirrored Go kernel implement the same order, so these goldens hold on
-// every architecture. A change here is a fast-math contract break and
-// needs a version bump, not a golden refresh.
-var fastMathGoldens = map[int]uint64{
-	16: 0xc0f91605993472bd,
-	24: 0xd5506b97c298d992,
-	32: 0xbc5775ad99b8a34a,
-}
-
-func fastMathFingerprint(f *Factors) uint64 {
-	hsh := fnv.New64a()
-	var buf [4]byte
-	for _, v := range f.P {
-		bits := math.Float32bits(v)
-		buf[0], buf[1], buf[2], buf[3] = byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24)
-		hsh.Write(buf[:])
-	}
-	for _, v := range f.Q {
-		bits := math.Float32bits(v)
-		buf[0], buf[1], buf[2], buf[3] = byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24)
-		hsh.Write(buf[:])
-	}
-	return hsh.Sum64()
-}
-
-func TestFastMathGoldenBits(t *testing.T) {
-	h := HyperParams{Gamma: 0.005, Lambda1: 0.01, Lambda2: 0.01}
-	for k, want := range fastMathGoldens {
-		m := trainSet(t, 60, 40, 3000, 33)
-		f := NewFactorsInit(m.Rows, m.Cols, k, m.MeanRating(), sparse.NewRand(7))
-		for epoch := 0; epoch < 3; epoch++ {
-			trainEntriesKernel(f, m.Entries, h, kernFast)
-		}
-		if got := fastMathFingerprint(f); got != want {
-			t.Fatalf("k=%d: fast-math fingerprint %#x, want %#x (fast-math contract break?)", k, got, want)
-		}
-	}
-}
-
-// TestBatchedSoAMatchesInPlaceFastMath pins the SoA staging loop's
-// value-preservation claim: a single-group fast-math Batched epoch (every
-// batch staged through scratch, written back at batch end) is bit-identical
-// to the plain in-place fast-math sweep over the same entry order.
-func TestBatchedSoAMatchesInPlaceFastMath(t *testing.T) {
-	m := trainSet(t, 80, 50, 4000, 17)
-	h := HyperParams{Gamma: 0.005, Lambda1: 0.01, Lambda2: 0.01}
-	f1 := NewFactorsInit(m.Rows, m.Cols, 16, m.MeanRating(), sparse.NewRand(9))
-	f2 := f1.Clone()
-	e := &Batched{Groups: 1, BatchSize: 512, FastMath: true}
-	for epoch := 0; epoch < 2; epoch++ {
-		e.Epoch(f1, m, h)
-		trainEntriesKernel(f2, m.Entries, h, kernFast)
-	}
-	for i := range f1.P {
-		if f1.P[i] != f2.P[i] {
-			t.Fatalf("P[%d] diverged: %v != %v", i, f1.P[i], f2.P[i])
-		}
-	}
-	for i := range f1.Q {
-		if f1.Q[i] != f2.Q[i] {
-			t.Fatalf("Q[%d] diverged: %v != %v", i, f1.Q[i], f2.Q[i])
+		if got := kernelIDFor(tc.k); got != want {
+			t.Fatalf("kernelIDFor(%d) = %v, want %v", tc.k, got, want)
 		}
 	}
 }

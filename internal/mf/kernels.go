@@ -13,16 +13,14 @@ import "hccmf/internal/sparse"
 //
 // The table, best-first per build:
 //
-//	fast-math        → kernFast     updateOneFastVec (SSE 8-accumulator on
-//	                                 amd64, mirrored Go kernel elsewhere)
 //	amd64            → kernVec      updateOneVec (SSE, bit-identical to
 //	                                 referenceUpdateOne for every k)
 //	k ∈ {32,64,128}  → kernK*       fully unrolled Go kernels (generated,
 //	                                 see internal/genkspec)
 //	otherwise        → kernGeneric  updateOneGeneric (fused 8-wide)
 //
-// Default-mode kernels (everything but kernFast) are pinned bit-identical
-// to referenceUpdateOne by the k=8..160 sweep in kernel_equiv_test.go.
+// Every kernel is pinned bit-identical to referenceUpdateOne by the
+// k=1..160 sweep in kernel_equiv_test.go.
 type kernelID uint8
 
 const (
@@ -31,17 +29,12 @@ const (
 	kernK64
 	kernK128
 	kernVec
-	kernFast
 )
 
-// kernelIDFor picks the kernel for dimension k. Fast-math always selects
-// the reordered-accumulation kernel; otherwise the vector kernel wins
+// kernelIDFor picks the kernel for dimension k: the vector kernel wins
 // where the build has one (it beats the unrolled Go kernels at every k),
 // and the unrolled kernels cover the common dimensions on portable builds.
-func kernelIDFor(k int, fastMath bool) kernelID {
-	if fastMath {
-		return kernFast
-	}
+func kernelIDFor(k int) kernelID {
 	if haveVec {
 		return kernVec
 	}
@@ -54,25 +47,6 @@ func kernelIDFor(k int, fastMath bool) kernelID {
 		return kernK128
 	}
 	return kernGeneric
-}
-
-// KernelName reports the human-readable name of the kernel kernelIDFor
-// selects for (k, fastMath) on this build — for run banners and reports.
-func KernelName(k int, fastMath bool) string {
-	switch kernelIDFor(k, fastMath) {
-	case kernFast:
-		return "fastmath-8acc-" + vecImpl
-	case kernVec:
-		return "vec-" + vecImpl
-	case kernK32:
-		return "unrolled-k32"
-	case kernK64:
-		return "unrolled-k64"
-	case kernK128:
-		return "unrolled-k128"
-	default:
-		return "generic-8wide"
-	}
 }
 
 // trainEntriesKernel sweeps entries through the selected kernel. Each case
@@ -93,14 +67,6 @@ func trainEntriesKernel(f *Factors, entries []sparse.Rating, h HyperParams, id k
 			po := int(e.U) * k
 			qo := int(e.I) * k
 			updateOneVec(p[po:po+k], q[qo:qo+k:qo+k], e.V, h)
-		}
-	case kernFast:
-		k := f.K
-		for idx := range entries {
-			e := entries[idx]
-			po := int(e.U) * k
-			qo := int(e.I) * k
-			updateOneFastVec(p[po:po+k], q[qo:qo+k:qo+k], e.V, h)
 		}
 	case kernK32:
 		for idx := range entries {

@@ -29,16 +29,13 @@ import (
 // a scheduler task loops acquiring disjoint blocks from the carried grid
 // until the epoch is drained (FPSGD); an entries task sweeps the given
 // contiguous run once (Hogwild chunk, Batched group). kern is the kernel
-// the launching engine selected at Init (sweeper.kernel); soa, when
-// non-nil, routes the entries sweep through the fast-math SoA mini-batch
-// staging loop instead of the in-place kernel sweep.
+// the launching engine selected at Init (sweeper.kernel).
 type sweepTask struct {
 	f       *Factors
 	h       HyperParams
 	entries []sparse.Rating
 	sched   *blockScheduler
 	grid    *sparse.BlockGridded
-	soa     *soaScratch
 	kern    kernelID
 	wg      *sync.WaitGroup
 }
@@ -60,8 +57,6 @@ func sweepWorker(tasks <-chan sweepTask) {
 				trainEntriesKernel(t.f, t.grid.Blocks[idx].Entries, t.h, t.kern)
 				t.sched.release(idx)
 			}
-		case t.soa != nil:
-			trainEntriesSoA(t.f, t.entries, t.h, t.soa)
 		default:
 			trainEntriesKernel(t.f, t.entries, t.h, t.kern)
 		}
@@ -98,11 +93,10 @@ type sweeper struct {
 	size int
 	wg   sync.WaitGroup
 	// kern caches the kernelIDFor selection — made once at engine Init in
-	// practice, since (k, fast-math) never changes across a training run.
-	kern     kernelID
-	kernSet  bool
-	kernK    int
-	kernFast bool
+	// practice, since k never changes across a training run.
+	kern    kernelID
+	kernSet bool
+	kernK   int
 	// metrics is the optional observability bundle installed by SetMetrics
 	// (see metered.go); nil keeps the epoch hooks inert.
 	metrics *obs.EngineMetrics
@@ -122,11 +116,10 @@ func (s *sweeper) ensure(workers int) *sweepPool {
 // kernel returns the engine's update kernel, selecting it on the first
 // epoch (engine Init) and reusing the cached choice for the run's
 // remainder.
-func (s *sweeper) kernel(k int, fastMath bool) kernelID {
-	if !s.kernSet || s.kernK != k || s.kernFast != fastMath {
-		s.kern = kernelIDFor(k, fastMath)
+func (s *sweeper) kernel(k int) kernelID {
+	if !s.kernSet || s.kernK != k {
+		s.kern = kernelIDFor(k)
 		s.kernK = k
-		s.kernFast = fastMath
 		s.kernSet = true
 	}
 	return s.kern

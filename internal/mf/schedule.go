@@ -89,29 +89,19 @@ func (b *BoldDriver) Observe(loss float64) {
 	b.seen = true
 }
 
-// Cache-blocked Q-tile traversal for FPSGD's fast-math mode (DESIGN.md
-// §16). An FPSGD block already confines a sweep's P rows to one block-row
-// and its Q rows to one block-column, but a block-column of Q is still far
-// larger than L2 on real matrices; the row-sorted traversal streams P
-// nicely while revisiting Q rows long after they were evicted. tileOrder
-// reorders a block's entries into column tiles sized so a tile's Q rows
-// fit the budget, (row, col) within each tile: every Q row is loaded into
-// cache at most once per tile instead of once per touching row segment.
-// Traversal order changes the update sequence, so this lives behind
-// FPSGD.FastMath with its own goldens; default mode keeps the row sort.
+// Cache-blocked Q-tile traversal for the parameter server's async
+// streams (internal/ps/async.go, DESIGN.md §15). A stream's item slice of
+// Q can be far larger than L2 on real matrices; a row-sorted traversal
+// streams P nicely while revisiting Q rows long after they were evicted.
+// tileOrder reorders a chunk's entries into column tiles sized so a
+// tile's Q rows fit the budget, (row, col) within each tile: every Q row
+// is loaded into cache at most once per tile instead of once per touching
+// row segment. The mf engines keep their own traversal orders.
 
 // tileBytesDefault is a conservative per-core slice of L2 (typical
 // client/server cores have 0.5–2 MiB per core); the Q tile must share the
 // cache with the streaming P rows and the entry stream itself.
 const tileBytesDefault = 256 << 10
-
-// tileBudget reports the engine's Q-tile byte budget.
-func (fp *FPSGD) tileBudget() int {
-	if fp.TileBytes > 0 {
-		return fp.TileBytes
-	}
-	return tileBytesDefault
-}
 
 // tileCols reports how many consecutive columns fit one Q tile of the
 // given byte budget at factor dimension k (4 bytes per float32), never
@@ -129,7 +119,7 @@ func tileCols(k, budget int) int {
 
 // tileOrder reorders entries in place into (tile, row, col) order, where
 // tile = (col − colLo) / tileCols(k, budget), and returns the tile count.
-// Cold path — it runs once per grid build, so it allocates its scratch
+// Cold path — it runs once per chunk build, so it allocates its scratch
 // locally. The reorder is a stable counting scatter over a (row, col)
 // sort, i.e. an LSD radix pass with the tile index as the most significant
 // digit, so within each tile entries remain (row, col)-sorted — the same
@@ -168,9 +158,8 @@ func tileOrder(entries []sparse.Rating, colLo, k, budget int) int {
 	return ntiles
 }
 
-// TileOrder is tileOrder at the default budget, for callers outside the
-// engine that want the same cache-blocked traversal over one column range
-// starting at colLo — the parameter server's async streams order each item
+// TileOrder is tileOrder at the default budget over one column range
+// starting at colLo. The parameter server's async streams order each item
 // slice's entries with it.
 func TileOrder(entries []sparse.Rating, colLo, k int) int {
 	return tileOrder(entries, colLo, k, tileBytesDefault)

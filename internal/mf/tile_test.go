@@ -6,9 +6,9 @@ import (
 	"hccmf/internal/sparse"
 )
 
-// tileOrder invariants: the reorder is a permutation, tile indices are
-// non-decreasing across the slice, and entries within one tile keep the
-// (row, col) order the default traversal has.
+// tileOrder invariants (the parameter server's async streams depend on
+// them): the reorder is a permutation, tile indices are non-decreasing
+// across the slice, and entries within one tile keep (row, col) order.
 func TestTileOrderInvariants(t *testing.T) {
 	rng := sparse.NewRand(31)
 	const colLo, cols, k = 100, 400, 32
@@ -92,56 +92,5 @@ func TestTileColsBounds(t *testing.T) {
 	}
 	if tc := tileCols(0, 1024); tc != 1 {
 		t.Fatalf("tileCols k=0 = %d, want 1", tc)
-	}
-}
-
-// Fast-math engine convergence: the reordered kernels and traversals must
-// still descend. These mirror the default-mode convergence tests.
-
-func TestFPSGDFastMathConverges(t *testing.T) {
-	m := trainSet(t, 80, 60, 4000, 14)
-	rmse := runEngine(t, &FPSGD{Threads: 4, FastMath: true}, m, 25)
-	if rmse > 0.35 {
-		t.Fatalf("fast-math fpsgd RMSE after 25 epochs = %v", rmse)
-	}
-}
-
-func TestBatchedFastMathConverges(t *testing.T) {
-	skipLockFreeUnderRace(t)
-	m := trainSet(t, 80, 60, 4000, 15)
-	rmse := runEngine(t, &Batched{Groups: 8, BatchSize: 512, FastMath: true}, m, 25)
-	if rmse > 0.35 {
-		t.Fatalf("fast-math batched RMSE after 25 epochs = %v", rmse)
-	}
-}
-
-func TestHogwildFastMathConverges(t *testing.T) {
-	skipLockFreeUnderRace(t)
-	m := trainSet(t, 80, 60, 4000, 16)
-	rmse := runEngine(t, &Hogwild{Threads: 4, FastMath: true}, m, 25)
-	if rmse > 0.35 {
-		t.Fatalf("fast-math hogwild RMSE after 25 epochs = %v", rmse)
-	}
-}
-
-// The grid cache must be invalidated when the engine flips traversal mode
-// or the factor dimension changes under tiling.
-func TestFPSGDGridCacheTiledKey(t *testing.T) {
-	m := trainSet(t, 50, 50, 1000, 18)
-	e := &FPSGD{Threads: 2}
-	f := NewFactorsInit(50, 50, 4, m.MeanRating(), sparse.NewRand(2))
-	h := HyperParams{Gamma: 0.01}
-	e.Epoch(f, m, h)
-	g1 := e.grid
-	e.FastMath = true
-	e.Epoch(f, m, h)
-	if e.grid == g1 {
-		t.Fatal("grid not rebuilt after switching to tiled traversal")
-	}
-	g2 := e.grid
-	f8 := NewFactorsInit(50, 50, 8, m.MeanRating(), sparse.NewRand(2))
-	e.Epoch(f8, m, h)
-	if e.grid == g2 {
-		t.Fatal("tiled grid not rebuilt for a new factor dimension")
 	}
 }

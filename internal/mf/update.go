@@ -26,30 +26,11 @@ type HyperParams struct {
 // elsewhere). Every default-mode kernel is pinned bit-identical to
 // referenceUpdateOne — the memory-layout pass is not allowed to move the
 // convergence trajectory — by the kernel-equivalence sweep in
-// kernel_equiv_test.go. The reordered-accumulation variant lives behind
-// UpdateOneFastMath (DESIGN.md §16).
+// kernel_equiv_test.go.
 //
 // lint:hotpath
 func UpdateOne(p, q []float32, r float32, h HyperParams) float32 {
 	return updateOneVec(p, q[:len(p)], r, h)
-}
-
-// UpdateOneFastMath is the explicitly versioned fast-math kernel: the same
-// SGD step as UpdateOne, but the dot product folds into eight partial sums
-// (s_j accumulates elements j, j+8, j+16, …; a four-wide remainder folds
-// into s0..s3, the scalar tail into s0; reduction is ((s0+s4 + s1+s5) +
-// s2+s6) + s3+s7). The wider accumulation breaks bit-identity with
-// referenceUpdateOne — results differ in the last ulps — in exchange for a
-// deeper dependency chain split. The order above IS the contract: it is
-// identical on every architecture (asm and Go implementations are pinned
-// against referenceFastUpdateOne and each other), so fast-math runs are
-// still deterministic and reproducible, just under their own golden
-// results. Off every default path; engines opt in via their FastMath
-// field, surfaced as `hccmf-train -fast-math`.
-//
-// lint:hotpath
-func UpdateOneFastMath(p, q []float32, r float32, h HyperParams) float32 {
-	return updateOneFastVec(p, q[:len(p)], r, h)
 }
 
 // updateOneGeneric is the portable fused kernel (PR 3): dot product fused
@@ -135,77 +116,6 @@ func updateOneGeneric(p, q []float32, r float32, h HyperParams) float32 {
 	return e
 }
 
-// updateOneFastGeneric is the portable fast-math kernel. It mirrors the
-// amd64 two-register SSE dot lane for lane — s0..s3 are the lanes of the
-// first accumulator (elements 8i+0..3), s4..s7 the second (elements
-// 8i+4..7), the four-wide remainder folds into s0..s3, the scalar tail
-// into s0, and the reduction is the lanewise fold s_j+s_{j+4} followed by
-// the ordered horizontal sum — so fast-math results are identical across
-// architectures. The update sweep is element-independent and unchanged
-// from updateOneGeneric.
-//
-// lint:hotpath
-func updateOneFastGeneric(p, q []float32, r float32, h HyperParams) float32 {
-	n := len(p)
-	q = q[:n]
-	var s0, s1, s2, s3, s4, s5, s6, s7 float32
-	pp, qq := p, q
-	for len(pp) >= 8 && len(qq) >= 8 {
-		s0 += pp[0] * qq[0]
-		s1 += pp[1] * qq[1]
-		s2 += pp[2] * qq[2]
-		s3 += pp[3] * qq[3]
-		s4 += pp[4] * qq[4]
-		s5 += pp[5] * qq[5]
-		s6 += pp[6] * qq[6]
-		s7 += pp[7] * qq[7]
-		pp = pp[8:]
-		qq = qq[8:]
-	}
-	if len(pp) >= 4 && len(qq) >= 4 {
-		s0 += pp[0] * qq[0]
-		s1 += pp[1] * qq[1]
-		s2 += pp[2] * qq[2]
-		s3 += pp[3] * qq[3]
-		pp = pp[4:]
-		qq = qq[4:]
-	}
-	for i := 0; i < len(pp) && i < len(qq); i++ {
-		s0 += pp[i] * qq[i]
-	}
-	t0 := s0 + s4
-	t1 := s1 + s5
-	t2 := s2 + s6
-	t3 := s3 + s7
-	e := r - (t0 + t1 + t2 + t3)
-	ge := h.Gamma * e
-	gl1 := h.Gamma * h.Lambda1
-	gl2 := h.Gamma * h.Lambda2
-	pp, qq = p, q
-	for len(pp) >= 4 && len(qq) >= 4 {
-		p0, q0 := pp[0], qq[0]
-		p1, q1 := pp[1], qq[1]
-		p2, q2 := pp[2], qq[2]
-		p3, q3 := pp[3], qq[3]
-		pp[0] = p0 + ge*q0 - gl1*p0
-		qq[0] = q0 + ge*p0 - gl2*q0
-		pp[1] = p1 + ge*q1 - gl1*p1
-		qq[1] = q1 + ge*p1 - gl2*q1
-		pp[2] = p2 + ge*q2 - gl1*p2
-		qq[2] = q2 + ge*p2 - gl2*q2
-		pp[3] = p3 + ge*q3 - gl1*p3
-		qq[3] = q3 + ge*p3 - gl2*q3
-		pp = pp[4:]
-		qq = qq[4:]
-	}
-	for i := 0; i < len(pp) && i < len(qq); i++ {
-		p0, q0 := pp[i], qq[i]
-		pp[i] = p0 + ge*q0 - gl1*p0
-		qq[i] = q0 + ge*p0 - gl2*q0
-	}
-	return e
-}
-
 // UpdatesPerEntryFLOPs reports the floating-point operations one UpdateOne
 // performs for dimension k: 2k for the dot product, ~5k for the two factor
 // updates. Used by the cost model's "7k/Pi" term.
@@ -225,5 +135,5 @@ func UpdateBytes(k int) int { return 16*k + 4 }
 // every epoch select their kernel once at Init via sweeper.kernel and call
 // trainEntriesKernel directly.
 func TrainEntries(f *Factors, entries []sparse.Rating, h HyperParams) {
-	trainEntriesKernel(f, entries, h, kernelIDFor(f.K, false))
+	trainEntriesKernel(f, entries, h, kernelIDFor(f.K))
 }

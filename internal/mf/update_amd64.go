@@ -8,9 +8,6 @@ package mf
 // instruction-count-bound).
 const haveVec = true
 
-// vecImpl names the vector backend in KernelName output.
-const vecImpl = "sse2"
-
 // updateOneVec is the SSE kernel in update_amd64.s: one SGD step,
 // bit-identical to updateOneGeneric/referenceUpdateOne for every k (see
 // the .s file for the lane argument). Callers must guarantee
@@ -20,11 +17,3 @@ const vecImpl = "sse2"
 //
 //go:noescape
 func updateOneVec(p, q []float32, r float32, h HyperParams) float32
-
-// updateOneFastVec is the fast-math SSE kernel in update_amd64.s: the
-// two-accumulator (8-wide) dot whose summation order matches
-// updateOneFastGeneric exactly, not referenceUpdateOne. Same
-// len(q) >= len(p) contract as updateOneVec.
-//
-//go:noescape
-func updateOneFastVec(p, q []float32, r float32, h HyperParams) float32

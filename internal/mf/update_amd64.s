@@ -1,6 +1,6 @@
 //go:build !noasm
 
-// SSE update kernels (DESIGN.md §16). Go has no float32 auto-vectorizer,
+// SSE update kernel (DESIGN.md §16). Go has no float32 auto-vectorizer,
 // and the scalar fused kernel is compute-port-bound on this sweep, so the
 // amd64 hot path hand-vectorizes the SGD step with baseline SSE (MOVUPS /
 // MULPS / ADDPS — no CPUID gate needed on amd64, SSE2 is architectural).
@@ -17,14 +17,6 @@
 //   - The update pass is element-independent, and IEEE-754 add/mul are
 //     commutative on the bit level, so ADDPS(ge*q, p) equals the scalar
 //     p + ge*q exactly.
-//
-// updateOneFastVec is the explicitly versioned fast-math variant: the dot
-// runs 8 elements per iteration into TWO accumulator registers (X0 lanes
-// take elements 8i+0..3, X12 lanes 8i+4..7), the four-wide remainder folds
-// into X0, the scalar tail into lane 0, then ADDPS folds the accumulators
-// lanewise before the same ordered reduction. That order is mirrored
-// exactly by updateOneFastGeneric, so fast-math results are identical
-// across architectures — but NOT to referenceUpdateOne.
 //
 // ABI0 frame (asmdecl-checked): p_base+0 p_len+8 p_cap+16 / q_base+24
 // q_len+32 q_cap+40 / r+48 / h_Gamma+52 h_Lambda1+56 h_Lambda2+60 /
@@ -149,139 +141,5 @@ updtailloop:
 	JNZ    updtailloop
 
 done:
-	MOVSS X4, ret+64(FP)
-	RET
-
-// func updateOneFastVec(p, q []float32, r float32, h HyperParams) float32
-TEXT ·updateOneFastVec(SB), NOSPLIT, $0-68
-	MOVQ  p_base+0(FP), SI
-	MOVQ  q_base+24(FP), DI
-	MOVQ  p_len+8(FP), CX
-	XORPS X0, X0
-	XORPS X12, X12
-	MOVQ  CX, BX
-	SHRQ  $3, BX
-	JZ    fquad
-
-floop8:
-	MOVUPS (SI), X1
-	MOVUPS (DI), X2
-	MULPS  X2, X1
-	ADDPS  X1, X0
-	MOVUPS 16(SI), X1
-	MOVUPS 16(DI), X2
-	MULPS  X2, X1
-	ADDPS  X1, X12
-	ADDQ   $32, SI
-	ADDQ   $32, DI
-	DECQ   BX
-	JNZ    floop8
-
-fquad:
-	MOVQ   CX, BX
-	ANDQ   $4, BX
-	JZ     ftail
-	MOVUPS (SI), X1
-	MOVUPS (DI), X2
-	MULPS  X2, X1
-	ADDPS  X1, X0
-	ADDQ   $16, SI
-	ADDQ   $16, DI
-
-ftail:
-	MOVQ CX, BX
-	ANDQ $3, BX
-	JZ   ffold
-
-ftailloop:
-	MOVSS (SI), X1
-	MULSS (DI), X1
-	ADDSS X1, X0
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	DECQ  BX
-	JNZ   ftailloop
-
-ffold:
-	// Lanewise fold s_j += s_{j+4}, then the same ordered reduction and
-	// update sweep as updateOneVec.
-	ADDPS  X12, X0
-	MOVAPS X0, X3
-	MOVAPS X0, X1
-	SHUFPS $0x1, X1, X1
-	ADDSS  X1, X3
-	MOVAPS X0, X1
-	SHUFPS $0x2, X1, X1
-	ADDSS  X1, X3
-	MOVAPS X0, X1
-	SHUFPS $0x3, X1, X1
-	ADDSS  X1, X3
-	MOVSS  r+48(FP), X4
-	SUBSS  X3, X4
-	MOVSS  h_Gamma+52(FP), X5
-	MOVAPS X5, X10
-	MOVAPS X5, X11
-	MULSS  X4, X5
-	MULSS  h_Lambda1+56(FP), X10
-	MULSS  h_Lambda2+60(FP), X11
-	SHUFPS $0x0, X5, X5
-	SHUFPS $0x0, X10, X10
-	SHUFPS $0x0, X11, X11
-	MOVQ   p_base+0(FP), SI
-	MOVQ   q_base+24(FP), DI
-	MOVQ   CX, BX
-	SHRQ   $2, BX
-	JZ     fupdtail
-
-fupdloop:
-	MOVUPS (SI), X1
-	MOVUPS (DI), X2
-	MOVAPS X2, X6
-	MULPS  X5, X6
-	ADDPS  X1, X6
-	MOVAPS X1, X7
-	MULPS  X10, X7
-	SUBPS  X7, X6
-	MOVAPS X1, X8
-	MULPS  X5, X8
-	ADDPS  X2, X8
-	MOVAPS X2, X9
-	MULPS  X11, X9
-	SUBPS  X9, X8
-	MOVUPS X6, (SI)
-	MOVUPS X8, (DI)
-	ADDQ   $16, SI
-	ADDQ   $16, DI
-	DECQ   BX
-	JNZ    fupdloop
-
-fupdtail:
-	MOVQ CX, BX
-	ANDQ $3, BX
-	JZ   fdone
-
-fupdtailloop:
-	MOVSS  (SI), X1
-	MOVSS  (DI), X2
-	MOVAPS X2, X6
-	MULSS  X5, X6
-	ADDSS  X1, X6
-	MOVAPS X1, X7
-	MULSS  X10, X7
-	SUBSS  X7, X6
-	MOVAPS X1, X8
-	MULSS  X5, X8
-	ADDSS  X2, X8
-	MOVAPS X2, X9
-	MULSS  X11, X9
-	SUBSS  X9, X8
-	MOVSS  X6, (SI)
-	MOVSS  X8, (DI)
-	ADDQ   $4, SI
-	ADDQ   $4, DI
-	DECQ   BX
-	JNZ    fupdtailloop
-
-fdone:
 	MOVSS X4, ret+64(FP)
 	RET

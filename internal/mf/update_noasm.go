@@ -9,22 +9,10 @@ package mf
 // matrix leg, so the portable path cannot rot between architecture ports.
 const haveVec = false
 
-// vecImpl names the vector backend in KernelName output.
-const vecImpl = "portable"
-
 // updateOneVec falls back to the portable fused kernel. Same bit-exact
 // results as the amd64 SSE kernel (both match referenceUpdateOne).
 //
 // lint:hotpath
 func updateOneVec(p, q []float32, r float32, h HyperParams) float32 {
 	return updateOneGeneric(p, q, r, h)
-}
-
-// updateOneFastVec falls back to the portable fast-math kernel, which
-// mirrors the amd64 accumulator order exactly — fast-math goldens hold on
-// every architecture.
-//
-// lint:hotpath
-func updateOneFastVec(p, q []float32, r float32, h HyperParams) float32 {
-	return updateOneFastGeneric(p, q, r, h)
 }

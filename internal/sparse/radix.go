@@ -31,24 +31,11 @@ var sortScratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
 // produce identical orderings.
 const sortFallbackFactor = 8
 
-// sortEntries sorts m.Entries stably by (U, I) when byRow, else by (I, U).
+// sortEntries sorts m.Entries stably by (U, I) when byRow, else by (I, U):
+// two stable counting passes, or a stable comparison sort for very sparse
+// index spaces.
 func sortEntries(m *COO, byRow bool) {
-	sortRatings(m.Entries, m.Rows, m.Cols, byRow)
-}
-
-// SortRatings stably sorts a raw entry slice by (U, I) — row-major, the
-// prefetch-friendly CSR traversal order: within each row the column
-// indices ascend, so a sweep walks Q forward instead of jumping around
-// the column space. Indices must satisfy 0 ≤ U < rows, 0 ≤ I < cols.
-// Used by the fast-math training mode on per-worker row shards.
-func SortRatings(entries []Rating, rows, cols int) {
-	sortRatings(entries, rows, cols, true)
-}
-
-// sortRatings is the slice-form core of sortEntries: the same two stable
-// counting passes (or the same stable comparison fallback for very sparse
-// index spaces), operating on any entry slice rather than a *COO.
-func sortRatings(entries []Rating, rows, cols int, byRow bool) {
+	entries, rows, cols := m.Entries, m.Rows, m.Cols
 	n := len(entries)
 	if n < 2 {
 		return

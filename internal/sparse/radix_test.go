@@ -80,31 +80,6 @@ func TestSortByColMatchesStableReference(t *testing.T) {
 	}
 }
 
-func TestSortRatingsMatchesStableReference(t *testing.T) {
-	// SortRatings is the slice-form export of the row-major sort; it must
-	// reproduce SortByRow's ordering exactly on both the counting path and
-	// the degenerate-shape fallback, operating on a bare slice (the
-	// fast-math shard-sorting use: no *COO in hand).
-	for _, tc := range []struct{ rows, cols, nnz int }{
-		{50, 40, 2000},
-		{3, 3, 500},
-		{5000, 4000, 50}, // fallback path
-		{10, 10, 0},
-	} {
-		m := taggedCOO(tc.rows, tc.cols, tc.nnz, 13)
-		want := append([]Rating(nil), m.Entries...)
-		refSortByRow(want)
-		got := append([]Rating(nil), m.Entries...)
-		SortRatings(got, tc.rows, tc.cols)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%dx%d/%d: entry %d = %v, want %v",
-					tc.rows, tc.cols, tc.nnz, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestSortReusesPooledScratch(t *testing.T) {
 	// Two back-to-back sorts of same-size matrices must hit the pooled
 	// scratch; the second sort should not grow the buffers. (We cannot
