@@ -167,6 +167,7 @@ func main() {
 	}
 
 	fmt.Printf("plan: %v\n", res.Plan)
+	fmt.Printf("real shards: %s\n", formatRealShards(res.Shards))
 	fmt.Printf("simulated full-size run: %.3fs for %d epochs (%.3g updates/s, %.0f%% of ideal)\n",
 		res.Sim.TotalTime, *epochs, res.Power, res.Utilization*100)
 	fmt.Println("\nconvergence (simulated time axis):")
@@ -264,6 +265,16 @@ func formatShares(shares []float64) string {
 		parts[i] = fmt.Sprintf("%.3f", s)
 	}
 	return "[" + strings.Join(parts, " ") + "]"
+}
+
+// formatRealShards renders the cut real execution trained, one
+// "name rows [lo,hi) share% threadsT" entry per worker.
+func formatRealShards(shards []core.RealShard) string {
+	parts := make([]string, len(shards))
+	for i, s := range shards {
+		parts[i] = s.String()
+	}
+	return strings.Join(parts, ", ")
 }
 
 func loadFile(path string, workers int) (*sparse.COO, error) {

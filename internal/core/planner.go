@@ -29,8 +29,14 @@ type Plan struct {
 	K int
 	// Strategy is the chosen communication configuration.
 	Strategy comm.Strategy
-	// Partition holds each worker's data share (sums to 1).
+	// Partition holds each worker's data share (sums to 1) on the
+	// simulated platform: DP0/DP1/DP2 over the Table 2/4 device rates. It
+	// drives the simulator; real execution cuts its shards by host core
+	// budgets instead (BuildWorkerConfs) unless SharesForced is set.
 	Partition []float64
+	// SharesForced reports that Partition came from
+	// PlanOptions.ForceShares; real execution then trains those shares too.
+	SharesForced bool
 	// PartitionStrategy records which DP produced the partition.
 	PartitionStrategy partition.Strategy
 	// ExposedSyncs is the t of Eq. 3 under this plan.
@@ -131,6 +137,7 @@ func PlanRun(plat Platform, spec dataset.Spec, opts PlanOptions) (Plan, error) {
 				len(opts.ForceShares), len(plat.Workers))
 		}
 		plan.Partition = append([]float64(nil), opts.ForceShares...)
+		plan.SharesForced = true
 		plan.PartitionStrategy = partition.DP0Strategy
 		plan.ExposedSyncs = len(plat.Workers)
 		prob := costmodel.Problem{M: plan.M, N: plan.N, NNZ: spec.NNZ, K: opts.K}

@@ -11,6 +11,7 @@ import (
 	"hccmf/internal/metrics"
 	"hccmf/internal/mf"
 	"hccmf/internal/obs"
+	"hccmf/internal/partition"
 	"hccmf/internal/ps"
 	"hccmf/internal/schedule"
 	"hccmf/internal/sparse"
@@ -68,8 +69,8 @@ type RunConfig struct {
 	// retry budget, and eviction. The zero value is a failure-free run with
 	// no retries where any transfer error aborts.
 	Resilience Resilience
-	// Tuning bounds host-side parallelism. The zero value keeps the
-	// historical defaults (engine threads and evaluation capped at 4).
+	// Tuning bounds host-side parallelism. The zero value splits
+	// GOMAXPROCS evenly across the workers' engines.
 	Tuning Tuning
 	// Obs, when non-nil, instruments the run (see internal/obs): the real-
 	// execution cluster reports phase spans and run metrics through it,
@@ -100,24 +101,24 @@ type Resilience struct {
 	EvictOnFailure bool
 }
 
-// Tuning bounds the host-side parallelism of real execution. Zero values
-// select the defaults that were previously hard-coded.
+// Tuning bounds the host-side parallelism of real execution.
 type Tuning struct {
-	// HostCap caps per-engine thread/group counts (default 4) so
-	// laptop-scale real runs do not oversubscribe the host. Benchmarks set
-	// it to the machine size to run un-capped.
+	// HostCap is each worker's core budget: the cap on its engine's
+	// thread/group count. 0 splits the host evenly, max(1, GOMAXPROCS /
+	// workers) per worker, so the workers' threads never sum past
+	// GOMAXPROCS.
 	HostCap int
-	// EvalThreads is the evaluation (RMSE) parallelism; default
-	// min(GOMAXPROCS, HostCap).
+	// EvalThreads is the evaluation (RMSE) parallelism. Evaluation runs
+	// alone between epochs, so the default is GOMAXPROCS.
 	EvalThreads int
 }
 
-// hostCap resolves the effective engine-thread cap.
-func (t Tuning) hostCap() int {
+// hostCap resolves the per-worker core budget for a run of workers.
+func (t Tuning) hostCap(workers int) int {
 	if t.HostCap > 0 {
 		return t.HostCap
 	}
-	return defaultHostCap
+	return max(1, runtime.GOMAXPROCS(0)/max(1, workers))
 }
 
 // evalThreads resolves the effective evaluation parallelism.
@@ -125,14 +126,7 @@ func (t Tuning) evalThreads() int {
 	if t.EvalThreads > 0 {
 		return t.EvalThreads
 	}
-	n := runtime.GOMAXPROCS(0)
-	if cap := t.hostCap(); n > cap {
-		n = cap
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return runtime.GOMAXPROCS(0)
 }
 
 // Result is everything a run produces.
@@ -165,6 +159,28 @@ type Result struct {
 	// TrainedData is the materialised dataset the model was trained on
 	// (plan orientation), for seen-item exclusion and evaluation.
 	TrainedData *dataset.Dataset
+	// Shards is the cut real execution started from, one per worker (nil
+	// without real execution). It follows the host core budgets, not
+	// Plan.Partition; Rebalances and Evictions record later re-cuts.
+	Shards []RealShard
+}
+
+// RealShard is one worker's share of real execution.
+type RealShard struct {
+	// Name is the worker's display name.
+	Name string
+	// RowLo, RowHi delimit the worker's row range.
+	RowLo, RowHi int
+	// Share is the worker's fraction of the training ratings.
+	Share float64
+	// Threads is the worker's core budget: its engine's thread or group
+	// count.
+	Threads int
+}
+
+// String renders the shard as "name rows [lo,hi) share% threadsT".
+func (s RealShard) String() string {
+	return fmt.Sprintf("%s rows [%d,%d) %.1f%% %dT", s.Name, s.RowLo, s.RowHi, 100*s.Share, s.Threads)
 }
 
 // Run plans, simulates and (optionally) really trains one job.
@@ -284,9 +300,16 @@ func runReal(cfg RunConfig, plan Plan, sim *SimResult, res *Result) error {
 	if err != nil {
 		return err
 	}
-	for _, conf := range confs {
+	shards := make([]RealShard, len(confs))
+	for i, conf := range confs {
 		if m, ok := conf.Engine.(mf.Metered); ok {
 			m.SetMetrics(cfg.Obs.RunMetrics().EngineMetrics())
+		}
+		shards[i] = RealShard{
+			Name:  conf.Name,
+			RowLo: conf.RowLo, RowHi: conf.RowHi,
+			Share:   float64(len(conf.Shard.Entries)) / float64(max(1, len(train.Entries))),
+			Threads: engineThreads(conf.Engine),
 		}
 	}
 	cluster, err := ps.New(ps.Config{
@@ -339,15 +362,37 @@ func runReal(cfg RunConfig, plan Plan, sim *SimResult, res *Result) error {
 	res.Rebalances = cluster.Rebalances()
 	res.Model = cluster.Snapshot()
 	res.TrainedData = &dataset.Dataset{Spec: spec, Train: train, Test: test}
+	res.Shards = shards
 	return nil
 }
 
-// BuildWorkerConfs cuts the row grid by the plan's shares and binds each
-// slice to its worker's execution engine. Shards are capacity-capped views
-// over one shared row-major backing array (sparse.RowShards), not per-
-// worker copies.
+// BuildWorkerConfs binds each worker to its execution engine and cuts the
+// row grid into one shard per worker. The cut is DP0 (Eq. 6) over host
+// rates: on one host a worker's device is the cores its engine owns, and
+// every engine runs the same kernel, so a worker's rate is its engine's
+// thread or group count. Plan.Partition, solved from the simulated
+// devices' Table 2/4 rates, only drives the simulator — unless the plan
+// forced its shares, which then apply here too. The shares depend only on
+// (plan, tuning, GOMAXPROCS), never on a clock, so a seeded run replays.
+//
+// Shards are capacity-capped views over one shared row-major backing array
+// (sparse.RowShards), not per-worker copies.
 func BuildWorkerConfs(plat Platform, plan Plan, train *sparse.COO, tuning Tuning) ([]ps.WorkerConf, error) {
-	slices, shards, err := sparse.RowShards(train, plan.Partition)
+	budget := tuning.hostCap(len(plat.Workers))
+	engines := make([]mf.Engine, len(plat.Workers))
+	rates := make([]float64, len(plat.Workers))
+	for i, w := range plat.Workers {
+		engines[i] = EngineFor(w.Device, budget)
+		rates[i] = float64(engineThreads(engines[i]))
+	}
+	shares := plan.Partition
+	if !plan.SharesForced {
+		var err error
+		if shares, err = partition.DP0(rates); err != nil {
+			return nil, err
+		}
+	}
+	slices, shards, err := sparse.RowShards(train, shares)
 	if err != nil {
 		return nil, err
 	}
@@ -355,31 +400,36 @@ func BuildWorkerConfs(plat Platform, plan Plan, train *sparse.COO, tuning Tuning
 	for i, sl := range slices {
 		confs[i] = ps.WorkerConf{
 			Name:   plat.Workers[i].Name(),
-			Engine: EngineFor(plat.Workers[i].Device, tuning),
+			Engine: engines[i],
 			Shard:  shards[i],
 			RowLo:  sl.Lo, RowHi: sl.Hi,
-			Weight: plan.Partition[i],
+			Weight: shares[i],
 		}
 	}
 	return confs, nil
 }
 
-// defaultHostCap is the default engine-thread/evaluation cap (see Tuning).
-const defaultHostCap = 4
-
 // EngineFor picks the execution engine matching a device's character:
 // CPUs run the FPSGD block-scheduled kernel, GPUs the cuMF_SGD-style
-// batched kernel. The tuning's host cap bounds thread/group counts.
-func EngineFor(d *device.Device, tuning Tuning) mf.Engine {
-	cap := tuning.hostCap()
+// batched kernel. budget (≥1) is the worker's core budget: a GPU's groups
+// fill it, a CPU's threads stop at the device's own thread count.
+func EngineFor(d *device.Device, budget int) mf.Engine {
 	switch d.Kind {
 	case device.GPU:
-		return &mf.Batched{Groups: cap, BatchSize: 1 << 14}
+		return &mf.Batched{Groups: budget, BatchSize: 1 << 14}
 	default:
-		threads := d.Threads
-		if threads > cap {
-			threads = cap
-		}
-		return &mf.FPSGD{Threads: threads}
+		return &mf.FPSGD{Threads: max(1, min(d.Threads, budget))}
+	}
+}
+
+// engineThreads is the host thread count an engine from EngineFor runs.
+func engineThreads(e mf.Engine) int {
+	switch e := e.(type) {
+	case *mf.Batched:
+		return max(1, e.Groups)
+	case *mf.FPSGD:
+		return max(1, e.Threads)
+	default:
+		return 1
 	}
 }

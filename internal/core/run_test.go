@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -74,6 +75,22 @@ func TestRunWithRealTraining(t *testing.T) {
 	}
 	if res.FinalRMSE != last.RMSE {
 		t.Fatal("FinalRMSE mismatch")
+	}
+	// The real cut is recorded: one contiguous row range per worker, the
+	// shares summing to 1.
+	if len(res.Shards) != len(res.Plan.Platform.Workers) {
+		t.Fatalf("%d real shards for %d workers", len(res.Shards), len(res.Plan.Platform.Workers))
+	}
+	sum, lo := 0.0, 0
+	for _, sh := range res.Shards {
+		if sh.RowLo != lo || sh.RowHi <= sh.RowLo || sh.Threads < 1 {
+			t.Fatalf("bad real shard %v after row %d", sh, lo)
+		}
+		lo = sh.RowHi
+		sum += sh.Share
+	}
+	if lo != res.TrainedData.Train.Rows || math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("real shards end at row %d of %d, shares sum to %v", lo, res.TrainedData.Train.Rows, sum)
 	}
 }
 
@@ -180,30 +197,38 @@ func TestRunSurvivesInjectedFaults(t *testing.T) {
 }
 
 func TestEngineForMapping(t *testing.T) {
-	if _, ok := EngineFor(device.RTX2080(), Tuning{}).(*mf.Batched); !ok {
+	if _, ok := EngineFor(device.RTX2080(), 1).(*mf.Batched); !ok {
 		t.Fatal("GPU should map to the batched engine")
 	}
-	if _, ok := EngineFor(device.Xeon6242(24), Tuning{}).(*mf.FPSGD); !ok {
+	if _, ok := EngineFor(device.Xeon6242(24), 1).(*mf.FPSGD); !ok {
 		t.Fatal("CPU should map to FPSGD")
 	}
-	fp := EngineFor(device.Xeon6242(24), Tuning{}).(*mf.FPSGD)
-	if fp.Threads > defaultHostCap {
-		t.Fatalf("default host thread cap not applied: %d", fp.Threads)
+	// The budget caps a CPU's threads, and the device's own thread count
+	// caps the budget.
+	if fp := EngineFor(device.Xeon6242(24), 16).(*mf.FPSGD); fp.Threads != 16 {
+		t.Fatalf("budget 16 not honoured: %d threads", fp.Threads)
 	}
-	// An explicit HostCap lifts the default cap (benchmarks run un-capped).
-	fp = EngineFor(device.Xeon6242(24), Tuning{HostCap: 16}).(*mf.FPSGD)
-	if fp.Threads != 16 {
-		t.Fatalf("HostCap 16 not honoured: %d threads", fp.Threads)
+	if fp := EngineFor(device.Xeon6242(10), 16).(*mf.FPSGD); fp.Threads != 10 {
+		t.Fatalf("10-thread CPU given %d threads", fp.Threads)
+	}
+	if bt := EngineFor(device.RTX2080(), 3).(*mf.Batched); bt.Groups != 3 {
+		t.Fatalf("GPU given %d groups on a budget of 3", bt.Groups)
 	}
 }
 
 func TestTuningDefaults(t *testing.T) {
 	var z Tuning
-	if z.hostCap() != defaultHostCap {
-		t.Fatalf("zero Tuning hostCap = %d, want %d", z.hostCap(), defaultHostCap)
+	procs := runtime.GOMAXPROCS(0)
+	for _, workers := range []int{1, 2, 4} {
+		if got, want := z.hostCap(workers), max(1, procs/workers); got != want {
+			t.Fatalf("zero Tuning hostCap(%d) = %d, want %d", workers, got, want)
+		}
 	}
-	if n := z.evalThreads(); n < 1 || n > defaultHostCap {
-		t.Fatalf("zero Tuning evalThreads = %d, want within [1,%d]", n, defaultHostCap)
+	if n := z.evalThreads(); n != procs {
+		t.Fatalf("zero Tuning evalThreads = %d, want GOMAXPROCS %d", n, procs)
+	}
+	if n := (Tuning{HostCap: 3}).hostCap(4); n != 3 {
+		t.Fatalf("explicit HostCap = %d, want 3", n)
 	}
 	if n := (Tuning{EvalThreads: 9}).evalThreads(); n != 9 {
 		t.Fatalf("explicit EvalThreads = %d, want 9", n)

@@ -1,6 +1,7 @@
 package mf
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -134,6 +135,50 @@ func TestFPSGDGridCacheReused(t *testing.T) {
 	e.Epoch(f, m2, h)
 	if e.grid == g1 {
 		t.Fatal("grid not rebuilt for new matrix")
+	}
+}
+
+// FPSGD at one thread is a plain sweep of the shard: bit-identical to
+// TrainEntries, and it never builds (or sorts a copy into) a block grid —
+// not even in its first epoch, which would otherwise pay that setup.
+func TestFPSGDSingleThreadIsPlainSweep(t *testing.T) {
+	m := trainSet(t, 60, 40, 2000, 9)
+	h := HyperParams{Gamma: 0.01, Lambda1: 0.005, Lambda2: 0.005}
+	want := NewFactorsInit(m.Rows, m.Cols, 8, m.MeanRating(), sparse.NewRand(3))
+	got := want.Clone()
+	e := &FPSGD{Threads: 1}
+	for epoch := 0; epoch < 3; epoch++ {
+		TrainEntries(want, m.Entries, h)
+		e.Epoch(got, m, h)
+	}
+	for i := range want.P {
+		if math.Float32bits(want.P[i]) != math.Float32bits(got.P[i]) {
+			t.Fatalf("P[%d]: fpsgd-1 %v, TrainEntries %v", i, got.P[i], want.P[i])
+		}
+	}
+	for i := range want.Q {
+		if math.Float32bits(want.Q[i]) != math.Float32bits(got.Q[i]) {
+			t.Fatalf("Q[%d]: fpsgd-1 %v, TrainEntries %v", i, got.Q[i], want.Q[i])
+		}
+	}
+	if e.grid != nil {
+		t.Fatal("fpsgd-1 cached a block grid it never reads")
+	}
+
+	if raceflag.Enabled {
+		return // allocation counts are meaningless under -race
+	}
+	// A fresh engine's first epoch allocates nothing: no grid, no sorted
+	// copy, no scheduler, no pool.
+	const runs = 5
+	fresh := make([]FPSGD, runs+1) // AllocsPerRun adds one warm-up call
+	next := 0
+	if avg := testing.AllocsPerRun(runs, func() {
+		fresh[next].Threads = 1
+		fresh[next].Epoch(got, m, h)
+		next++
+	}); avg != 0 {
+		t.Fatalf("fpsgd-1 first epoch: %v allocs, want 0", avg)
 	}
 }
 

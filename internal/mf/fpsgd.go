@@ -57,8 +57,13 @@ func (fp *FPSGD) epoch(f *Factors, train *sparse.COO, h HyperParams) {
 		nside = 1
 	}
 	kern := fp.kernel(f.K)
-	grid := fp.cachedGrid(train, nside)
-	if grid == nil || threads == 1 || nside < 2 {
+	// One thread or a degenerate grid sweeps the shard as it is, so the
+	// grid (and its per-block row sort) is only built when it will be read.
+	var grid *sparse.BlockGridded
+	if threads > 1 && nside >= 2 {
+		grid = fp.cachedGrid(train, nside)
+	}
+	if grid == nil {
 		trainEntriesKernel(f, train.Entries, h, kern)
 		return
 	}
