@@ -65,9 +65,8 @@ func (bt *Batched) epoch(f *Factors, train *sparse.COO, h HyperParams) {
 // lint:hotpath
 func (bt *Batched) launch(f *Factors, entries []sparse.Rating, h HyperParams, groups int) {
 	n := len(entries)
-	kern := bt.kernel(f.K)
 	if groups == 1 || n < 4*groups {
-		trainEntriesKernel(f, entries, h, kern)
+		TrainEntries(f, entries, h)
 		return
 	}
 	chunk := (n + groups - 1) / groups
@@ -78,7 +77,7 @@ func (bt *Batched) launch(f *Factors, entries []sparse.Rating, h HyperParams, gr
 			hi = n
 		}
 		bt.wg.Add(1)
-		pool.tasks <- sweepTask{f: f, h: h, entries: entries[lo:hi], wg: &bt.wg, kern: kern}
+		pool.tasks <- sweepTask{f: f, h: h, entries: entries[lo:hi], wg: &bt.wg}
 	}
 	bt.wg.Wait()
 }

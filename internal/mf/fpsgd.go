@@ -56,7 +56,6 @@ func (fp *FPSGD) epoch(f *Factors, train *sparse.COO, h HyperParams) {
 	if nside < 1 {
 		nside = 1
 	}
-	kern := fp.kernel(f.K)
 	// One thread or a degenerate grid sweeps the shard as it is, so the
 	// grid (and its per-block row sort) is only built when it will be read.
 	var grid *sparse.BlockGridded
@@ -64,7 +63,7 @@ func (fp *FPSGD) epoch(f *Factors, train *sparse.COO, h HyperParams) {
 		grid = fp.cachedGrid(train, nside)
 	}
 	if grid == nil {
-		trainEntriesKernel(f, train.Entries, h, kern)
+		TrainEntries(f, train.Entries, h)
 		return
 	}
 
@@ -75,7 +74,7 @@ func (fp *FPSGD) epoch(f *Factors, train *sparse.COO, h HyperParams) {
 		// Concurrent kernel sweeps never share a factor row: the
 		// blockScheduler carried in the task hands out row- and
 		// column-disjoint blocks; joined by fp.wg.Wait.
-		pool.tasks <- sweepTask{f: f, h: h, sched: sched, grid: grid, wg: &fp.wg, kern: kern}
+		pool.tasks <- sweepTask{f: f, h: h, sched: sched, grid: grid, wg: &fp.wg}
 	}
 	fp.wg.Wait()
 }

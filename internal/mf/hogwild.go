@@ -43,9 +43,8 @@ func (hw *Hogwild) epoch(f *Factors, train *sparse.COO, h HyperParams) {
 		threads = 1
 	}
 	n := len(train.Entries)
-	kern := hw.kernel(f.K)
 	if threads == 1 || n < 4*threads {
-		trainEntriesKernel(f, train.Entries, h, kern)
+		TrainEntries(f, train.Entries, h)
 		return
 	}
 	chunk := (n + threads - 1) / threads
@@ -56,7 +55,7 @@ func (hw *Hogwild) epoch(f *Factors, train *sparse.COO, h HyperParams) {
 			hi = n
 		}
 		hw.wg.Add(1)
-		pool.tasks <- sweepTask{f: f, h: h, entries: train.Entries[lo:hi], wg: &hw.wg, kern: kern}
+		pool.tasks <- sweepTask{f: f, h: h, entries: train.Entries[lo:hi], wg: &hw.wg}
 	}
 	hw.wg.Wait()
 }

@@ -1,6 +1,7 @@
 package mf
 
 import (
+	"fmt"
 	"testing"
 
 	"hccmf/internal/sparse"
@@ -73,16 +74,13 @@ func kernelVariants() []kernelVariant {
 		{"updateOneVec", func(p, q []float32, r float32, h HyperParams) float32 {
 			return updateOneVec(p, q, r, h)
 		}, referenceUpdateOne, any},
-		{"updateOneK32", updateOneK32, referenceUpdateOne, func(k int) bool { return k == 32 }},
-		{"updateOneK64", updateOneK64, referenceUpdateOne, func(k int) bool { return k == 64 }},
-		{"updateOneK128", updateOneK128, referenceUpdateOne, func(k int) bool { return k == 128 }},
 	}
 }
 
-// TestKernelVariantsMatchReference sweeps every kernel implementation —
-// generic, vector and each unrolled specialization — across k = 1..160 (every remainder shape, including
-// non-multiples of 4 and 8) and pins each bit-for-bit to its reference
-// accumulation order.
+// TestKernelVariantsMatchReference sweeps every kernel entry point — the
+// exported UpdateOne, the portable kernel and the build's vector kernel —
+// across k = 1..160 (every remainder shape, including non-multiples of 4
+// and 8) and pins each bit-for-bit to its reference accumulation order.
 func TestKernelVariantsMatchReference(t *testing.T) {
 	h := HyperParams{Gamma: 0.01, Lambda1: 0.02, Lambda2: 0.03}
 	for _, v := range kernelVariants() {
@@ -115,31 +113,19 @@ func TestKernelVariantsMatchReference(t *testing.T) {
 	}
 }
 
-// TestTrainEntriesKernelMatchesReference pins every trainEntriesKernel
-// dispatch case to a per-entry reference sweep at its kernel's dimension.
-func TestTrainEntriesKernelMatchesReference(t *testing.T) {
+// TestTrainEntriesMatchesRowViews pins TrainEntries — inlined row
+// indexing and the build's kernel — to a per-entry referenceUpdateOne
+// sweep over PRow/QRow views.
+func TestTrainEntriesMatchesRowViews(t *testing.T) {
 	h := HyperParams{Gamma: 0.01, Lambda1: 0.005, Lambda2: 0.005}
-	cases := []struct {
-		name string
-		id   kernelID
-		k    int
-		ref  func(p, q []float32, r float32, h HyperParams) float32
-	}{
-		{"generic", kernGeneric, 24, referenceUpdateOne},
-		{"vec", kernVec, 24, referenceUpdateOne},
-		{"k32", kernK32, 32, referenceUpdateOne},
-		{"k64", kernK64, 64, referenceUpdateOne},
-		{"k128", kernK128, 128, referenceUpdateOne},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
+	for _, k := range []int{8, 24, 32, 64, 128} {
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
 			m := trainSet(t, 40, 30, 2000, 21)
-			f1 := NewFactorsInit(m.Rows, m.Cols, tc.k, m.MeanRating(), sparse.NewRand(4))
+			f1 := NewFactorsInit(m.Rows, m.Cols, k, m.MeanRating(), sparse.NewRand(4))
 			f2 := f1.Clone()
-			trainEntriesKernel(f1, m.Entries, h, tc.id)
+			TrainEntries(f1, m.Entries, h)
 			for _, e := range m.Entries {
-				tc.ref(f2.PRow(e.U), f2.QRow(e.I), e.V, h)
+				referenceUpdateOne(f2.PRow(e.U), f2.QRow(e.I), e.V, h)
 			}
 			for i := range f1.P {
 				if f1.P[i] != f2.P[i] {
@@ -155,45 +141,44 @@ func TestTrainEntriesKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestKernelIDForSelection pins the selection table: the build's vector
-// kernel wins when present, and the unrolled specializations cover
-// 32/64/128 on portable builds.
-func TestKernelIDForSelection(t *testing.T) {
-	for _, tc := range []struct {
-		k    int
-		want kernelID
-	}{
-		{32, kernK32}, {64, kernK64}, {128, kernK128}, {8, kernGeneric}, {129, kernGeneric},
-	} {
-		want := tc.want
-		if haveVec {
-			want = kernVec
-		}
-		if got := kernelIDFor(tc.k); got != want {
-			t.Fatalf("kernelIDFor(%d) = %v, want %v", tc.k, got, want)
-		}
-	}
-}
-
-// TestTrainEntriesMatchesRowViews pins TrainEntries' inlined row indexing
-// to the PRow/QRow path it replaced.
-func TestTrainEntriesMatchesRowViews(t *testing.T) {
-	m := trainSet(t, 40, 30, 2000, 21)
+// TestTrainEntriesKernelMatchesReference pins a whole training sweep run
+// through each kernel entry point — the portable kernel and the build's
+// vector kernel, one per-entry call over PRow/QRow views — to both
+// TrainEntries and the referenceUpdateOne sweep, so the two kernels stay
+// interchangeable across an epoch, not just per rating.
+func TestTrainEntriesKernelMatchesReference(t *testing.T) {
 	h := HyperParams{Gamma: 0.01, Lambda1: 0.005, Lambda2: 0.005}
-	f1 := NewFactorsInit(m.Rows, m.Cols, 8, m.MeanRating(), sparse.NewRand(4))
-	f2 := f1.Clone()
-	TrainEntries(f1, m.Entries, h)
-	for _, e := range m.Entries {
-		UpdateOne(f2.PRow(e.U), f2.QRow(e.I), e.V, h)
+	cases := []struct {
+		name string
+		fn   func(p, q []float32, r float32, h HyperParams) float32
+	}{
+		{"generic", updateOneGeneric},
+		{"vec", func(p, q []float32, r float32, h HyperParams) float32 {
+			return updateOneVec(p, q, r, h)
+		}},
 	}
-	for i := range f1.P {
-		if f1.P[i] != f2.P[i] {
-			t.Fatalf("P[%d] diverged: %v != %v", i, f1.P[i], f2.P[i])
-		}
-	}
-	for i := range f1.Q {
-		if f1.Q[i] != f2.Q[i] {
-			t.Fatalf("Q[%d] diverged: %v != %v", i, f1.Q[i], f2.Q[i])
-		}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			m := trainSet(t, 40, 30, 2000, 21)
+			fk := NewFactorsInit(m.Rows, m.Cols, 24, m.MeanRating(), sparse.NewRand(4))
+			ft := fk.Clone()
+			fr := fk.Clone()
+			TrainEntries(ft, m.Entries, h)
+			for _, e := range m.Entries {
+				tc.fn(fk.PRow(e.U), fk.QRow(e.I), e.V, h)
+				referenceUpdateOne(fr.PRow(e.U), fr.QRow(e.I), e.V, h)
+			}
+			for i := range fk.P {
+				if fk.P[i] != fr.P[i] || fk.P[i] != ft.P[i] {
+					t.Fatalf("P[%d] diverged: kernel %v, reference %v, TrainEntries %v", i, fk.P[i], fr.P[i], ft.P[i])
+				}
+			}
+			for i := range fk.Q {
+				if fk.Q[i] != fr.Q[i] || fk.Q[i] != ft.Q[i] {
+					t.Fatalf("Q[%d] diverged: kernel %v, reference %v, TrainEntries %v", i, fk.Q[i], fr.Q[i], ft.Q[i])
+				}
+			}
+		})
 	}
 }

@@ -12,13 +12,10 @@ import (
 // to produce, so it needs a durable format. The layout is little-endian:
 //
 //	magic "HCMM" | version u32 | m u64 | n u64 | k u64 | P floats | Q floats
-//
-// Biased models append | mu f32 | BU floats | BI floats and use version 2.
 
 const (
 	factorsMagic   = "HCMM"
 	factorsVersion = 1
-	biasedVersion  = 2
 )
 
 // WriteFactors serialises a plain factor model.
@@ -53,67 +50,6 @@ func ReadFactors(r io.Reader) (*Factors, error) {
 		return nil, err
 	}
 	return f, f.Validate()
-}
-
-// WriteBiasedFactors serialises a biased model.
-func WriteBiasedFactors(w io.Writer, b *BiasedFactors) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if err := writeHeader(bw, biasedVersion, b.Factors); err != nil {
-		return err
-	}
-	if err := writeFloats(bw, b.P); err != nil {
-		return err
-	}
-	if err := writeFloats(bw, b.Q); err != nil {
-		return err
-	}
-	var mu [4]byte
-	binary.LittleEndian.PutUint32(mu[:], math.Float32bits(b.Mu))
-	if _, err := bw.Write(mu[:]); err != nil {
-		return err
-	}
-	if err := writeFloats(bw, b.BU); err != nil {
-		return err
-	}
-	if err := writeFloats(bw, b.BI); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBiasedFactors deserialises a biased model.
-func ReadBiasedFactors(r io.Reader) (*BiasedFactors, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	version, f, err := readHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if version != biasedVersion {
-		return nil, fmt.Errorf("mf: model version %d is not a biased model", version)
-	}
-	if err := readFloats(br, f.P); err != nil {
-		return nil, err
-	}
-	if err := readFloats(br, f.Q); err != nil {
-		return nil, err
-	}
-	b := &BiasedFactors{
-		Factors: f,
-		BU:      make([]float32, f.M),
-		BI:      make([]float32, f.N),
-	}
-	var mu [4]byte
-	if _, err := io.ReadFull(br, mu[:]); err != nil {
-		return nil, fmt.Errorf("mf: reading mu: %w", err)
-	}
-	b.Mu = math.Float32frombits(binary.LittleEndian.Uint32(mu[:]))
-	if err := readFloats(br, b.BU); err != nil {
-		return nil, err
-	}
-	if err := readFloats(br, b.BI); err != nil {
-		return nil, err
-	}
-	return b, b.Validate()
 }
 
 func writeHeader(w io.Writer, version uint32, f *Factors) error {

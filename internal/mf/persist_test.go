@@ -33,30 +33,6 @@ func TestFactorsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBiasedFactorsRoundTrip(t *testing.T) {
-	b := NewBiasedFactorsInit(20, 15, 4, 3.5, sparse.NewRand(6))
-	b.BU[3], b.BI[7] = 0.25, -0.5
-	var buf bytes.Buffer
-	if err := WriteBiasedFactors(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBiasedFactors(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Mu != b.Mu || back.BU[3] != 0.25 || back.BI[7] != -0.5 {
-		t.Fatalf("bias terms changed: mu=%v bu=%v bi=%v", back.Mu, back.BU[3], back.BI[7])
-	}
-	// Predictions identical.
-	for u := int32(0); u < 20; u += 5 {
-		for i := int32(0); i < 15; i += 5 {
-			if back.Predict(u, i) != b.Predict(u, i) {
-				t.Fatalf("prediction changed at (%d,%d)", u, i)
-			}
-		}
-	}
-}
-
 func TestReadFactorsRejectsCorruption(t *testing.T) {
 	f := NewFactorsInit(5, 5, 2, 3, sparse.NewRand(1))
 	var buf bytes.Buffer
@@ -77,17 +53,11 @@ func TestReadFactorsRejectsCorruption(t *testing.T) {
 	if _, err := ReadFactors(bytes.NewReader(valid[:len(valid)-5])); err == nil {
 		t.Error("truncated floats accepted")
 	}
-	// Version cross-loading is refused in both directions.
-	if _, err := ReadBiasedFactors(bytes.NewReader(valid)); err == nil {
-		t.Error("plain model accepted as biased")
-	}
-	b := NewBiasedFactorsInit(5, 5, 2, 3, sparse.NewRand(1))
-	var bbuf bytes.Buffer
-	if err := WriteBiasedFactors(&bbuf, b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFactors(bytes.NewReader(bbuf.Bytes())); err == nil {
-		t.Error("biased model accepted as plain")
+	// A non-plain version (2 was the retired biased format) is refused.
+	other := append([]byte(nil), valid...)
+	other[4] = 2
+	if _, err := ReadFactors(bytes.NewReader(other)); err == nil {
+		t.Error("version 2 model accepted as plain")
 	}
 	// Implausible dims rejected.
 	hacked := append([]byte(nil), valid...)

@@ -28,15 +28,14 @@ import (
 // sweepTask is one unit of sweep work. Exactly one of sched/entries is set:
 // a scheduler task loops acquiring disjoint blocks from the carried grid
 // until the epoch is drained (FPSGD); an entries task sweeps the given
-// contiguous run once (Hogwild chunk, Batched group). kern is the kernel
-// the launching engine selected at Init (sweeper.kernel).
+// contiguous run once (Hogwild chunk, Batched group). Both sweep through
+// TrainEntries, the build's one sweep loop.
 type sweepTask struct {
 	f       *Factors
 	h       HyperParams
 	entries []sparse.Rating
 	sched   *blockScheduler
 	grid    *sparse.BlockGridded
-	kern    kernelID
 	wg      *sync.WaitGroup
 }
 
@@ -54,11 +53,11 @@ func sweepWorker(tasks <-chan sweepTask) {
 				if !ok {
 					break
 				}
-				trainEntriesKernel(t.f, t.grid.Blocks[idx].Entries, t.h, t.kern)
+				TrainEntries(t.f, t.grid.Blocks[idx].Entries, t.h)
 				t.sched.release(idx)
 			}
 		default:
-			trainEntriesKernel(t.f, t.entries, t.h, t.kern)
+			TrainEntries(t.f, t.entries, t.h)
 		}
 		t.wg.Done()
 	}
@@ -83,20 +82,14 @@ func newSweepPool(workers int) *sweepPool {
 func closeSweepPool(p *sweepPool) { close(p.tasks) }
 
 // sweeper is the reusable engine state embedded in each parallel engine:
-// the lazily built worker pool, the epoch-join WaitGroup and the selected
-// update kernel. Engines embed it by value, which is why Hogwild and
-// Batched moved to pointer receivers in this pass. An engine value must
-// not run concurrent Epochs (true of every call site: one engine per
-// worker, one epoch at a time).
+// the lazily built worker pool and the epoch-join WaitGroup. Engines embed
+// it by value, which is why Hogwild and Batched moved to pointer receivers
+// in this pass. An engine value must not run concurrent Epochs (true of
+// every call site: one engine per worker, one epoch at a time).
 type sweeper struct {
 	pool *sweepPool
 	size int
 	wg   sync.WaitGroup
-	// kern caches the kernelIDFor selection — made once at engine Init in
-	// practice, since k never changes across a training run.
-	kern    kernelID
-	kernSet bool
-	kernK   int
 	// metrics is the optional observability bundle installed by SetMetrics
 	// (see metered.go); nil keeps the epoch hooks inert.
 	metrics *obs.EngineMetrics
@@ -111,16 +104,4 @@ func (s *sweeper) ensure(workers int) *sweepPool {
 		s.size = workers
 	}
 	return s.pool
-}
-
-// kernel returns the engine's update kernel, selecting it on the first
-// epoch (engine Init) and reusing the cached choice for the run's
-// remainder.
-func (s *sweeper) kernel(k int) kernelID {
-	if !s.kernSet || s.kernK != k {
-		s.kern = kernelIDFor(k)
-		s.kernK = k
-		s.kernSet = true
-	}
-	return s.kern
 }

@@ -21,12 +21,11 @@ type HyperParams struct {
 // using the pre-update value of p in q's gradient (the standard
 // simultaneous update). It returns the signed prediction error e.
 //
-// UpdateOne dispatches to the best default-mode kernel for the build
-// architecture (updateOneVec: the SSE kernel on amd64, the fused Go kernel
-// elsewhere). Every default-mode kernel is pinned bit-identical to
-// referenceUpdateOne — the memory-layout pass is not allowed to move the
-// convergence trajectory — by the kernel-equivalence sweep in
-// kernel_equiv_test.go.
+// UpdateOne calls the build's one update kernel, updateOneVec: the SSE
+// kernel on amd64, updateOneGeneric under !amd64 || noasm (DESIGN.md §16).
+// Both are pinned bit-identical to referenceUpdateOne — the memory-layout
+// pass is not allowed to move the convergence trajectory — by the
+// kernel-equivalence sweep in kernel_equiv_test.go.
 //
 // lint:hotpath
 func UpdateOne(p, q []float32, r float32, h HyperParams) float32 {
@@ -129,11 +128,21 @@ func UpdatesPerEntryFLOPs(k int) int { return 7 * k }
 func UpdateBytes(k int) int { return 16*k + 4 }
 
 // TrainEntries runs one in-order SGD pass over entries against f.
-// It is the inner loop shared by the serial engine and each FPSGD block
-// task; callers own any required synchronisation. The sweep dispatches
-// through the default-mode kernel table (kernelIDFor); engines that sweep
-// every epoch select their kernel once at Init via sweeper.kernel and call
-// trainEntriesKernel directly.
+// It is the one sweep loop of the build: the serial engine, every pool
+// task (FPSGD block, Hogwild chunk, Batched group) and the parameter
+// server's async streams all train through it; callers own any required
+// synchronisation. Row slicing is inlined (rather than going through
+// PRow/QRow) so the flat P/Q base pointers and K stay in registers across
+// the sweep; the three-index q slice caps the view so the kernel's
+// q[:len(p)] guard is free.
+//
+// lint:hotpath
 func TrainEntries(f *Factors, entries []sparse.Rating, h HyperParams) {
-	trainEntriesKernel(f, entries, h, kernelIDFor(f.K))
+	p, q, k := f.P, f.Q, f.K
+	for idx := range entries {
+		e := entries[idx]
+		po := int(e.U) * k
+		qo := int(e.I) * k
+		updateOneVec(p[po:po+k], q[qo:qo+k:qo+k], e.V, h)
+	}
 }

@@ -5,7 +5,7 @@
 // amd64 hot path hand-vectorizes the SGD step with baseline SSE (MOVUPS /
 // MULPS / ADDPS — no CPUID gate needed on amd64, SSE2 is architectural).
 //
-// updateOneVec is bit-identical to the scalar kernels for EVERY k:
+// updateOneVec is bit-identical to the scalar kernel for EVERY k:
 //
 //   - The packed dot accumulates into one XMM register whose four lanes
 //     are exactly the scalar kernel's four partial sums (lane j gets

@@ -2,15 +2,12 @@
 
 package mf
 
-// haveVec: no hand-written vector kernel on this architecture (or the
-// assembly path was disabled with -tags noasm); the kernel table falls
-// back to the unrolled Go kernels for k ∈ {32, 64, 128} and the fused
-// 8-wide kernel otherwise. CI exercises this file on amd64 via the noasm
-// matrix leg, so the portable path cannot rot between architecture ports.
-const haveVec = false
-
-// updateOneVec falls back to the portable fused kernel. Same bit-exact
-// results as the amd64 SSE kernel (both match referenceUpdateOne).
+// updateOneVec is the portable fused kernel on builds without the SSE
+// assembly (another architecture, or amd64 with -tags noasm): the build's
+// one update kernel is then updateOneGeneric, bit-identical to the amd64
+// SSE kernel (both match referenceUpdateOne). CI exercises this file on
+// amd64 via the noasm matrix leg, so the portable path cannot rot between
+// architecture ports.
 //
 // lint:hotpath
 func updateOneVec(p, q []float32, r float32, h HyperParams) float32 {

@@ -11,11 +11,6 @@ import (
 	"hccmf/internal/trace"
 )
 
-// updateOneLocal applies one SGD step against the worker-local factors.
-func updateOneLocal(f *mf.Factors, e sparse.Rating, h mf.HyperParams) {
-	mf.UpdateOne(f.PRow(e.U), f.QRow(e.I), e.V, h)
-}
-
 // Asynchronous computing-transmission (paper Section 3.4, Strategy 3;
 // Figure 6): each worker runs Streams concurrent pull→compute→push
 // pipelines. A stream owns one item-range slice of Q: it pulls only that
@@ -124,9 +119,7 @@ func (c *Cluster) streamRun(ws *workerState, coord *sliceCoordinator, sl itemSli
 	// Compute. Concurrent streams share ws.local.P — deliberately
 	// unsynchronised (see the package comment above).
 	span = c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "compute")
-	for _, e := range chunk {
-		updateOneLocal(ws.local, e, h)
-	}
+	mf.TrainEntries(ws.local, chunk, h)
 	c.metrics.ObservePhase(trace.Compute, span.EndArg("slice", float64(sj)))
 
 	// Push the slice into the worker's push buffer.
