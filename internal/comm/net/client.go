@@ -60,11 +60,11 @@ type wireConn struct {
 	c      net.Conn
 	br     *bufio.Reader
 	fp16OK bool
-	// scratch holds an outgoing payload; frame holds the assembled frame
-	// (header + payload). Both are reused so steady-state transfers do
-	// not allocate per operation.
-	scratch []byte
-	frame   []byte
+	// frame holds the outgoing frame, its payload encoded in place; recv
+	// holds the last frame read. Both are reused, so steady-state
+	// transfers do not allocate (TestSteadyStateTransfersDoNotAllocate).
+	frame []byte
+	recv  []byte
 }
 
 // Name implements comm.Transport.
@@ -153,8 +153,8 @@ func (d *Dialer) conn(deadline time.Time, st *comm.TransferStats) (*wireConn, er
 func (d *Dialer) handshake(wc *wireConn, deadline time.Time, st *comm.TransferStats) error {
 	_ = wc.c.SetDeadline(deadline)
 	hello := Frame{Op: OpHello, Payload: helloPayload(d.M, d.N, d.K, !d.NoFP16)}
-	scratch, n, err := writeFrame(wc.c, wc.scratch, &hello)
-	wc.scratch = scratch
+	frame, n, err := writeFrame(wc.c, wc.frame, &hello)
+	wc.frame = frame
 	st.Frames++
 	st.WireBytes += int64(n)
 	if err != nil {
@@ -196,9 +196,10 @@ func (d *Dialer) putConn(wc *wireConn) {
 // remote store (src, the in-process convenience slice, is ignored).
 func (d *Dialer) Pull(dst, src []float32, x comm.Xfer) (comm.TransferStats, error) {
 	var st comm.TransferStats
-	err := d.roundTrip(x, len(dst), &st, func(wc *wireConn, wireEnc comm.Encoding) (Frame, error) {
-		return Frame{Op: OpPull, Shard: x.Shard, Enc: wireEnc}, nil
-	}, func(wc *wireConn, wireEnc comm.Encoding, resp Frame) error {
+	err := d.roundTrip(x, len(dst), &st, func(wc *wireConn, wireEnc comm.Encoding) error {
+		wc.frame, _ = putFrame(wc.frame, &Frame{Op: OpPull, Shard: x.Shard, Enc: wireEnc}, 0)
+		return nil
+	}, func(wireEnc comm.Encoding, resp Frame) error {
 		if resp.Op != OpData {
 			return fmt.Errorf("commnet: pull answered with %v frame", resp.Op)
 		}
@@ -210,7 +211,7 @@ func (d *Dialer) Pull(dst, src []float32, x comm.Xfer) (comm.TransferStats, erro
 			// fp16 was declined on the wire; apply the round trip locally
 			// so the strategy's numeric contract (dst = roundtrip(global))
 			// holds bit-for-bit regardless of negotiation.
-			fp16RoundTrip(dst)
+			fp16.RoundTripSlice(dst, dst)
 		}
 		return nil
 	})
@@ -222,26 +223,21 @@ func (d *Dialer) Pull(dst, src []float32, x comm.Xfer) (comm.TransferStats, erro
 // carried, matching the in-process transports exactly.
 func (d *Dialer) Push(dst, src []float32, x comm.Xfer) (comm.TransferStats, error) {
 	var st comm.TransferStats
-	err := d.roundTrip(x, len(src), &st, func(wc *wireConn, wireEnc comm.Encoding) (Frame, error) {
+	err := d.roundTrip(x, len(src), &st, func(wc *wireConn, wireEnc comm.Encoding) error {
 		if len(dst) != len(src) {
-			return Frame{}, fmt.Errorf("commnet: length mismatch dst=%d src=%d", len(dst), len(src))
+			return fmt.Errorf("commnet: length mismatch dst=%d src=%d", len(dst), len(src))
 		}
-		payloadSrc := src
 		if wireEnc != x.Enc {
 			// fp16 declined: round-trip locally, ship full precision of
 			// the rounded values so the store equals dst.
-			copy(dst, src)
-			fp16RoundTrip(dst)
-			payloadSrc = dst
+			fp16.RoundTripSlice(dst, src)
+			wc.putPush(x.Shard, dst, wireEnc)
+			return nil
 		}
-		wc.scratch = appendFramePayload(wc.scratch[:0], payloadSrc, wireEnc)
-		f := Frame{Op: OpPush, Shard: x.Shard, Enc: wireEnc, Payload: wc.scratch}
-		if wireEnc == x.Enc {
-			// dst = decode(wire bytes): exactly what the server stores.
-			decodePayload(dst, f.Payload, wireEnc)
-		}
-		return f, nil
-	}, func(wc *wireConn, wireEnc comm.Encoding, resp Frame) error {
+		// dst = decode(wire bytes): exactly what the server stores.
+		decodePayload(dst, wc.putPush(x.Shard, src, wireEnc), wireEnc)
+		return nil
+	}, func(wireEnc comm.Encoding, resp Frame) error {
 		if resp.Op != OpAck {
 			return fmt.Errorf("commnet: push answered with %v frame", resp.Op)
 		}
@@ -255,10 +251,10 @@ func (d *Dialer) Push(dst, src []float32, x comm.Xfer) (comm.TransferStats, erro
 // caller's slice already is the authority.
 func (d *Dialer) SyncShard(src []float32, x comm.Xfer) (comm.TransferStats, error) {
 	var st comm.TransferStats
-	err := d.roundTrip(x, len(src), &st, func(wc *wireConn, wireEnc comm.Encoding) (Frame, error) {
-		wc.scratch = appendFramePayload(wc.scratch[:0], src, wireEnc)
-		return Frame{Op: OpPush, Shard: x.Shard, Enc: wireEnc, Payload: wc.scratch}, nil
-	}, func(wc *wireConn, wireEnc comm.Encoding, resp Frame) error {
+	err := d.roundTrip(x, len(src), &st, func(wc *wireConn, wireEnc comm.Encoding) error {
+		wc.putPush(x.Shard, src, wireEnc)
+		return nil
+	}, func(wireEnc comm.Encoding, resp Frame) error {
 		if resp.Op != OpAck {
 			return fmt.Errorf("commnet: sync answered with %v frame", resp.Op)
 		}
@@ -267,14 +263,25 @@ func (d *Dialer) SyncShard(src []float32, x comm.Xfer) (comm.TransferStats, erro
 	return st, err
 }
 
+// putPush assembles a push frame for sh into wc.frame, encoding src under
+// enc straight into the frame's payload slot, and returns that slot.
+func (wc *wireConn) putPush(sh comm.Shard, src []float32, enc comm.Encoding) []byte {
+	frame, payload := putFrame(wc.frame, &Frame{Op: OpPush, Shard: sh, Enc: enc}, len(src)*enc.BytesPerParam())
+	wc.frame = frame
+	putPayload(payload, src, enc)
+	return payload
+}
+
 // roundTrip is the shared request/response engine: resolve a connection,
 // apply the deadline, negotiate the wire encoding, exchange one frame
 // pair, and account stats. params is the logical transfer size for
-// validation and BusBytes. The connection is pooled again only after a
-// fully clean exchange; any error discards it so retries start fresh.
+// validation and BusBytes. build assembles the request in wc.frame;
+// handle sees the response, whose payload aliases wc.recv. The connection
+// is pooled again only after a fully clean exchange; any error discards
+// it so retries start fresh.
 func (d *Dialer) roundTrip(x comm.Xfer, params int, st *comm.TransferStats,
-	build func(wc *wireConn, wireEnc comm.Encoding) (Frame, error),
-	handle func(wc *wireConn, wireEnc comm.Encoding, resp Frame) error) error {
+	build func(wc *wireConn, wireEnc comm.Encoding) error,
+	handle func(wireEnc comm.Encoding, resp Frame) error) error {
 	if err := x.Err(); err != nil {
 		return fmt.Errorf("commnet: transfer cancelled: %w", err)
 	}
@@ -300,21 +307,18 @@ func (d *Dialer) roundTrip(x comm.Xfer, params int, st *comm.TransferStats,
 	if wireEnc == comm.FP16 && !wc.fp16OK {
 		wireEnc = comm.FP32
 	}
-	req, err := build(wc, wireEnc)
-	if err != nil {
+	if err := build(wc, wireEnc); err != nil {
 		clean = true // nothing touched the wire
 		return err
 	}
-	// req.Payload may alias wc.scratch, so the frame is assembled into a
-	// separate reused buffer.
-	wc.frame = appendFrame(wc.frame[:0], &req)
-	n, err := wc.c.Write(wc.frame)
+	n, err := sendFrame(wc.c, wc.frame)
 	st.Frames++
 	st.WireBytes += int64(n)
 	if err != nil {
-		return fmt.Errorf("commnet: write %s frame: %w", req.Op, err)
+		return err
 	}
-	resp, rn, err := readFrame(wc.br, d.maxPayload())
+	resp, recv, rn, err := readFrameInto(wc.br, wc.recv, d.maxPayload())
+	wc.recv = recv
 	st.Frames++
 	st.WireBytes += int64(rn)
 	if err != nil {
@@ -326,24 +330,11 @@ func (d *Dialer) roundTrip(x comm.Xfer, params int, st *comm.TransferStats,
 		clean = true
 		return fmt.Errorf("commnet: server: %s", resp.Payload)
 	}
-	if err := handle(wc, wireEnc, resp); err != nil {
+	if err := handle(wireEnc, resp); err != nil {
 		return err
 	}
 	st.BusBytes += int64(params) * int64(x.Enc.BytesPerParam())
 	st.Copies += d.CopiesPerTransfer()
 	clean = true
 	return nil
-}
-
-// appendFramePayload encodes src under enc onto buf (reused scratch).
-func appendFramePayload(buf []byte, src []float32, enc comm.Encoding) []byte {
-	return encodePayload(buf, src, enc)
-}
-
-// fp16RoundTrip quantises v through binary16 in place — the exact bits a
-// wire-compressed transfer would have produced.
-func fp16RoundTrip(v []float32) {
-	for i, f := range v {
-		v[i] = fp16.FromFloat32(f).ToFloat32()
-	}
 }

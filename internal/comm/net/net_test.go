@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hccmf/internal/comm"
+	"hccmf/internal/fp16"
 )
 
 // newPair starts a loopback server and a dialer against it. Dims are small:
@@ -73,7 +74,7 @@ func TestPullPushRoundTrip(t *testing.T) {
 			}
 			want := append([]float32(nil), global...)
 			if tc.enc == comm.FP16 {
-				fp16RoundTrip(want)
+				fp16.RoundTripSlice(want, want)
 			}
 			bitsEqual(t, "pull", dst, want)
 			if st.Handshakes != 0 {
@@ -95,7 +96,7 @@ func TestPullPushRoundTrip(t *testing.T) {
 			}
 			want = append(want[:0:0], src...)
 			if tc.enc == comm.FP16 {
-				fp16RoundTrip(want)
+				fp16.RoundTripSlice(want, want)
 			}
 			bitsEqual(t, "push dst", dst, want)
 			stored, ok := s.Shard(uint8(comm.MatrixP), 1)

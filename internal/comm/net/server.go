@@ -190,8 +190,11 @@ func (s *Server) handle(conn net.Conn) {
 	if fp16OK {
 		caps = helloCapFP16
 	}
-	var scratch []byte
-	scratch, _, err = writeFrame(conn, scratch, &Frame{Op: OpHelloOK, Payload: []byte{caps}})
+	// Per-connection buffers: recv holds the request being served, out
+	// the reply, its payload encoded in place. Both are reused, so the
+	// steady-state request loop does not allocate.
+	var recv, out []byte
+	out, _, err = writeFrame(conn, out, &Frame{Op: OpHelloOK, Payload: []byte{caps}})
 	if err != nil {
 		s.logf("commnet: %s: %v", conn.RemoteAddr(), err)
 		return
@@ -205,7 +208,8 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		req, _, err := readFrame(conn, maxPayload)
+		var req Frame
+		req, recv, _, err = readFrameInto(conn, recv, maxPayload)
 		if err != nil {
 			// EOF and expired drain deadlines are normal ends; protocol
 			// violations are worth a diagnostic but either way the
@@ -216,25 +220,36 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		s.countFrames(1)
-		var resp Frame
-		switch req.Op {
-		case OpPull:
-			resp = s.servePull(req)
-		case OpPush:
-			resp = s.servePush(req)
-		default:
-			resp = errorFrame(fmt.Sprintf("unexpected %v frame", req.Op))
-		}
-		if resp.Op == OpError {
+		var failed bool
+		out, failed = s.serve(out, &req)
+		if failed {
 			s.countError()
 		}
-		scratch, _, err = writeFrame(conn, scratch, &resp)
-		if err != nil {
+		if _, err := sendFrame(conn, out); err != nil {
 			s.logf("commnet: %s: %v", conn.RemoteAddr(), err)
 			return
 		}
 		s.countFrames(1)
 	}
+}
+
+// serve answers one request frame into out (the connection's reused reply
+// buffer), reporting whether the reply is an error frame.
+func (s *Server) serve(out []byte, req *Frame) ([]byte, bool) {
+	var msg string
+	switch req.Op {
+	case OpPull:
+		out, msg = s.servePull(out, req)
+	case OpPush:
+		out, msg = s.servePush(out, req)
+	default:
+		msg = fmt.Sprintf("unexpected %v frame", req.Op)
+	}
+	if msg != "" {
+		out = encodeFrame(out, &Frame{Op: OpError, Payload: []byte(msg)})
+		return out, true
+	}
+	return out, false
 }
 
 // adoptDims fixes the server's dimensions on first contact and verifies
@@ -261,29 +276,32 @@ func (s *Server) matrixSize(m uint8) int {
 	return s.n * s.k
 }
 
-// servePull answers a pull request from the store.
-func (s *Server) servePull(req Frame) Frame {
+// servePull answers a pull request from the store, encoding the data
+// frame into out. A refusal returns the error message instead.
+func (s *Server) servePull(out []byte, req *Frame) ([]byte, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Pulls++
 	key := storeKey{matrix: uint8(req.Shard.Matrix), owner: req.Shard.Owner}
 	buf, ok := s.store[key]
 	if !ok {
-		return errorFrame(fmt.Sprintf("shard %v not published", req.Shard))
+		return out, fmt.Sprintf("shard %v not published", req.Shard)
 	}
 	if req.Shard.Hi > len(buf) {
-		return errorFrame(fmt.Sprintf("shard %v outside matrix of %d params", req.Shard, len(buf)))
+		return out, fmt.Sprintf("shard %v outside matrix of %d params", req.Shard, len(buf))
 	}
-	payload := encodePayload(make([]byte, 0, req.Shard.Params()*req.Enc.BytesPerParam()),
-		buf[req.Shard.Lo:req.Shard.Hi], req.Enc)
-	return Frame{Op: OpData, Shard: req.Shard, Enc: req.Enc, Payload: payload}
+	out, payload := putFrame(out, &Frame{Op: OpData, Shard: req.Shard, Enc: req.Enc},
+		req.Shard.Params()*req.Enc.BytesPerParam())
+	putPayload(payload, buf[req.Shard.Lo:req.Shard.Hi], req.Enc)
+	return out, ""
 }
 
 // servePush lands a push (owner ≥ 0) or a sync publish (owner −1) in the
-// store. The write happens only after the complete payload validated, so
-// a retried push after a truncated or reset attempt is idempotent — the
-// store never holds a half-applied transfer.
-func (s *Server) servePush(req Frame) Frame {
+// store and writes the ack into out; a refusal returns the error message
+// instead. The write happens only after the complete payload validated,
+// so a retried push after a truncated or reset attempt is idempotent —
+// the store never holds a half-applied transfer.
+func (s *Server) servePush(out []byte, req *Frame) ([]byte, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if req.Shard.Owner < 0 {
@@ -293,10 +311,10 @@ func (s *Server) servePush(req Frame) Frame {
 	}
 	size := s.matrixSize(uint8(req.Shard.Matrix))
 	if req.Shard.Hi > size {
-		return errorFrame(fmt.Sprintf("shard %v outside matrix of %d params", req.Shard, size))
+		return out, fmt.Sprintf("shard %v outside matrix of %d params", req.Shard, size)
 	}
 	if _, err := payloadParams(req.Shard, req.Enc, len(req.Payload)); err != nil {
-		return errorFrame(err.Error())
+		return out, err.Error()
 	}
 	key := storeKey{matrix: uint8(req.Shard.Matrix), owner: req.Shard.Owner}
 	buf, ok := s.store[key]
@@ -305,7 +323,8 @@ func (s *Server) servePush(req Frame) Frame {
 		s.store[key] = buf
 	}
 	decodePayload(buf[req.Shard.Lo:req.Shard.Hi], req.Payload, req.Enc)
-	return Frame{Op: OpAck, Shard: req.Shard, Enc: req.Enc}
+	out, _ = putFrame(out, &Frame{Op: OpAck, Shard: req.Shard, Enc: req.Enc}, 0)
+	return out, ""
 }
 
 // Shard returns a copy of a stored shard buffer (tests and diagnostics).
@@ -336,10 +355,6 @@ func (s *Server) countError() {
 // replyError best-effort sends an error frame during handshake failure.
 func (s *Server) replyError(conn net.Conn, msg string) {
 	_, _, _ = writeFrame(conn, nil, &Frame{Op: OpError, Payload: []byte(msg)})
-}
-
-func errorFrame(msg string) Frame {
-	return Frame{Op: OpError, Payload: []byte(msg)}
 }
 
 func maxInt(a, b int) int {

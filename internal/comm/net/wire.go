@@ -120,32 +120,51 @@ const maxHandshakePayload = 64
 // helloCapFP16 is the capability bit for fp16 payload compression.
 const helloCapFP16 = 1
 
-// appendFrame serialises f onto buf and returns the extended slice.
-// Callers reuse buf across frames, so the steady-state transfer path
-// allocates nothing.
-func appendFrame(buf []byte, f *Frame) []byte {
-	var hdr [headerSize]byte
-	copy(hdr[0:4], magic[:])
-	hdr[4] = wireVersion
-	hdr[5] = byte(f.Op)
-	hdr[6] = byte(f.Shard.Matrix)
-	hdr[7] = byte(f.Enc)
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(int32(f.Shard.Owner)))
-	binary.BigEndian.PutUint32(hdr[12:16], uint32(f.Shard.Lo))
-	binary.BigEndian.PutUint32(hdr[16:20], uint32(f.Shard.Hi))
-	binary.BigEndian.PutUint32(hdr[20:24], uint32(len(f.Payload)))
-	buf = append(buf, hdr[:]...)
-	return append(buf, f.Payload...)
+// putFrame sizes buf (reusing its capacity) to f's header plus a plen-byte
+// payload, writes the header, and returns the frame and its payload slot
+// for the caller to fill in place. f.Payload is ignored. Connections keep
+// their frame buffers across transfers, so steady-state frames are built
+// without allocating and without staging the payload in a second buffer.
+func putFrame(buf []byte, f *Frame, plen int) (frame, payload []byte) {
+	n := headerSize + plen
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	copy(buf[0:4], magic[:])
+	buf[4] = wireVersion
+	buf[5] = byte(f.Op)
+	buf[6] = byte(f.Shard.Matrix)
+	buf[7] = byte(f.Enc)
+	binary.BigEndian.PutUint32(buf[8:12], uint32(int32(f.Shard.Owner)))
+	binary.BigEndian.PutUint32(buf[12:16], uint32(f.Shard.Lo))
+	binary.BigEndian.PutUint32(buf[16:20], uint32(f.Shard.Hi))
+	binary.BigEndian.PutUint32(buf[20:24], uint32(plen))
+	return buf, buf[headerSize:]
 }
 
-// writeFrame sends one frame, reporting the octets written.
+// encodeFrame assembles f, payload copied, into buf (reused scratch).
+func encodeFrame(buf []byte, f *Frame) []byte {
+	buf, payload := putFrame(buf, f, len(f.Payload))
+	copy(payload, f.Payload)
+	return buf
+}
+
+// writeFrame sends one frame assembled in buf (reused scratch), reporting
+// the octets written.
 func writeFrame(w io.Writer, buf []byte, f *Frame) (scratch []byte, n int, err error) {
-	buf = appendFrame(buf[:0], f)
-	n, err = w.Write(buf)
+	buf = encodeFrame(buf, f)
+	n, err = sendFrame(w, buf)
+	return buf, n, err
+}
+
+// sendFrame writes an assembled frame, reporting the octets written.
+func sendFrame(w io.Writer, frame []byte) (int, error) {
+	n, err := w.Write(frame)
 	if err != nil {
-		return buf, n, fmt.Errorf("commnet: write %s frame: %w", f.Op, err)
+		return n, fmt.Errorf("commnet: write %s frame: %w", Op(frame[5]), err)
 	}
-	return buf, n, nil
+	return n, nil
 }
 
 // decodeHeader validates the fixed prefix and returns the frame skeleton
@@ -191,24 +210,42 @@ func decodeHeader(hdr []byte, maxPayload int) (Frame, int, error) {
 	return f, n, nil
 }
 
-// readFrame reads one complete frame. maxPayload bounds the allocation
-// (see decodeHeader); the returned byte count is the octets consumed.
+// readFrame reads one complete frame into a fresh buffer. maxPayload
+// bounds the allocation (see decodeHeader); the returned byte count is the
+// octets consumed. It serves the once-per-connection handshake; transfers
+// read through readFrameInto.
 func readFrame(r io.Reader, maxPayload int) (Frame, int, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, 0, fmt.Errorf("commnet: read frame header: %w", err)
+	f, _, n, err := readFrameInto(r, nil, maxPayload)
+	return f, n, err
+}
+
+// readFrameInto reads one complete frame into buf (a connection's reused
+// receive buffer), growing it only when the declared payload — already
+// checked against maxPayload — does not fit. It returns the frame, whose
+// Payload aliases the buffer until the next read, the buffer for reuse,
+// and the octets consumed.
+func readFrameInto(r io.Reader, buf []byte, maxPayload int) (Frame, []byte, int, error) {
+	if cap(buf) < headerSize {
+		buf = make([]byte, headerSize)
 	}
-	f, n, err := decodeHeader(hdr[:], maxPayload)
+	hdr := buf[:headerSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return Frame{}, buf, 0, fmt.Errorf("commnet: read frame header: %w", err)
+	}
+	f, n, err := decodeHeader(hdr, maxPayload)
 	if err != nil {
-		return Frame{}, headerSize, err
+		return Frame{}, buf, headerSize, err
 	}
 	if n > 0 {
-		f.Payload = make([]byte, n)
+		if cap(buf) < headerSize+n {
+			buf = make([]byte, headerSize+n) // the header is decoded already
+		}
+		f.Payload = buf[headerSize : headerSize+n]
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return Frame{}, headerSize, fmt.Errorf("commnet: read %s payload (%d bytes): %w", f.Op, n, err)
+			return Frame{}, buf, headerSize, fmt.Errorf("commnet: read %s payload (%d bytes): %w", f.Op, n, err)
 		}
 	}
-	return f, headerSize + n, nil
+	return f, buf, headerSize + n, nil
 }
 
 // DecodeFrame parses one frame from a byte buffer — the fuzzable entry
@@ -245,19 +282,18 @@ func payloadParams(sh comm.Shard, enc comm.Encoding, plen int) (int, error) {
 	return params, nil
 }
 
-// encodePayload appends src under enc to buf.
-func encodePayload(buf []byte, src []float32, enc comm.Encoding) []byte {
+// putPayload encodes src under enc into the payload slot dst, which holds
+// exactly len(src)·BytesPerParam bytes.
+func putPayload(dst []byte, src []float32, enc comm.Encoding) {
 	switch enc {
 	case comm.FP16:
-		for _, v := range src {
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(fp16.FromFloat32(v)))
-		}
+		fp16.EncodeWire(dst, src)
 	default:
-		for _, v := range src {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+		dst = dst[:4*len(src)]
+		for i, v := range src {
+			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
 		}
 	}
-	return buf
 }
 
 // decodePayload fills dst from a wire payload under enc. len(dst) must
@@ -265,10 +301,9 @@ func encodePayload(buf []byte, src []float32, enc comm.Encoding) []byte {
 func decodePayload(dst []float32, payload []byte, enc comm.Encoding) {
 	switch enc {
 	case comm.FP16:
-		for i := range dst {
-			dst[i] = fp16.Bits16(binary.LittleEndian.Uint16(payload[2*i:])).ToFloat32()
-		}
+		fp16.DecodeWire(dst, payload)
 	default:
+		payload = payload[:4*len(dst)]
 		for i := range dst {
 			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hccmf/internal/comm"
+	"hccmf/internal/fp16"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -46,9 +47,19 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func fp16RoundTripOne(v float32) float32 {
-	one := []float32{v}
-	fp16RoundTrip(one)
-	return one[0]
+	return fp16.FromFloat32(v).ToFloat32()
+}
+
+// appendFrame serialises f onto buf and returns the extended slice.
+func appendFrame(buf []byte, f *Frame) []byte {
+	return append(buf, encodeFrame(nil, f)...)
+}
+
+// encodePayload appends src under enc to buf.
+func encodePayload(buf []byte, src []float32, enc comm.Encoding) []byte {
+	payload := make([]byte, len(src)*enc.BytesPerParam())
+	putPayload(payload, src, enc)
+	return append(buf, payload...)
 }
 
 func TestFrameStreamRoundTrip(t *testing.T) {

@@ -3,7 +3,6 @@ package comm
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"hccmf/internal/fp16"
 )
@@ -235,8 +234,8 @@ func CloseTransport(t Transport) error {
 // Strategy 2 is active) and point-to-point transfers bypass the kernel.
 // Construct it through the registry (New with KindShared).
 type SharedMem struct {
-	// workers records the sizing hint; FP16 staging buffers come from a
-	// shared pool (stagePool) so steady-state transfers allocate nothing.
+	// workers records the sizing hint; the FP16 stage lives on the stack
+	// (fp16.RoundTripSlice), so steady-state transfers allocate nothing.
 	workers int
 }
 
@@ -266,22 +265,6 @@ func (s *SharedMem) Push(dst, src []float32, x Xfer) (TransferStats, error) {
 	return sharedCopy(dst, src, x)
 }
 
-// stagePool recycles FP16 staging buffers: transfers run every epoch on
-// every worker, and the paper's implementation goes out of its way to
-// avoid "temporary memory creation and release" on the hot path.
-var stagePool = sync.Pool{
-	New: func() interface{} { return new([]fp16.Bits16) },
-}
-
-func stageBuffer(n int) *[]fp16.Bits16 {
-	buf := stagePool.Get().(*[]fp16.Bits16)
-	if cap(*buf) < n {
-		*buf = make([]fp16.Bits16, n)
-	}
-	*buf = (*buf)[:n]
-	return buf
-}
-
 func sharedCopy(dst, src []float32, x Xfer) (TransferStats, error) {
 	if err := x.Err(); err != nil {
 		return TransferStats{}, fmt.Errorf("comm: transfer cancelled: %w", err)
@@ -293,13 +276,10 @@ func sharedCopy(dst, src []float32, x Xfer) (TransferStats, error) {
 	case FP32:
 		copy(dst, src)
 	case FP16:
-		// The wire carries binary16; both endpoints convert in
-		// registers while streaming through the shared buffer, so it is
-		// still one pass over memory.
-		staged := stageBuffer(len(src))
-		fp16.EncodeSlice(*staged, src)
-		fp16.DecodeSlice(dst, *staged)
-		stagePool.Put(staged)
+		// The wire carries binary16; both endpoints convert while
+		// streaming through the shared buffer in L1-sized stages, so it
+		// is still one pass over memory.
+		fp16.RoundTripSlice(dst, src)
 	default:
 		return TransferStats{}, fmt.Errorf("comm: unknown encoding %v", x.Enc)
 	}
@@ -382,11 +362,7 @@ func marshal(src []float32, enc Encoding) ([]byte, error) {
 		return out, nil
 	case FP16:
 		out := make([]byte, 2*len(src))
-		for i, v := range src {
-			h := fp16.FromFloat32(v)
-			out[2*i] = byte(h)
-			out[2*i+1] = byte(h >> 8)
-		}
+		fp16.EncodeWire(out, src)
 		return out, nil
 	default:
 		return nil, fmt.Errorf("comm: unknown encoding %v", enc)
@@ -407,10 +383,7 @@ func unmarshal(dst []float32, wire []byte, enc Encoding) error {
 		if len(wire) != 2*len(dst) {
 			return fmt.Errorf("comm: wire size %d for %d params", len(wire), len(dst))
 		}
-		for i := range dst {
-			h := fp16.Bits16(wire[2*i]) | fp16.Bits16(wire[2*i+1])<<8
-			dst[i] = h.ToFloat32()
-		}
+		fp16.DecodeWire(dst, wire)
 		return nil
 	default:
 		return fmt.Errorf("comm: unknown encoding %v", enc)

@@ -25,9 +25,47 @@ const (
 	expBias32 = 127
 )
 
+// Normal-range bounds of FromFloat32's fast path, as |f|'s FP32 bits: the
+// smallest FP16 normal (2^-14) and 2^16, the first FP32 binade above FP16's
+// largest (every value below it rounds to a finite half or, at the very
+// top, carries into the Inf encoding exactly as the overflow case would).
+const (
+	normalLo32 = (expBias32 - expBias16 + 1) << 23
+	normalHi32 = (expBias32 - expBias16 + 0x1f) << 23
+)
+
 // FromFloat32 converts an FP32 value to FP16 with round-to-nearest-even.
+//
+// One unsigned range check (normalRange) sends every input whose result is
+// a normal half through integer rounding (roundNormal); zero, subnormal,
+// overflow, Inf and NaN inputs take fromFloat32Rare.
 func FromFloat32(f float32) Bits16 {
 	b := math.Float32bits(f)
+	if normalRange(b) {
+		return roundNormal(b)
+	}
+	return fromFloat32Rare(b)
+}
+
+// normalRange reports whether the FP32 bits b convert to a normal binary16
+// (or, at the very top, carry into Inf exactly as the overflow case would).
+func normalRange(b uint32) bool {
+	return b&^0x80000000-normalLo32 < normalHi32-normalLo32
+}
+
+// roundNormal converts FP32 bits inside normalRange: rebias the exponent
+// (−112 binades), add 0xfff plus the lowest kept mantissa bit, and shift
+// out the 13 dropped bits. The add is round-half-to-even on the dropped
+// bits, and a mantissa carry walks into the exponent field by itself, up
+// to and including the Inf encoding at the top of the range.
+func roundNormal(b uint32) Bits16 {
+	a := b &^ 0x80000000
+	return Bits16(uint16(b>>16)&signMask16 | uint16((a-(expBias32-expBias16)<<23+0xfff+(a>>13)&1)>>13))
+}
+
+// fromFloat32Rare converts the inputs outside FromFloat32's normal range,
+// from their FP32 bits.
+func fromFloat32Rare(b uint32) Bits16 {
 	sign := uint16(b>>16) & signMask16
 	exp := int32(b>>23) & 0xff
 	man := b & 0x7fffff
@@ -52,21 +90,6 @@ func FromFloat32(f float32) Bits16 {
 	switch {
 	case e >= 0x1f: // overflow → infinity
 		return Bits16(sign | expMask16)
-	case e >= 1: // normal range
-		// 23-bit mantissa → 10-bit with round-to-nearest-even.
-		m := man >> 13
-		round := man & 0x1fff
-		if round > 0x1000 || (round == 0x1000 && m&1 == 1) {
-			m++
-			if m == 0x400 { // mantissa overflowed into exponent
-				m = 0
-				e++
-				if e >= 0x1f {
-					return Bits16(sign | expMask16)
-				}
-			}
-		}
-		return Bits16(sign | uint16(e)<<10 | uint16(m))
 	case e >= -10: // subnormal range: shift the implicit bit in
 		m := man | 0x800000
 		shift := uint32(14 - e)

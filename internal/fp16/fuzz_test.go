@@ -8,7 +8,8 @@ import (
 // FuzzConversionInvariants checks, for arbitrary float32 inputs, the IEEE
 // invariants the codec must preserve: classification is stable, round
 // trips are idempotent, and the result is the nearest representable half
-// (|err| ≤ half the local ulp) for in-range finite values.
+// (|err| ≤ half the local ulp) for in-range finite values. It also holds
+// the fast encode to the reference conversion bit for bit.
 func FuzzConversionInvariants(f *testing.F) {
 	f.Add(uint32(0))
 	f.Add(math.Float32bits(1))
@@ -21,6 +22,9 @@ func FuzzConversionInvariants(f *testing.F) {
 	f.Fuzz(func(t *testing.T, bits uint32) {
 		v := math.Float32frombits(bits)
 		h := FromFloat32(v)
+		if ref := referenceFromFloat32(v); h != ref {
+			t.Fatalf("FromFloat32(%#08x) = %#04x, reference %#04x", bits, h, ref)
+		}
 		back := h.ToFloat32()
 
 		switch {

@@ -119,43 +119,78 @@ func tileCols(k, budget int) int {
 
 // tileOrder reorders entries in place into (tile, row, col) order, where
 // tile = (col − colLo) / tileCols(k, budget), and returns the tile count.
-// Cold path — it runs once per chunk build, so it allocates its scratch
-// locally. The reorder is a stable counting scatter over a (row, col)
-// sort, i.e. an LSD radix pass with the tile index as the most significant
-// digit, so within each tile entries remain (row, col)-sorted — the same
-// P-streaming order the default traversal has, just confined to the tile.
+// Every entry's column must be ≥ colLo. It is an LSD radix sort of three
+// stable counting passes — column, then row, then tile — so it runs in
+// time linear in the entries plus the row and column spans, and entries
+// with equal (tile, row, col) keys keep their input order. Within a tile
+// entries are (row, col)-sorted: the same P-streaming order the default
+// traversal has, just confined to the tile. Cold path — it runs once per
+// chunk build, so it allocates its scratch locally.
 func tileOrder(entries []sparse.Rating, colLo, k, budget int) int {
-	sortEntriesByRow(entries)
-	tc := tileCols(k, budget)
 	if len(entries) == 0 {
 		return 0
 	}
-	maxTile := 0
-	for i := range entries {
-		t := (int(entries[i].I) - colLo) / tc
-		if t > maxTile {
-			maxTile = t
-		}
+	tc := tileCols(k, budget)
+	minU, maxU := entries[0].U, entries[0].U
+	minI, maxI := entries[0].I, entries[0].I
+	for _, e := range entries[1:] {
+		minU, maxU = min(minU, e.U), max(maxU, e.U)
+		minI, maxI = min(minI, e.I), max(maxI, e.I)
 	}
-	ntiles := maxTile + 1
+	tmp := make([]sparse.Rating, len(entries))
+
+	// Pass 1: by column, into tmp.
+	next := make([]int, max(int(maxI-minI), int(maxU-minU))+2)
+	cols := next[:int(maxI-minI)+2]
+	for _, e := range entries {
+		cols[e.I-minI+1]++
+	}
+	prefixSum(cols)
+	for _, e := range entries {
+		j := e.I - minI
+		tmp[cols[j]] = e
+		cols[j]++
+	}
+
+	// Pass 2: by row, back into entries.
+	rows := next[:int(maxU-minU)+2]
+	clear(rows)
+	for _, e := range tmp {
+		rows[e.U-minU+1]++
+	}
+	prefixSum(rows)
+	for _, e := range tmp {
+		j := e.U - minU
+		entries[rows[j]] = e
+		rows[j]++
+	}
+
+	// Pass 3: by tile, through tmp.
+	ntiles := (int(maxI)-colLo)/tc + 1
 	if ntiles == 1 {
 		return 1
 	}
-	counts := make([]int, ntiles+1)
-	for i := range entries {
-		counts[(int(entries[i].I)-colLo)/tc+1]++
+	tiles := next[:ntiles+1]
+	clear(tiles)
+	for _, e := range entries {
+		tiles[(int(e.I)-colLo)/tc+1]++
 	}
-	for t := 1; t <= ntiles; t++ {
-		counts[t] += counts[t-1]
-	}
-	tmp := make([]sparse.Rating, len(entries))
-	for i := range entries {
-		t := (int(entries[i].I) - colLo) / tc
-		tmp[counts[t]] = entries[i]
-		counts[t]++
+	prefixSum(tiles)
+	for _, e := range entries {
+		j := (int(e.I) - colLo) / tc
+		tmp[tiles[j]] = e
+		tiles[j]++
 	}
 	copy(entries, tmp)
 	return ntiles
+}
+
+// prefixSum turns per-key counts, stored one slot past each key, into
+// each key's starting offset.
+func prefixSum(c []int) {
+	for i := 1; i < len(c); i++ {
+		c[i] += c[i-1]
+	}
 }
 
 // TileOrder is tileOrder at the default budget over one column range

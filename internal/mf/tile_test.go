@@ -1,6 +1,7 @@
 package mf
 
 import (
+	"sort"
 	"testing"
 
 	"hccmf/internal/sparse"
@@ -29,9 +30,6 @@ func TestTileOrderInvariants(t *testing.T) {
 	}
 
 	// Permutation: the reorder must preserve the entry multiset exactly.
-	// (The row sort inside tileOrder is not stable for duplicate (U, I)
-	// keys, so a positional comparison against a reference sort would
-	// over-constrain it.)
 	tc := tileCols(k, budget)
 	key := func(e sparse.Rating) (int, int32, int32) {
 		return (int(e.I) - colLo) / tc, e.U, e.I
@@ -62,6 +60,56 @@ func TestTileOrderInvariants(t *testing.T) {
 		if tn == tp && (un < up || (un == up && in < ip)) {
 			t.Fatalf("(row,col) order broken inside tile %d at %d", tn, i)
 		}
+	}
+}
+
+// tileOrder is a stable sort: it equals a reference stable sort by
+// (tile, row, col) position for position, duplicate (U, I) keys (told apart
+// by V) included.
+func TestTileOrderMatchesStableSort(t *testing.T) {
+	rng := sparse.NewRand(33)
+	const colLo, cols, k = 7, 90, 8
+	entries := make([]sparse.Rating, 4000)
+	for i := range entries {
+		entries[i] = sparse.Rating{
+			U: int32(3 + rng.Intn(30)),
+			I: int32(colLo + rng.Intn(cols)),
+			V: float32(i),
+		}
+	}
+	for _, budget := range []int{tileBytesDefault, 16 * 4 * k} {
+		got := append([]sparse.Rating(nil), entries...)
+		want := append([]sparse.Rating(nil), entries...)
+		tc := tileCols(k, budget)
+		sort.SliceStable(want, func(a, b int) bool {
+			ta, tb := (int(want[a].I)-colLo)/tc, (int(want[b].I)-colLo)/tc
+			if ta != tb {
+				return ta < tb
+			}
+			return lessByRow(want[a], want[b])
+		})
+		tileOrder(got, colLo, k, budget)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("budget %d: position %d = %+v, stable sort has %+v", budget, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// BenchmarkTileOrder orders one async-stream chunk at the wide workload's
+// shape: 1.8 M ratings over 27,698 rows and a 6,563-item slice at k = 64.
+func BenchmarkTileOrder(b *testing.B) {
+	rng := sparse.NewRand(34)
+	src := make([]sparse.Rating, 1_800_000)
+	for i := range src {
+		src[i] = sparse.Rating{U: int32(rng.Intn(27698)), I: int32(rng.Intn(6563)), V: 1}
+	}
+	entries := make([]sparse.Rating, len(src))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(entries, src)
+		TileOrder(entries, 0, 64)
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package parallel provides the chunked worker fan-out used by HCC-MF's
-// CPU-side data plane: the fp16 transport codec and the dataset ingestion
-// pipeline both split an index range across a bounded number of
-// goroutines. Centralising the helper keeps the clamping policy in one
+// CPU-side data plane: the dataset ingestion pipeline splits an index
+// range across a bounded number of goroutines. Centralising the helper keeps the clamping policy in one
 // place — spawning more goroutines than there are minChunk-sized pieces
 // of work only buys scheduler overhead.
 package parallel

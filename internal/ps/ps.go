@@ -90,8 +90,6 @@ type Cluster struct {
 	// sync can fold each worker's *delta* against it. Under FP16 it holds
 	// the encode/decode round-trip of the global Q (see snapshotBaseQ).
 	baseQ []float32
-	// baseQStage is the FP16 staging buffer for snapshotBaseQ.
-	baseQStage []fp16.Bits16
 	// evictions records workers removed by fault tolerance.
 	evictions []Eviction
 	// rebalancer drives adaptive epoch-boundary rescheduling (nil when
@@ -347,14 +345,11 @@ func (c *Cluster) runEpoch(epoch, total int) error {
 // untouched rows toward their FP16 rounding each epoch and inflating the
 // updater count that divides real conflicting deltas.
 func (c *Cluster) snapshotBaseQ() {
-	copy(c.baseQ, c.global.Q)
 	if c.cfg.Strategy.Encoding == comm.FP16 {
-		if c.baseQStage == nil {
-			c.baseQStage = make([]fp16.Bits16, len(c.baseQ))
-		}
-		fp16.EncodeSlice(c.baseQStage, c.baseQ)
-		fp16.DecodeSlice(c.baseQ, c.baseQStage)
+		fp16.RoundTripSlice(c.baseQ, c.global.Q)
+		return
 	}
+	copy(c.baseQ, c.global.Q)
 }
 
 // hyperFor applies the learning-rate schedule, if any, to the epoch.
