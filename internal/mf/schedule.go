@@ -121,11 +121,11 @@ func tileCols(k, budget int) int {
 // tile = (col − colLo) / tileCols(k, budget), and returns the tile count.
 // Every entry's column must be ≥ colLo. It is an LSD radix sort of three
 // stable counting passes — column, then row, then tile — so it runs in
-// time linear in the entries plus the row and column spans, and entries
-// with equal (tile, row, col) keys keep their input order. Within a tile
-// entries are (row, col)-sorted: the same P-streaming order the default
-// traversal has, just confined to the tile. Cold path — it runs once per
-// chunk build, so it allocates its scratch locally.
+// time linear in the entries plus the row, column and tile key ranges,
+// and entries with equal (tile, row, col) keys keep their input order.
+// Within a tile entries are (row, col)-sorted: the same P-streaming order
+// the default traversal has, just confined to the tile. Cold path — it
+// runs once per chunk build, so it allocates its scratch locally.
 func tileOrder(entries []sparse.Rating, colLo, k, budget int) int {
 	if len(entries) == 0 {
 		return 0
@@ -137,10 +137,16 @@ func tileOrder(entries []sparse.Rating, colLo, k, budget int) int {
 		minU, maxU = min(minU, e.U), max(maxU, e.U)
 		minI, maxI = min(minI, e.I), max(maxI, e.I)
 	}
+	ntiles := (int(maxI)-colLo)/tc + 1
 	tmp := make([]sparse.Rating, len(entries))
 
+	// One count buffer serves all three passes, so it spans the widest of
+	// their key ranges: columns, rows and tiles. The tile count depends on
+	// maxI's distance from colLo, not on the column span, so a sparse
+	// chunk far from colLo can need more tile slots than column slots.
+	next := make([]int, max(int(maxI-minI)+1, int(maxU-minU)+1, ntiles)+1)
+
 	// Pass 1: by column, into tmp.
-	next := make([]int, max(int(maxI-minI), int(maxU-minU))+2)
 	cols := next[:int(maxI-minI)+2]
 	for _, e := range entries {
 		cols[e.I-minI+1]++
@@ -166,7 +172,6 @@ func tileOrder(entries []sparse.Rating, colLo, k, budget int) int {
 	}
 
 	// Pass 3: by tile, through tmp.
-	ntiles := (int(maxI)-colLo)/tc + 1
 	if ntiles == 1 {
 		return 1
 	}

@@ -78,22 +78,66 @@ func TestTileOrderMatchesStableSort(t *testing.T) {
 		}
 	}
 	for _, budget := range []int{tileBytesDefault, 16 * 4 * k} {
-		got := append([]sparse.Rating(nil), entries...)
-		want := append([]sparse.Rating(nil), entries...)
-		tc := tileCols(k, budget)
-		sort.SliceStable(want, func(a, b int) bool {
-			ta, tb := (int(want[a].I)-colLo)/tc, (int(want[b].I)-colLo)/tc
-			if ta != tb {
-				return ta < tb
-			}
-			return lessByRow(want[a], want[b])
-		})
-		tileOrder(got, colLo, k, budget)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("budget %d: position %d = %+v, stable sort has %+v", budget, i, got[i], want[i])
-			}
+		checkTileOrder(t, entries, colLo, k, budget)
+	}
+}
+
+// checkTileOrder runs tileOrder on a copy of entries and requires it to
+// equal a reference stable sort by (tile, row, col), position for
+// position, and to report the tile count the largest column implies.
+func checkTileOrder(t *testing.T, entries []sparse.Rating, colLo, k, budget int) {
+	t.Helper()
+	got := append([]sparse.Rating(nil), entries...)
+	want := append([]sparse.Rating(nil), entries...)
+	tc := tileCols(k, budget)
+	sort.SliceStable(want, func(a, b int) bool {
+		ta, tb := (int(want[a].I)-colLo)/tc, (int(want[b].I)-colLo)/tc
+		if ta != tb {
+			return ta < tb
 		}
+		return lessByRow(want[a], want[b])
+	})
+	maxI := colLo
+	for _, e := range entries {
+		maxI = max(maxI, int(e.I))
+	}
+	if n, wantN := tileOrder(got, colLo, k, budget), (maxI-colLo)/tc+1; n != wantN {
+		t.Fatalf("budget %d: ntiles = %d, want %d", budget, n, wantN)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("budget %d: position %d = %+v, stable sort has %+v", budget, i, got[i], want[i])
+		}
+	}
+}
+
+// A sparse chunk whose few entries sit one or more tiles past colLo, in
+// narrow row and column spans, needs more tile slots than its column or
+// row span provides: the count buffer must be sized for the tile pass too.
+func TestTileOrderSparseFarFromColLo(t *testing.T) {
+	const colLo, k = 5, 64
+	tc := tileCols(k, tileBytesDefault)
+	cases := map[string][]sparse.Rating{
+		"one rating one tile past colLo": {
+			{U: 0, I: int32(colLo + tc), V: 1},
+		},
+		"one rating many tiles past colLo": {
+			{U: 9, I: int32(colLo + 7*tc + 3), V: 1},
+		},
+		"two adjacent columns, one row, far tile": {
+			{U: 4, I: int32(colLo + 3*tc + 1), V: 1},
+			{U: 4, I: int32(colLo + 3*tc), V: 2},
+		},
+		"two columns straddling a tile edge": {
+			{U: 1, I: int32(colLo + 2*tc), V: 1},
+			{U: 0, I: int32(colLo + 2*tc - 1), V: 2},
+			{U: 0, I: int32(colLo + 2*tc), V: 3},
+		},
+	}
+	for name, entries := range cases {
+		t.Run(name, func(t *testing.T) {
+			checkTileOrder(t, entries, colLo, k, tileBytesDefault)
+		})
 	}
 }
 
