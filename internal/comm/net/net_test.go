@@ -209,6 +209,45 @@ func TestDimsMismatchRejected(t *testing.T) {
 	}
 }
 
+// A hello whose matrices exceed the wire's uint32 shard range is refused
+// before the server fixes its dims, and the follow-up push that used to
+// size a 2⁵¹-param store (makeslice panic) cannot crash the process: a
+// legitimate worker still trains against the same server afterwards.
+func TestHostileHelloRejected(t *testing.T) {
+	s, d := newPair(t, ServerConfig{})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, _, err := writeFrame(conn, nil, &Frame{Op: OpHello, Payload: helloPayload(1<<31, 4, 1<<20, false)}); err != nil {
+		t.Fatal(err)
+	}
+	reply, _, err := readFrame(conn, maxHandshakePayload)
+	if err != nil || reply.Op != OpError || !strings.Contains(string(reply.Payload), "uint32") {
+		t.Fatalf("hostile hello answered op=%v payload=%q err=%v, want a range error frame", reply.Op, reply.Payload, err)
+	}
+	// The push may hit a closed socket; either way it must not reach the store.
+	_, _, _ = writeFrame(conn, nil, &Frame{Op: OpPush, Shard: comm.WorkerShard(comm.MatrixP, 0, 0, 1), Enc: comm.FP32, Payload: make([]byte, 4)})
+	s.mu.Lock()
+	m, n, k := s.m, s.n, s.k
+	s.mu.Unlock()
+	if m != 0 || n != 0 || k != 0 {
+		t.Fatalf("hostile hello fixed the server dims at %dx%dx%d", m, n, k)
+	}
+
+	want := seq(8, 0.5)
+	if _, err := d.SyncShard(want, comm.Xfer{Shard: comm.GlobalShard(comm.MatrixQ, 0, 8), Enc: comm.FP32}); err != nil {
+		t.Fatalf("legitimate push after a hostile hello: %v", err)
+	}
+	got := make([]float32, 8)
+	if _, err := d.Pull(got, nil, comm.Xfer{Shard: comm.GlobalShard(comm.MatrixQ, 0, 8), Enc: comm.FP32}); err != nil {
+		t.Fatalf("legitimate pull after a hostile hello: %v", err)
+	}
+	bitsEqual(t, "pull after hostile hello", got, want)
+}
+
 // A stalled server must not hang a transfer: the per-op deadline fires.
 func TestOpDeadlineAgainstStalledServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -36,6 +36,7 @@ package commnet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -332,6 +333,15 @@ func parseHello(payload []byte) (m, n, k int, fp16 bool, err error) {
 	k = int(binary.BigEndian.Uint32(payload[8:12]))
 	if m <= 0 || n <= 0 || k <= 0 {
 		return 0, 0, 0, false, fmt.Errorf("commnet: hello dims m=%d n=%d k=%d", m, n, k)
+	}
+	// Every shard bound travels as a uint32 (Shard.Lo/Hi), so a matrix of
+	// more than MaxUint32 params cannot be addressed on the wire. Refusing
+	// such shapes here also keeps the server's 4·max(m,n)·k payload cap and
+	// its matrix-sized store allocations in range. m, n and k are each
+	// below 2³², so the uint64 products cannot overflow. The message stays
+	// short enough to fit the peer's maxHandshakePayload.
+	if uint64(m)*uint64(k) > math.MaxUint32 || uint64(n)*uint64(k) > math.MaxUint32 {
+		return 0, 0, 0, false, errors.New("commnet: hello dims exceed the uint32 shard range")
 	}
 	return m, n, k, payload[12]&helloCapFP16 != 0, nil
 }

@@ -155,6 +155,16 @@ func TestHelloPayloadRoundTrip(t *testing.T) {
 	if _, _, _, _, err := parseHello(helloPayload(0, 5, 5, false)); err == nil {
 		t.Fatal("zero dimension accepted")
 	}
+	// m·k and n·k must fit the uint32 shard bounds; exactly 2³²−1 params fit.
+	if _, _, _, _, err := parseHello(helloPayload(1<<31, 4, 1<<20, false)); err == nil {
+		t.Fatal("P beyond the uint32 shard range accepted")
+	}
+	if _, _, _, _, err := parseHello(helloPayload(4, 1<<16, 1<<16, false)); err == nil {
+		t.Fatal("Q beyond the uint32 shard range accepted")
+	}
+	if _, _, _, _, err := parseHello(helloPayload(65535, 3, 65537, false)); err != nil {
+		t.Fatalf("a 2³²−1-param matrix refused: %v", err)
+	}
 }
 
 func TestPayloadParamsValidates(t *testing.T) {

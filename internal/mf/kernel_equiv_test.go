@@ -2,6 +2,7 @@ package mf
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"hccmf/internal/sparse"
@@ -71,16 +72,32 @@ func kernelVariants() []kernelVariant {
 	return []kernelVariant{
 		{"UpdateOne", UpdateOne, referenceUpdateOne, any},
 		{"updateOneGeneric", updateOneGeneric, referenceUpdateOne, any},
-		{"updateOneVec", func(p, q []float32, r float32, h HyperParams) float32 {
-			return updateOneVec(p, q, r, h)
-		}, referenceUpdateOne, any},
 	}
 }
 
+// repeatedEntries returns m's entries with back-to-back repeats mixed in:
+// the same rating twice, the same user on the next item and the same item
+// for the next user, so a sweep reads rows it has just written.
+func repeatedEntries(m *sparse.COO) []sparse.Rating {
+	out := make([]sparse.Rating, 0, 2*len(m.Entries))
+	for idx, e := range m.Entries {
+		out = append(out, e)
+		if idx%5 == 0 {
+			out = append(out, e,
+				sparse.Rating{U: e.U, I: (e.I + 1) % int32(m.Cols), V: e.V},
+				sparse.Rating{U: (e.U + 1) % int32(m.Rows), I: e.I, V: e.V})
+		}
+	}
+	return out
+}
+
 // TestKernelVariantsMatchReference sweeps every kernel entry point — the
-// exported UpdateOne, the portable kernel and the build's vector kernel —
-// across k = 1..160 (every remainder shape, including non-multiples of 4
-// and 8) and pins each bit-for-bit to its reference accumulation order.
+// exported UpdateOne (the build's sweep kernel on one entry) and the
+// portable kernel — across k = 1..160 (every remainder shape, including
+// non-multiples of 4 and 8) and pins each bit-for-bit to its reference
+// accumulation order. The sumSqErr subtest pins the build's evaluation
+// loop (the SSE sqErrSweep on amd64) to the Go loop at the same k, over
+// entries with repeated users and items.
 func TestKernelVariantsMatchReference(t *testing.T) {
 	h := HyperParams{Gamma: 0.01, Lambda1: 0.02, Lambda2: 0.03}
 	for _, v := range kernelVariants() {
@@ -111,20 +128,33 @@ func TestKernelVariantsMatchReference(t *testing.T) {
 			}
 		})
 	}
+	t.Run("sumSqErr", func(t *testing.T) {
+		m := trainSet(t, 9, 7, 60, 5)
+		entries := repeatedEntries(m)
+		for k := 1; k <= 160; k++ {
+			f := NewFactorsInit(m.Rows, m.Cols, k, m.MeanRating(), sparse.NewRand(uint64(k)))
+			got, want := sumSqErr(f, entries), sumSqErrGeneric(f, entries)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("k=%d: sumSqErr %v != Go loop %v", k, got, want)
+			}
+		}
+	})
 }
 
-// TestTrainEntriesMatchesRowViews pins TrainEntries — inlined row
-// indexing and the build's kernel — to a per-entry referenceUpdateOne
-// sweep over PRow/QRow views.
+// TestTrainEntriesMatchesRowViews pins TrainEntries — the build's sweep
+// kernel — to a per-entry referenceUpdateOne sweep over PRow/QRow views at
+// k = 1..160, so every tail shape is covered, over entries that revisit
+// users and items back to back.
 func TestTrainEntriesMatchesRowViews(t *testing.T) {
 	h := HyperParams{Gamma: 0.01, Lambda1: 0.005, Lambda2: 0.005}
-	for _, k := range []int{8, 24, 32, 64, 128} {
+	m := trainSet(t, 40, 30, 2000, 21)
+	entries := repeatedEntries(m)
+	for k := 1; k <= 160; k++ {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
-			m := trainSet(t, 40, 30, 2000, 21)
 			f1 := NewFactorsInit(m.Rows, m.Cols, k, m.MeanRating(), sparse.NewRand(4))
 			f2 := f1.Clone()
-			TrainEntries(f1, m.Entries, h)
-			for _, e := range m.Entries {
+			TrainEntries(f1, entries, h)
+			for _, e := range entries {
 				referenceUpdateOne(f2.PRow(e.U), f2.QRow(e.I), e.V, h)
 			}
 			for i := range f1.P {
@@ -142,10 +172,10 @@ func TestTrainEntriesMatchesRowViews(t *testing.T) {
 }
 
 // TestTrainEntriesKernelMatchesReference pins a whole training sweep run
-// through each kernel entry point — the portable kernel and the build's
-// vector kernel, one per-entry call over PRow/QRow views — to both
-// TrainEntries and the referenceUpdateOne sweep, so the two kernels stay
-// interchangeable across an epoch, not just per rating.
+// through each kernel entry point — the portable kernel and UpdateOne (the
+// build's sweep kernel on one entry), one per-entry call over PRow/QRow
+// views — to both TrainEntries and the referenceUpdateOne sweep, so the
+// two kernels stay interchangeable across an epoch, not just per rating.
 func TestTrainEntriesKernelMatchesReference(t *testing.T) {
 	h := HyperParams{Gamma: 0.01, Lambda1: 0.005, Lambda2: 0.005}
 	cases := []struct {
@@ -153,9 +183,7 @@ func TestTrainEntriesKernelMatchesReference(t *testing.T) {
 		fn   func(p, q []float32, r float32, h HyperParams) float32
 	}{
 		{"generic", updateOneGeneric},
-		{"vec", func(p, q []float32, r float32, h HyperParams) float32 {
-			return updateOneVec(p, q, r, h)
-		}},
+		{"UpdateOne", UpdateOne},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -17,14 +17,16 @@ func RMSE(f *Factors, entries []sparse.Rating) float64 {
 	return math.Sqrt(sumSqErr(f, entries) / float64(len(entries)))
 }
 
-// sumSqErr accumulates Σ(r − p·q)² over entries. It is the shared inner
-// loop of RMSE and the parallel evaluator workers: row slicing is inlined
-// (as in TrainEntries) so the flat P/Q base pointers and K stay in
-// registers, and the dot product uses Dot's exact partial-sum order so the
-// result is bit-identical to calling f.Predict per entry.
+// sumSqErrGeneric accumulates Σ(r − p·q)² over entries. Through the
+// build's sumSqErr it is the shared inner loop of RMSE and the parallel
+// evaluator workers — in Go under !amd64 || noasm, as the SSE sqErrSweep
+// on amd64, which matches it bit for bit. Row slicing is inlined (as in
+// TrainEntries) so the flat P/Q base pointers and K stay in registers, and
+// the dot product uses Dot's exact partial-sum order so the result is
+// bit-identical to calling f.Predict per entry.
 //
 // lint:hotpath
-func sumSqErr(f *Factors, entries []sparse.Rating) float64 {
+func sumSqErrGeneric(f *Factors, entries []sparse.Rating) float64 {
 	k := f.K
 	fp, fq := f.P, f.Q
 	var sum float64

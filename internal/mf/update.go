@@ -21,15 +21,15 @@ type HyperParams struct {
 // using the pre-update value of p in q's gradient (the standard
 // simultaneous update). It returns the signed prediction error e.
 //
-// UpdateOne calls the build's one update kernel, updateOneVec: the SSE
-// kernel on amd64, updateOneGeneric under !amd64 || noasm (DESIGN.md §16).
-// Both are pinned bit-identical to referenceUpdateOne — the memory-layout
-// pass is not allowed to move the convergence trajectory — by the
-// kernel-equivalence sweep in kernel_equiv_test.go.
+// UpdateOne is the one-entry case of the build's one update kernel: the
+// SSE rating sweep on amd64, updateOneGeneric under !amd64 || noasm
+// (DESIGN.md §16). Both are pinned bit-identical to referenceUpdateOne —
+// the memory-layout pass is not allowed to move the convergence
+// trajectory — by the kernel-equivalence sweep in kernel_equiv_test.go.
 //
 // lint:hotpath
 func UpdateOne(p, q []float32, r float32, h HyperParams) float32 {
-	return updateOneVec(p, q[:len(p)], r, h)
+	return updateOne(p, q[:len(p)], r, h)
 }
 
 // updateOneGeneric is the portable fused kernel (PR 3): dot product fused
@@ -131,18 +131,13 @@ func UpdateBytes(k int) int { return 16*k + 4 }
 // It is the one sweep loop of the build: the serial engine, every pool
 // task (FPSGD block, Hogwild chunk, Batched group) and the parameter
 // server's async streams all train through it; callers own any required
-// synchronisation. Row slicing is inlined (rather than going through
-// PRow/QRow) so the flat P/Q base pointers and K stay in registers across
-// the sweep; the three-index q slice caps the view so the kernel's
-// q[:len(p)] guard is free.
+// synchronisation. On amd64 the whole loop is the SSE sweep in
+// update_amd64.s, which reads the rating records itself; elsewhere it is a
+// Go loop over updateOneGeneric. An entry whose U or I lies outside f
+// panics, after every earlier entry has been applied and before anything
+// is written for it.
 //
 // lint:hotpath
 func TrainEntries(f *Factors, entries []sparse.Rating, h HyperParams) {
-	p, q, k := f.P, f.Q, f.K
-	for idx := range entries {
-		e := entries[idx]
-		po := int(e.U) * k
-		qo := int(e.I) * k
-		updateOneVec(p[po:po+k], q[qo:qo+k:qo+k], e.V, h)
-	}
+	trainEntries(f, entries, h)
 }

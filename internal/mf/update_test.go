@@ -1,8 +1,11 @@
 package mf
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"hccmf/internal/sparse"
 )
@@ -126,5 +129,82 @@ func TestLossDecreasesUnderSGD(t *testing.T) {
 			t.Fatalf("epoch %d: loss rose %v → %v", ep, prev, cur)
 		}
 		prev = cur
+	}
+}
+
+// TestRatingLayout guards the record layout the amd64 sweeps read
+// directly: sparse.Rating is 12 bytes with U (int32), I (int32) and
+// V (float32) at offsets 0, 4 and 8 — the same layout dataset's
+// ratingWireLayout relies on for block reads.
+func TestRatingLayout(t *testing.T) {
+	var r sparse.Rating
+	if unsafe.Sizeof(r) != 12 ||
+		unsafe.Offsetof(r.U) != 0 || reflect.TypeOf(r.U).Kind() != reflect.Int32 ||
+		unsafe.Offsetof(r.I) != 4 || reflect.TypeOf(r.I).Kind() != reflect.Int32 ||
+		unsafe.Offsetof(r.V) != 8 || reflect.TypeOf(r.V).Kind() != reflect.Float32 {
+		t.Fatalf("sparse.Rating layout changed (size %d, offsets %d/%d/%d); update update_amd64.s",
+			unsafe.Sizeof(r), unsafe.Offsetof(r.U), unsafe.Offsetof(r.I), unsafe.Offsetof(r.V))
+	}
+}
+
+// TestSweepsRejectOutOfRangeRows feeds TrainEntries and RMSE a rating
+// whose U or I is negative or past the last row. Both must panic; the
+// training sweep must have applied every earlier entry and nothing else,
+// and no float next to P or Q may change. P and Q sit between guard
+// regions of one backing array, capped at their length.
+func TestSweepsRejectOutOfRangeRows(t *testing.T) {
+	const m, n, k, guard = 5, 4, 7, 64
+	const sentinel = float32(-123.25)
+	h := HyperParams{Gamma: 0.01, Lambda1: 0.02, Lambda2: 0.03}
+	good := []sparse.Rating{{U: 1, I: 2, V: 3}, {U: m - 1, I: n - 1, V: 1}, {U: 1, I: 0, V: 2}}
+	bads := []sparse.Rating{
+		{U: m, V: 3}, {U: -1, V: 3}, {I: n, V: 3}, {I: -1, V: 3},
+		{U: math.MaxInt32, I: 1, V: 3}, {U: 2, I: math.MinInt32, V: 3},
+	}
+	mustPanic := func(t *testing.T, what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s accepted an out-of-range rating", what)
+			}
+		}()
+		fn()
+	}
+	for _, bad := range bads {
+		back := make([]float32, guard+m*k+guard+n*k+guard)
+		for i := range back {
+			back[i] = sentinel
+		}
+		po, qo := guard, guard+m*k+guard
+		f := &Factors{M: m, N: n, K: k, P: back[po : po+m*k : po+m*k], Q: back[qo : qo+n*k : qo+n*k]}
+		rng := sparse.NewRand(3)
+		copy(f.P, randVec(rng, m*k))
+		copy(f.Q, randVec(rng, n*k))
+		ref := f.Clone()
+		for _, e := range good {
+			referenceUpdateOne(ref.PRow(e.U), ref.QRow(e.I), e.V, h)
+		}
+		entries := append(append(append([]sparse.Rating(nil), good...), bad), good...)
+
+		mustPanic(t, fmt.Sprintf("TrainEntries(%+v)", bad), func() { TrainEntries(f, entries, h) })
+		for i := range f.P {
+			if math.Float32bits(f.P[i]) != math.Float32bits(ref.P[i]) {
+				t.Fatalf("%+v: P[%d] = %v, want %v (only the entries before it applied)", bad, i, f.P[i], ref.P[i])
+			}
+		}
+		for i := range f.Q {
+			if math.Float32bits(f.Q[i]) != math.Float32bits(ref.Q[i]) {
+				t.Fatalf("%+v: Q[%d] = %v, want %v (only the entries before it applied)", bad, i, f.Q[i], ref.Q[i])
+			}
+		}
+		mustPanic(t, fmt.Sprintf("RMSE(%+v)", bad), func() { RMSE(f, entries) })
+		mustPanic(t, fmt.Sprintf("RMSEParallel(%+v)", bad), func() { RMSEParallel(f, entries, 2) })
+		for _, r := range [][2]int{{0, po}, {po + m*k, qo}, {qo + n*k, len(back)}} {
+			for i := r[0]; i < r[1]; i++ {
+				if back[i] != sentinel {
+					t.Fatalf("%+v: float %d outside P and Q overwritten: %v", bad, i, back[i])
+				}
+			}
+		}
 	}
 }
