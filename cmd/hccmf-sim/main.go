@@ -25,6 +25,7 @@ import (
 	"hccmf/internal/obs"
 	"hccmf/internal/partition"
 	"hccmf/internal/schedule"
+	"hccmf/internal/trace"
 	"hccmf/internal/version"
 )
 
@@ -107,7 +108,7 @@ func main() {
 	fmt.Printf("power   : %.4g updates/s of %.4g ideal → %.1f%% utilization\n",
 		res.Power, res.IdealPower, res.Utilization*100)
 	fmt.Println("\nper-worker cumulative phases:")
-	fmt.Print(res.Sim.Trace.Format())
+	fmt.Print(trace.Format(trace.Rows(res.Sim.Events)))
 	if *timeline > 0 {
 		n := *timeline
 		if n > len(res.Sim.EpochTimes) {
@@ -117,7 +118,7 @@ func main() {
 		for _, e := range res.Sim.EpochTimes[:n] {
 			to += e
 		}
-		fmt.Printf("\nfirst %d epoch(s):\n%s", n, res.Sim.Timeline.Gantt(0, to, 100))
+		fmt.Printf("\nfirst %d epoch(s):\n%s", n, trace.Gantt(res.Sim.Events, 0, to, 100))
 	}
 	if pre, err := core.EstimatePreprocess(plat, spec, res.Plan); err == nil {
 		fmt.Printf("\npreprocessing (once per job): %v\n", pre)

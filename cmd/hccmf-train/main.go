@@ -30,6 +30,7 @@ import (
 	"hccmf/internal/recommend"
 	"hccmf/internal/schedule"
 	"hccmf/internal/sparse"
+	"hccmf/internal/trace"
 	"hccmf/internal/version"
 )
 
@@ -198,7 +199,7 @@ func main() {
 		}
 	}
 	fmt.Println("\nper-phase simulated time:")
-	fmt.Print(res.Sim.Trace.Format())
+	fmt.Print(trace.Format(trace.Rows(res.Sim.Events)))
 
 	if *metricsOut != "" {
 		if err := observer.WriteMetricsFile(*metricsOut); err != nil {

@@ -439,3 +439,44 @@ func TestServerGracefulClose(t *testing.T) {
 		t.Fatal("listener still accepting after Close")
 	}
 }
+
+// Close must not wait out IdleTimeout when connections are still being
+// accepted as it runs: a handler that arms its read deadline after Close
+// expired every deadline would otherwise park in its read until the idle
+// timeout fires. Each round floods the server with silent connections
+// and closes it at once.
+func TestCloseDuringConnectionFlood(t *testing.T) {
+	const (
+		rounds = 40
+		conns  = 32
+		idle   = 2 * time.Second
+	)
+	for r := 0; r < rounds; r++ {
+		s, err := Listen("127.0.0.1:0", ServerConfig{IdleTimeout: idle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dialed []net.Conn
+		for i := 0; i < conns; i++ {
+			c, err := net.DialTimeout("tcp", s.Addr(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dialed = append(dialed, c)
+		}
+		start := time.Now()
+		done := make(chan error, 1)
+		go func() { done <- s.Close() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(idle / 4):
+			t.Fatalf("round %d: Close still blocked after %v (IdleTimeout %v)", r, time.Since(start), idle)
+		}
+		for _, c := range dialed {
+			_ = c.Close()
+		}
+	}
+}

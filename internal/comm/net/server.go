@@ -156,6 +156,19 @@ func (s *Server) draining() bool {
 	return s.closed
 }
 
+// armIdle gives conn's next read IdleTimeout, or reports false once Close
+// has begun. The check and the arm share s.mu with Close's deadline
+// expiry, so a handler can never re-arm a read Close already expired.
+func (s *Server) armIdle(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+	return true
+}
+
 func (s *Server) dropConn(conn net.Conn) {
 	s.mu.Lock()
 	delete(s.conns, conn)
@@ -169,7 +182,9 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
 
-	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+	if !s.armIdle(conn) {
+		return
+	}
 	hello, _, err := readFrame(conn, maxHandshakePayload)
 	if err != nil || hello.Op != OpHello {
 		s.logf("commnet: %s: bad handshake: op=%v err=%v", conn.RemoteAddr(), hello.Op, err)
@@ -204,10 +219,9 @@ func (s *Server) handle(conn net.Conn) {
 	// Any payload is bounded by the largest matrix in fp32.
 	maxPayload := 4 * maxInt(m, n) * k
 	for {
-		if s.draining() {
+		if !s.armIdle(conn) {
 			return
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		var req Frame
 		req, recv, _, err = readFrameInto(conn, recv, maxPayload)
 		if err != nil {

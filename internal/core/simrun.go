@@ -6,8 +6,8 @@ import (
 	"hccmf/internal/bus"
 	"hccmf/internal/costmodel"
 	"hccmf/internal/dataset"
+	"hccmf/internal/obs"
 	"hccmf/internal/simengine"
-	"hccmf/internal/trace"
 )
 
 // SimResult is the simulated-platform view of a training run.
@@ -16,11 +16,10 @@ type SimResult struct {
 	TotalTime float64
 	// EpochTimes records each epoch's end-to-end simulated duration.
 	EpochTimes []float64
-	// Trace holds cumulative per-worker pull/compute/push/sync times.
-	Trace *trace.Collector
-	// Timeline records every phase span — the Figure 5 timing-sequence
-	// data, renderable with Timeline.Gantt.
-	Timeline *trace.Timeline
+	// Events holds every phase span in simulation order (Proc ProcSim,
+	// Track the worker, Name the phase, simengine seconds) — the Figure 5
+	// timing sequences and, summed by trace.Rows, the Figure 8 phase bars.
+	Events []obs.Event
 }
 
 // SimulateRun executes the planned training job on the simulated
@@ -45,8 +44,11 @@ func SimulateRun(plat Platform, spec dataset.Spec, plan Plan, epochs int) (*SimR
 	}
 
 	sim := simengine.New()
-	collector := trace.NewCollector()
-	timeline := trace.NewTimeline()
+	var events []obs.Event
+	record := func(worker string, p obs.Phase, t0 float64) {
+		events = append(events, obs.Event{Proc: obs.ProcSim, Track: worker,
+			Cat: "simengine", Name: p.String(), Start: t0, End: sim.Now()})
+	}
 	syncRes := sim.NewResource(1)
 
 	// Total parties at the epoch barrier: every stream of every worker.
@@ -111,30 +113,26 @@ func SimulateRun(plat Platform, spec dataset.Spec, plan Plan, epochs int) (*SimR
 					copyRes.Acquire(p)
 					channel.Link.Transfer(p, chunkPull)
 					copyRes.Release()
-					collector.Add(name, trace.Pull, sim.Now()-t0)
-					timeline.Add(name, trace.Pull, t0, sim.Now())
+					record(name, obs.Pull, t0)
 
 					computeRes.Acquire(p)
 					t0 = sim.Now()
 					p.Delay(chunkCompute)
-					collector.Add(name, trace.Compute, sim.Now()-t0)
-					timeline.Add(name, trace.Compute, t0, sim.Now())
+					record(name, obs.Compute, t0)
 					computeRes.Release()
 
 					t0 = sim.Now()
 					copyRes.Acquire(p)
 					channel.Link.Transfer(p, chunkPush)
 					copyRes.Release()
-					collector.Add(name, trace.Push, sim.Now()-t0)
-					timeline.Add(name, trace.Push, t0, sim.Now())
+					record(name, obs.Push, t0)
 
 					// Server sync: serialised multiply-add over the pushed
 					// payload, 3 memory operations per parameter (Eq. 3).
 					syncRes.Acquire(p)
 					t0 = sim.Now()
 					p.Delay(3 * chunkPush / serverBW)
-					collector.Add(name, trace.Sync, sim.Now()-t0)
-					timeline.Add(name, trace.Sync, t0, sim.Now())
+					record(name, obs.Sync, t0)
 					syncRes.Release()
 
 					barrier.Arrive(p)
@@ -150,8 +148,7 @@ func SimulateRun(plat Platform, spec dataset.Spec, plan Plan, epochs int) (*SimR
 	res := &SimResult{
 		TotalTime:  sim.Now(),
 		EpochTimes: make([]float64, len(epochEnds)),
-		Trace:      collector,
-		Timeline:   timeline,
+		Events:     events,
 	}
 	prev := 0.0
 	for i, end := range epochEnds {

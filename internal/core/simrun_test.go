@@ -117,7 +117,7 @@ func TestSimulateSingleWorkerMatchesStandalone(t *testing.T) {
 
 func TestSimulateTraceConsistent(t *testing.T) {
 	sim, plan := simulate(t, PaperPlatformHetero(), dataset.Netflix, PlanOptions{}, 20)
-	rows := sim.Trace.Rows()
+	rows := trace.Rows(sim.Events)
 	if len(rows) != len(plan.Platform.Workers) {
 		t.Fatalf("trace rows = %d, workers = %d", len(rows), len(plan.Platform.Workers))
 	}
@@ -134,7 +134,12 @@ func TestSimulateTraceConsistent(t *testing.T) {
 		}
 	}
 	// Compute dominates on Netflix (the paper's whole premise).
-	if sim.Trace.PhaseTotal(trace.Compute) < 10*sim.Trace.PhaseTotal(trace.Pull) {
+	var compute, pull float64
+	for _, r := range rows {
+		compute += r.Compute
+		pull += r.Pull
+	}
+	if compute < 10*pull {
 		t.Fatal("netflix compute should dwarf communication")
 	}
 }

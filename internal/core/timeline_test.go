@@ -5,6 +5,7 @@ import (
 
 	"hccmf/internal/comm"
 	"hccmf/internal/dataset"
+	"hccmf/internal/obs"
 	"hccmf/internal/trace"
 )
 
@@ -16,9 +17,9 @@ func TestTimelineSyncsAreSerialised(t *testing.T) {
 	sync := comm.Strategy{QOnly: true, Encoding: comm.FP16, Streams: 1}
 	sim, _ := simulate(t, PaperPlatformHetero(), dataset.YahooR1Star,
 		PlanOptions{ForceStrategy: &sync}, 5)
-	var syncs []trace.Span
-	for _, s := range sim.Timeline.Spans() {
-		if s.Phase == trace.Sync {
+	var syncs []obs.Event
+	for _, s := range sim.Events {
+		if s.Name == obs.Sync.String() {
 			syncs = append(syncs, s)
 		}
 	}
@@ -44,14 +45,13 @@ func TestTimelineDP2HidesSyncUnderCompute(t *testing.T) {
 	if plan.PartitionStrategy.String() != "DP2" {
 		t.Fatalf("expected DP2 plan, got %v", plan.PartitionStrategy)
 	}
-	spans := sim.Timeline.Spans()
 	hidden := 0
-	for _, s := range spans {
-		if s.Phase != trace.Sync {
+	for _, s := range sim.Events {
+		if s.Name != obs.Sync.String() {
 			continue
 		}
-		for _, c := range spans {
-			if c.Phase == trace.Compute && c.Worker != s.Worker &&
+		for _, c := range sim.Events {
+			if c.Name == obs.Compute.String() && c.Track != s.Track &&
 				c.Start < s.End && s.Start < c.End {
 				hidden++
 				break
@@ -71,11 +71,14 @@ func TestTimelinePhasesOrderedWithinWorker(t *testing.T) {
 	if plan.Strategy.Streams != 1 {
 		t.Fatal("expected synchronous plan for netflix")
 	}
-	byWorker := map[string][]trace.Span{}
-	for _, s := range sim.Timeline.Spans() {
-		byWorker[s.Worker] = append(byWorker[s.Worker], s)
+	byWorker := map[string][]obs.Event{}
+	for _, s := range trace.ByTrack(sim.Events) {
+		if s.Proc != obs.ProcSim || s.Cat != "simengine" {
+			t.Fatalf("span %+v is not a simengine span", s)
+		}
+		byWorker[s.Track] = append(byWorker[s.Track], s)
 	}
-	wantCycle := []trace.Phase{trace.Pull, trace.Compute, trace.Push, trace.Sync}
+	wantCycle := []obs.Phase{obs.Pull, obs.Compute, obs.Push, obs.Sync}
 	for w, spans := range byWorker {
 		for i := 1; i < len(spans); i++ {
 			if spans[i].Start < spans[i-1].End-1e-12 {
@@ -83,8 +86,8 @@ func TestTimelinePhasesOrderedWithinWorker(t *testing.T) {
 			}
 		}
 		for i, s := range spans {
-			if s.Phase != wantCycle[i%4] {
-				t.Fatalf("worker %s span %d is %v, want %v", w, i, s.Phase, wantCycle[i%4])
+			if s.Name != wantCycle[i%4].String() {
+				t.Fatalf("worker %s span %d is %v, want %v", w, i, s.Name, wantCycle[i%4])
 			}
 		}
 		if len(spans) != 4*4 {
@@ -95,7 +98,13 @@ func TestTimelinePhasesOrderedWithinWorker(t *testing.T) {
 
 func TestTimelineEndMatchesTotal(t *testing.T) {
 	sim, _ := simulate(t, PaperPlatformHetero(), dataset.Netflix, PlanOptions{}, 3)
-	if end := sim.Timeline.End(); end > sim.TotalTime+1e-9 || end < sim.TotalTime*0.95 {
+	var end float64
+	for _, s := range sim.Events {
+		if s.End > end {
+			end = s.End
+		}
+	}
+	if end > sim.TotalTime+1e-9 || end < sim.TotalTime*0.95 {
 		t.Fatalf("timeline end %v vs total %v", end, sim.TotalTime)
 	}
 }

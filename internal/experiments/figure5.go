@@ -8,6 +8,7 @@ import (
 	"hccmf/internal/core"
 	"hccmf/internal/dataset"
 	"hccmf/internal/partition"
+	"hccmf/internal/trace"
 )
 
 // Fig5Diagram is one timing-sequence panel: a configuration label, its
@@ -63,7 +64,7 @@ func Figure5() (*Figure5Result, error) {
 		res.Diagrams = append(res.Diagrams, Fig5Diagram{
 			Label:     c.label,
 			EpochTime: sim.EpochTimes[1],
-			Gantt:     sim.Timeline.Gantt(from, to, 96),
+			Gantt:     trace.Gantt(sim.Events, from, to, 96),
 		})
 	}
 	return res, nil

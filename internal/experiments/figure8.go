@@ -66,7 +66,7 @@ func Figure8() (*Figure8Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("figure8 %s/%dw/%v: %v", st.spec.Name, workers, ps, err)
 				}
-				bar := Fig8Bar{Strategy: ps, Total: r.Sim.TotalTime, PerWorker: r.Sim.Trace.Rows()}
+				bar := Fig8Bar{Strategy: ps, Total: r.Sim.TotalTime, PerWorker: trace.Rows(r.Sim.Events)}
 				for _, row := range bar.PerWorker {
 					if row.Pull > bar.Pull {
 						bar.Pull = row.Pull

@@ -8,6 +8,7 @@ import (
 	"hccmf/internal/core"
 	"hccmf/internal/dataset"
 	"hccmf/internal/device"
+	"hccmf/internal/trace"
 )
 
 // Table6Row is one configuration of the limitation study.
@@ -52,7 +53,7 @@ func Table6() (*Table6Result, error) {
 		}
 		// Report the slowest worker's phase profile, as the paper's rows do.
 		var pull, comp, push float64
-		for _, row := range r.Sim.Trace.Rows() {
+		for _, row := range trace.Rows(r.Sim.Events) {
 			if row.Pull > pull {
 				pull = row.Pull
 			}

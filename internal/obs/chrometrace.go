@@ -3,9 +3,8 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"sort"
-
-	"hccmf/internal/trace"
 )
 
 // Chrome trace_event export: the JSON Object Format of the Trace Event
@@ -106,29 +105,6 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	return err
 }
 
-// TimelineEvents converts a simulated-platform timeline (trace.Timeline
-// spans, simengine seconds) into ProcSim events, so simengine runs export
-// to the same Chrome trace as real execution — as a separate process,
-// because the time domains differ.
-func TimelineEvents(tl *trace.Timeline) []Event {
-	if tl == nil {
-		return nil
-	}
-	spans := tl.Spans()
-	out := make([]Event, 0, len(spans))
-	for _, s := range spans {
-		out = append(out, Event{
-			Proc:  ProcSim,
-			Track: s.Worker,
-			Cat:   "simengine",
-			Name:  s.Phase.String(),
-			Start: s.Start,
-			End:   s.End,
-		})
-	}
-	return out
-}
-
 // Band is one worker's busy/idle decomposition over a timeline — the
 // utilization-band view of the paper's Figure 5: Busy is the union of the
 // worker's spans (overlapping async streams are not double-counted),
@@ -146,15 +122,14 @@ type Band struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// TimelineBands decomposes a timeline into per-worker utilization bands
-// over [0, end] (end ≤ 0 uses the timeline's own end). Workers are sorted
-// by name.
-func TimelineBands(tl *trace.Timeline, end float64) []Band {
-	if tl == nil {
-		return nil
-	}
+// TimelineBands decomposes phase spans (one track per worker) into
+// per-worker utilization bands over [0, end] (end ≤ 0 uses the latest span
+// end). Workers are sorted by name.
+func TimelineBands(events []Event, end float64) []Band {
 	if end <= 0 {
-		end = tl.End()
+		for _, ev := range events {
+			end = math.Max(end, ev.End)
+		}
 	}
 	if end <= 0 {
 		return nil
@@ -162,16 +137,16 @@ func TimelineBands(tl *trace.Timeline, end float64) []Band {
 	type intervals struct{ all, compute [][2]float64 }
 	byWorker := map[string]*intervals{}
 	var workers []string
-	for _, s := range tl.Spans() {
-		iv, ok := byWorker[s.Worker]
+	for _, ev := range events {
+		iv, ok := byWorker[ev.Track]
 		if !ok {
 			iv = &intervals{}
-			byWorker[s.Worker] = iv
-			workers = append(workers, s.Worker)
+			byWorker[ev.Track] = iv
+			workers = append(workers, ev.Track)
 		}
-		iv.all = append(iv.all, [2]float64{s.Start, s.End})
-		if s.Phase == trace.Compute {
-			iv.compute = append(iv.compute, [2]float64{s.Start, s.End})
+		iv.all = append(iv.all, [2]float64{ev.Start, ev.End})
+		if ev.Name == Compute.String() {
+			iv.compute = append(iv.compute, [2]float64{ev.Start, ev.End})
 		}
 	}
 	sort.Strings(workers)

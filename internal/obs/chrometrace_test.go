@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"hccmf/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -115,35 +113,21 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	}
 }
 
-func TestTimelineEvents(t *testing.T) {
-	tl := trace.NewTimeline()
-	tl.Add("w0", trace.Pull, 0, 1)
-	tl.Add("w0", trace.Compute, 1, 3)
-	evs := TimelineEvents(tl)
-	if len(evs) != 2 {
-		t.Fatalf("events = %d, want 2", len(evs))
-	}
-	for _, ev := range evs {
-		if ev.Proc != ProcSim || ev.Cat != "simengine" || ev.Track != "w0" {
-			t.Fatalf("event = %+v", ev)
-		}
-	}
-	if TimelineEvents(nil) != nil {
-		t.Fatal("nil timeline must yield nil events")
-	}
-}
-
 func TestTimelineBands(t *testing.T) {
-	tl := trace.NewTimeline()
-	// w0: pull [0,1), compute [1,3), push [3,4) → busy 4 of 5.
-	tl.Add("w0", trace.Pull, 0, 1)
-	tl.Add("w0", trace.Compute, 1, 3)
-	tl.Add("w0", trace.Push, 3, 4)
-	// w1: two overlapping compute spans (async streams) [0,2) and [1,3):
-	// union is 3, not 4 — overlap must not double-count.
-	tl.Add("w1", trace.Compute, 0, 2)
-	tl.Add("w1", trace.Compute, 1, 3)
-	bands := TimelineBands(tl, 5)
+	span := func(worker string, p Phase, start, end float64) Event {
+		return Event{Proc: ProcSim, Track: worker, Cat: "simengine", Name: p.String(), Start: start, End: end}
+	}
+	events := []Event{
+		// w0: pull [0,1), compute [1,3), push [3,4) → busy 4 of 5.
+		span("w0", Pull, 0, 1),
+		span("w0", Compute, 1, 3),
+		span("w0", Push, 3, 4),
+		// w1: two overlapping compute spans (async streams) [0,2) and
+		// [1,3): union is 3, not 4 — overlap must not double-count.
+		span("w1", Compute, 0, 2),
+		span("w1", Compute, 1, 3),
+	}
+	bands := TimelineBands(events, 5)
 	if len(bands) != 2 {
 		t.Fatalf("bands = %d, want 2", len(bands))
 	}
@@ -154,14 +138,14 @@ func TestTimelineBands(t *testing.T) {
 	if w1.Worker != "w1" || w1.Busy != 3 || w1.Compute != 3 || w1.Idle != 2 || w1.Utilization != 0.6 {
 		t.Fatalf("w1 band = %+v", w1)
 	}
-	// end ≤ 0 falls back to the timeline's own end (3 for w1's last span →
+	// end ≤ 0 falls back to the latest span end (3 for w1's last span →
 	// overall 4 from w0's push).
-	bands = TimelineBands(tl, 0)
+	bands = TimelineBands(events, 0)
 	if bands[0].Utilization != 1 {
 		t.Fatalf("w0 utilization over timeline end = %v, want 1", bands[0].Utilization)
 	}
-	if TimelineBands(nil, 1) != nil || TimelineBands(trace.NewTimeline(), 0) != nil {
-		t.Fatal("empty inputs must yield nil bands")
+	if len(TimelineBands(nil, 1)) != 0 || TimelineBands(nil, 0) != nil {
+		t.Fatal("empty inputs must yield no bands")
 	}
 }
 

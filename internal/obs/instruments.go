@@ -1,6 +1,6 @@
 package obs
 
-import "hccmf/internal/trace"
+import "fmt"
 
 // Observer bundles the instruments one training/simulation run reports
 // through: a registry for metrics, a tracer for events, and the pre-built
@@ -52,6 +52,37 @@ func (o *Observer) RunMetrics() *RunMetrics {
 	return o.Run
 }
 
+// Phase labels one segment of the epoch loop. Its String form names the
+// simulator's phase spans and the ps/phase_seconds histograms.
+type Phase int
+
+const (
+	// Pull is the worker's feature download.
+	Pull Phase = iota
+	// Compute is the worker's SGD pass over its shard.
+	Compute
+	// Push is the worker's feature upload.
+	Push
+	// Sync is the server folding a worker's push into the global model.
+	Sync
+)
+
+// String implements fmt.Stringer.
+func (p Phase) String() string {
+	switch p {
+	case Pull:
+		return "pull"
+	case Compute:
+		return "computing"
+	case Push:
+		return "push"
+	case Sync:
+		return "sync"
+	default:
+		return fmt.Sprintf("Phase(%d)", int(p))
+	}
+}
+
 // RunMetrics is the standard instrument set of one end-to-end run, shared
 // across the layers: mf engines bump the update/epoch counters, ps feeds
 // the phase and epoch histograms, the comm observer feeds the transfer
@@ -67,7 +98,7 @@ type RunMetrics struct {
 	// EngineEpochSeconds distributes individual engine Epoch calls (one
 	// worker's local pass), as opposed to the cluster-wide EpochSeconds.
 	EngineEpochSeconds *Histogram
-	// Phase distributes per-worker phase wall time, indexed by trace.Phase
+	// Phase distributes per-worker phase wall time, indexed by Phase
 	// (pull, compute, push, sync).
 	Phase [4]*Histogram
 	// Transfer accounting (mirrors comm.TransferStats, plus attempt and
@@ -119,7 +150,7 @@ func NewRunMetrics(r *Registry) *RunMetrics {
 		Rebalances:         r.Counter("schedule/rebalances_total", "adaptive epoch-boundary re-shards performed"),
 		ScheduleGain:       r.Gauge("schedule/predicted_gain", "latest predicted relative makespan gain of a re-solve"),
 	}
-	for p := trace.Pull; p <= trace.Sync; p++ {
+	for p := Pull; p <= Sync; p++ {
 		m.Phase[p] = MustHistogram(r, "ps/phase_seconds/"+p.String(),
 			"per-worker "+p.String()+" phase wall time", DurationBuckets)
 	}
@@ -177,8 +208,8 @@ func (m *RunMetrics) SetScheduleGain(gain float64) {
 }
 
 // ObservePhase feeds one phase duration; no-op on nil or out-of-range p.
-func (m *RunMetrics) ObservePhase(p trace.Phase, seconds float64) {
-	if m == nil || p < trace.Pull || p > trace.Sync {
+func (m *RunMetrics) ObservePhase(p Phase, seconds float64) {
+	if m == nil || p < Pull || p > Sync {
 		return
 	}
 	m.Phase[p].Observe(seconds)
@@ -187,7 +218,7 @@ func (m *RunMetrics) ObservePhase(p trace.Phase, seconds float64) {
 // TransferSample is one observed logical transfer, retries already folded
 // in by the observation point (outside comm.Retrying) so nothing is
 // double-counted. It mirrors comm.TransferStats field by field without
-// importing it — obs stays dependency-free below trace.
+// importing it — obs imports no other hccmf package.
 type TransferSample struct {
 	// BusBytes is the logical payload volume (params × encoding width).
 	BusBytes int64

@@ -41,3 +41,15 @@ func TestCountTransferGatesWireInstruments(t *testing.T) {
 		t.Fatalf("errors = %d", m.TransferErrors.Value())
 	}
 }
+
+func TestPhaseString(t *testing.T) {
+	want := map[Phase]string{Pull: "pull", Compute: "computing", Push: "push", Sync: "sync"}
+	for p, s := range want {
+		if p.String() != s {
+			t.Errorf("Phase(%d).String() = %q, want %q", int(p), p.String(), s)
+		}
+	}
+	if Phase(9).String() != "Phase(9)" {
+		t.Error("unknown phase string wrong")
+	}
+}

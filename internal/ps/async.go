@@ -8,7 +8,6 @@ import (
 	"hccmf/internal/mf"
 	"hccmf/internal/obs"
 	"hccmf/internal/sparse"
-	"hccmf/internal/trace"
 )
 
 // Asynchronous computing-transmission (paper Section 3.4, Strategy 3;
@@ -111,7 +110,7 @@ func (c *Cluster) streamRun(ws *workerState, coord *sliceCoordinator, sl itemSli
 		Enc:   enc,
 	})
 	c.account(st)
-	c.metrics.ObservePhase(trace.Pull, span.EndArg("slice", float64(sj)))
+	c.metrics.ObservePhase(obs.Pull, span.EndArg("slice", float64(sj)))
 	if err != nil {
 		return fmt.Errorf("ps: async pull slice %d for %q: %v", sj, ws.conf.Name, err)
 	}
@@ -120,7 +119,7 @@ func (c *Cluster) streamRun(ws *workerState, coord *sliceCoordinator, sl itemSli
 	// unsynchronised (see the package comment above).
 	span = c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "compute")
 	mf.TrainEntries(ws.local, chunk, h)
-	c.metrics.ObservePhase(trace.Compute, span.EndArg("slice", float64(sj)))
+	c.metrics.ObservePhase(obs.Compute, span.EndArg("slice", float64(sj)))
 
 	// Push the slice into the worker's push buffer.
 	span = c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "push")
@@ -129,7 +128,7 @@ func (c *Cluster) streamRun(ws *workerState, coord *sliceCoordinator, sl itemSli
 		Enc:   enc,
 	})
 	c.account(st)
-	c.metrics.ObservePhase(trace.Push, span.EndArg("slice", float64(sj)))
+	c.metrics.ObservePhase(obs.Push, span.EndArg("slice", float64(sj)))
 	if err != nil {
 		return fmt.Errorf("ps: async push slice %d for %q: %v", sj, ws.conf.Name, err)
 	}
@@ -319,7 +318,7 @@ func (sc *sliceCoordinator) foldSlice(sj int) {
 	span := c.observer.Span(obs.ProcReal, "server", "ps", "sync")
 	sl := sc.slices[sj]
 	c.foldQRows(sl.lo, sl.hi)
-	c.metrics.ObservePhase(trace.Sync, span.EndArg("slice", float64(sj)))
+	c.metrics.ObservePhase(obs.Sync, span.EndArg("slice", float64(sj)))
 }
 
 // drop releases an evicted worker's outstanding arrivals: every slice it

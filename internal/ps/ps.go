@@ -23,7 +23,6 @@ import (
 	"hccmf/internal/obs"
 	"hccmf/internal/schedule"
 	"hccmf/internal/sparse"
-	"hccmf/internal/trace"
 )
 
 // WorkerConf describes one worker's assignment.
@@ -313,7 +312,7 @@ func (c *Cluster) runEpoch(epoch, total int) error {
 		span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "compute")
 		ws.conf.Engine.Epoch(ws.local, ws.conf.Shard, h)
 		sec := span.End()
-		c.metrics.ObservePhase(trace.Compute, sec)
+		c.metrics.ObservePhase(obs.Compute, sec)
 		ws.epochSeconds += sec
 		return nil
 	}); err != nil {
@@ -326,7 +325,7 @@ func (c *Cluster) runEpoch(epoch, total int) error {
 	// all push buffers.
 	span := c.observer.Span(obs.ProcReal, "server", "ps", "sync")
 	c.syncAll(epoch, total)
-	c.metrics.ObservePhase(trace.Sync, span.End())
+	c.metrics.ObservePhase(obs.Sync, span.End())
 	// P changes at sync only when it was pushed this epoch.
 	if err := c.publishGlobal(!c.cfg.Strategy.QOnly || epoch == total-1); err != nil {
 		return err
@@ -411,7 +410,7 @@ func (c *Cluster) pull(ws *workerState, epoch int) error {
 	span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "pull")
 	err := c.pullData(ws, epoch)
 	sec := span.End()
-	c.metrics.ObservePhase(trace.Pull, sec)
+	c.metrics.ObservePhase(obs.Pull, sec)
 	ws.epochSeconds += sec
 	return err
 }
@@ -447,7 +446,7 @@ func (c *Cluster) push(ws *workerState, epoch, total int) error {
 	span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "push")
 	err := c.pushData(ws, epoch, total)
 	sec := span.End()
-	c.metrics.ObservePhase(trace.Push, sec)
+	c.metrics.ObservePhase(obs.Push, sec)
 	ws.epochSeconds += sec
 	return err
 }

@@ -1,126 +1,19 @@
-// Package trace collects the per-phase timing statistics HCC-MF reports:
-// for each worker, the cumulative simulated time spent in pull, computing,
-// push, and (server-side) sync across a training run — the raw data behind
-// the paper's Figure 8 bars and Table 5/6 rows.
+// Package trace renders the per-phase timing HCC-MF reports from phase
+// spans (obs.Event, one track per worker, Name a obs.Phase): per-worker
+// cumulative pull/compute/push/sync times — the raw data behind the
+// paper's Figure 8 bars and Table 5/6 rows — and the ASCII Gantt of the
+// Figure 5 timing sequences. Every function is a pure view over a span
+// slice; the spans themselves are recorded by whoever owns the clock.
 package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
-	"sync"
+
+	"hccmf/internal/obs"
 )
-
-// Phase labels one segment of the epoch loop.
-type Phase int
-
-const (
-	// Pull is the worker's feature download.
-	Pull Phase = iota
-	// Compute is the worker's SGD pass over its shard.
-	Compute
-	// Push is the worker's feature upload.
-	Push
-	// Sync is the server folding a worker's push into the global model.
-	Sync
-	numPhases int = iota
-)
-
-// String implements fmt.Stringer.
-func (p Phase) String() string {
-	switch p {
-	case Pull:
-		return "pull"
-	case Compute:
-		return "computing"
-	case Push:
-		return "push"
-	case Sync:
-		return "sync"
-	default:
-		return fmt.Sprintf("Phase(%d)", int(p))
-	}
-}
-
-// Collector accumulates per-worker, per-phase durations. It is safe for
-// concurrent use (real-execution workers report from their own
-// goroutines).
-type Collector struct {
-	mu      sync.Mutex
-	workers []string
-	byPhase map[string]*[4]float64
-}
-
-// NewCollector creates an empty collector.
-func NewCollector() *Collector {
-	return &Collector{byPhase: make(map[string]*[4]float64)}
-}
-
-// Add records d seconds of the phase for the worker.
-func (c *Collector) Add(worker string, p Phase, d float64) {
-	if d < 0 {
-		// lint:invariant durations come from the simulated clock; negative means the engine broke.
-		panic(fmt.Sprintf("trace: negative duration %v", d))
-	}
-	if int(p) < 0 || int(p) >= numPhases {
-		// lint:invariant Phase is a closed enum; an unknown value is a missed switch arm.
-		panic(fmt.Sprintf("trace: unknown phase %d", int(p)))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	row, ok := c.byPhase[worker]
-	if !ok {
-		row = new([4]float64)
-		c.byPhase[worker] = row
-		c.workers = append(c.workers, worker)
-	}
-	row[p] += d
-}
-
-// Get reports the accumulated time of a worker's phase.
-func (c *Collector) Get(worker string, p Phase) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if row, ok := c.byPhase[worker]; ok {
-		return row[p]
-	}
-	return 0
-}
-
-// Workers lists workers in first-report order.
-func (c *Collector) Workers() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, len(c.workers))
-	copy(out, c.workers)
-	return out
-}
-
-// PhaseTotal sums a phase across all workers.
-func (c *Collector) PhaseTotal(p Phase) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var sum float64
-	for _, row := range c.byPhase {
-		sum += row[p]
-	}
-	return sum
-}
-
-// WorkerTotal sums all phases for one worker.
-func (c *Collector) WorkerTotal(worker string) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	row, ok := c.byPhase[worker]
-	if !ok {
-		return 0
-	}
-	var sum float64
-	for _, v := range row {
-		sum += v
-	}
-	return sum
-}
 
 // Row is one worker's line in a report.
 type Row struct {
@@ -134,24 +27,37 @@ type Row struct {
 // Total reports the row sum.
 func (r Row) Total() float64 { return r.Pull + r.Compute + r.Push + r.Sync }
 
-// Rows returns every worker's row, sorted by worker name for stable
-// reports.
-func (c *Collector) Rows() []Row {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Row, 0, len(c.workers))
-	for _, w := range c.workers {
-		row := c.byPhase[w]
-		out = append(out, Row{Worker: w, Pull: row[Pull], Compute: row[Compute],
-			Push: row[Push], Sync: row[Sync]})
+// Rows sums each track's phase durations in slice order and returns one
+// row per track, sorted by worker name for stable reports. Spans whose
+// Name is not a phase add nothing.
+func Rows(events []obs.Event) []Row {
+	index := map[string]int{}
+	var out []Row
+	for _, ev := range events {
+		i, ok := index[ev.Track]
+		if !ok {
+			i = len(out)
+			index[ev.Track] = i
+			out = append(out, Row{Worker: ev.Track})
+		}
+		r := &out[i]
+		switch d := ev.Duration(); ev.Name {
+		case obs.Pull.String():
+			r.Pull += d
+		case obs.Compute.String():
+			r.Compute += d
+		case obs.Push.String():
+			r.Push += d
+		case obs.Sync.String():
+			r.Sync += d
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
 	return out
 }
 
-// Format renders a fixed-width table of all rows (Figure 8 style).
-func (c *Collector) Format() string {
-	rows := c.Rows()
+// Format renders a fixed-width table of rows (Figure 8 style).
+func Format(rows []Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-16s %10s %10s %10s %10s %10s\n",
 		"worker", "pull(s)", "comp(s)", "push(s)", "sync(s)", "total(s)")
@@ -162,10 +68,77 @@ func (c *Collector) Format() string {
 	return b.String()
 }
 
-// Reset clears all accumulated data.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workers = c.workers[:0]
-	c.byPhase = make(map[string]*[4]float64)
+// ByTrack returns a copy of events ordered by (track, start).
+func ByTrack(events []obs.Event) []obs.Event {
+	out := append([]obs.Event(nil), events...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Track != out[j].Track {
+			return out[i].Track < out[j].Track
+		}
+		return out[i].Start < out[j].Start
+	})
+	return out
+}
+
+// glyph is the Gantt fill character per phase name.
+func glyph(name string) byte {
+	switch name {
+	case obs.Pull.String():
+		return '<'
+	case obs.Compute.String():
+		return '#'
+	case obs.Push.String():
+		return '>'
+	case obs.Sync.String():
+		return 'S'
+	default:
+		return '?'
+	}
+}
+
+// Gantt renders the [from, to) window of events as an ASCII chart with
+// one row per track and `width` columns — the textual equivalent of the
+// paper's Figure 5 (`<` pull, `#` compute, `>` push, `S` sync). Spans are
+// clipped to the window and painted in ByTrack order, so later spans
+// overwrite earlier ones in a cell; sub-cell spans still paint one cell so
+// short transfers stay visible.
+func Gantt(events []obs.Event, from, to float64, width int) string {
+	if width < 10 {
+		width = 10
+	}
+	if to <= from {
+		return ""
+	}
+	rows := map[string][]byte{}
+	var workers []string
+	scale := float64(width) / (to - from)
+	for _, ev := range ByTrack(events) {
+		if ev.End <= from || ev.Start >= to {
+			continue
+		}
+		row, ok := rows[ev.Track]
+		if !ok {
+			row = []byte(strings.Repeat(".", width))
+			rows[ev.Track] = row
+			workers = append(workers, ev.Track)
+		}
+		lo := int((math.Max(ev.Start, from) - from) * scale)
+		hi := int((math.Min(ev.End, to) - from) * scale)
+		if hi <= lo {
+			hi = lo + 1
+		}
+		if hi > width {
+			hi = width
+		}
+		for i := lo; i < hi; i++ {
+			row[i] = glyph(ev.Name)
+		}
+	}
+	sort.Strings(workers)
+	var b strings.Builder
+	fmt.Fprintf(&b, "timeline %.4fs .. %.4fs   (< pull, # compute, > push, S sync)\n", from, to)
+	for _, w := range workers {
+		fmt.Fprintf(&b, "%-16s |%s|\n", w, rows[w])
+	}
+	return b.String()
 }

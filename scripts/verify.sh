@@ -47,6 +47,10 @@
 #      server over hccmf-wire/v1 TCP, and require the saved factor
 #      models to be byte-identical; SIGTERM drains the server
 #      (see DESIGN.md §15)
+#  12. simulator smoke — build hccmf-sim, run the R2 preset with
+#      half-Q/async forced, and require the Figure 5 Gantt rows on stdout
+#      plus non-empty -metrics-out and -trace-out documents carrying
+#      their schema tags (hccmf-obs/v1, hccmf-obs/trace/v1)
 #
 # Any failure aborts with a nonzero exit.
 set -euo pipefail
@@ -167,5 +171,26 @@ echo "   two-process run bit-identical to in-process COMM-P"
 kill -TERM "$ps_pid"
 wait "$ps_pid" || { echo "distributed smoke: hccmf-ps exited non-zero:" >&2; cat "$ps_dir/ps.log" >&2; exit 1; }
 trap 'rm -rf "$smoke_dir" "$ps_dir"' EXIT
+
+echo "== simulator smoke (hccmf-sim Gantt + metrics and trace documents)"
+sim_dir=$(mktemp -d -t hccmf-sim-smoke.XXXXXX)
+trap 'rm -rf "$smoke_dir" "$ps_dir" "$sim_dir"' EXIT
+go build -o "$sim_dir/hccmf-sim" ./cmd/hccmf-sim
+"$sim_dir/hccmf-sim" -preset r2 -strategy half-Q/async -timeline 2 \
+	-metrics-out "$sim_dir/metrics.json" -trace-out "$sim_dir/trace.json" > "$sim_dir/out.txt"
+gantt_rows=$(grep -Ec '^[^ ]+ +\|[.<#>S]+\|$' "$sim_dir/out.txt" || true)
+if [ "$gantt_rows" -lt 2 ] || ! grep -q '#' "$sim_dir/out.txt"; then
+	echo "simulator smoke: expected Gantt rows on stdout, got $gantt_rows:" >&2
+	cat "$sim_dir/out.txt" >&2
+	exit 1
+fi
+for doc in "metrics.json:hccmf-obs/v1" "trace.json:hccmf-obs/trace/v1"; do
+	f="$sim_dir/${doc%%:*}"
+	[ -s "$f" ] && grep -q "\"schema\": *\"${doc#*:}\"" "$f" || {
+		echo "simulator smoke: $f is empty or lacks schema ${doc#*:}" >&2
+		exit 1
+	}
+done
+echo "   $gantt_rows Gantt rows; metrics and trace documents carry their schemas"
 
 echo "verify: OK"
