@@ -9,6 +9,8 @@
 package hccmf_test
 
 import (
+	"runtime"
+	"strconv"
 	"testing"
 
 	"hccmf/internal/comm"
@@ -16,8 +18,10 @@ import (
 	"hccmf/internal/dataset"
 	"hccmf/internal/experiments"
 	"hccmf/internal/kernelbench"
+	"hccmf/internal/mf"
 	"hccmf/internal/partition"
 	"hccmf/internal/related"
+	"hccmf/internal/sparse"
 )
 
 // --- Hot-path kernel micro-benchmarks (shared with hccmf-bench -json) ---
@@ -33,6 +37,55 @@ func BenchmarkBatchedEpoch(b *testing.B)     { kernelbench.BatchedEpoch(b) }
 func BenchmarkHogwildEpoch(b *testing.B)     { kernelbench.HogwildEpoch(b) }
 func BenchmarkRMSEParallel(b *testing.B)     { kernelbench.RMSEParallel(b) }
 func BenchmarkBuildWorkerConfs(b *testing.B) { kernelbench.BuildWorkerConfs(b) }
+
+// BenchmarkEngineScaling runs the block-walk engines, FPSGD and Batched,
+// at 1, 2 and NumCPU threads on two shapes: Q in L2 (kernelbench's
+// 2000×1000 k32 matrix, a 125 KiB Q) and Q ≫ L2 (1M ratings over 20,000
+// users and 26,000 items at k64, a 6.3 MiB Q). A warm-up epoch lays the
+// shard out first, so each op is one walk. The scaling table in
+// EXPERIMENTS.md is one `go test -bench EngineScaling` run.
+func BenchmarkEngineScaling(b *testing.B) {
+	shapes := []struct {
+		name               string
+		rows, cols, nnz, k int
+	}{
+		{"QinL2", kernelbench.Rows, kernelbench.Cols, kernelbench.NNZ, kernelbench.K},
+		{"QoverL2", 20_000, 26_000, 1_000_000, 64},
+	}
+	threads := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		threads = append(threads, n)
+	}
+	engines := []struct {
+		name string
+		new  func(threads int) mf.Engine
+	}{
+		{"fpsgd", func(t int) mf.Engine { return &mf.FPSGD{Threads: t} }},
+		{"batched", func(t int) mf.Engine { return &mf.Batched{Groups: t} }},
+	}
+	for _, sh := range shapes {
+		rng := sparse.NewRand(1)
+		m := sparse.NewCOO(sh.rows, sh.cols, sh.nnz)
+		for i := 0; i < sh.nnz; i++ {
+			m.Add(int32(rng.Intn(sh.rows)), int32(rng.Intn(sh.cols)), 1+4*rng.Float32())
+		}
+		for _, eng := range engines {
+			for _, t := range threads {
+				b.Run(sh.name+"/"+eng.name+"-"+strconv.Itoa(t), func(b *testing.B) {
+					f := mf.NewFactorsInit(m.Rows, m.Cols, sh.k, m.MeanRating(), sparse.NewRand(2))
+					e := eng.new(t)
+					e.Epoch(f, m, kernelbench.Hyper)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						e.Epoch(f, m, kernelbench.Hyper)
+					}
+					kernelbench.ReportUpdates(b, m.NNZ())
+				})
+			}
+		}
+	}
+}
 
 // --- Ingestion micro-benchmarks (the ingest/v1 group of -json reports) ---
 //

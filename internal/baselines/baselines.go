@@ -51,7 +51,7 @@ func CuMFSGD(d *device.Device) Standalone {
 	return Standalone{
 		Name:   "CuMF_SGD",
 		Device: d,
-		Engine: &mf.Batched{Groups: 4, BatchSize: 1 << 14},
+		Engine: &mf.Batched{Groups: 4},
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 // comm transfer counters, sim gauges, and both exporters produce valid
 // documents containing real and simulated events.
 func TestObservedRunEndToEnd(t *testing.T) {
-	skipRealTrainingUnderRace(t)
 	o := obs.NewObserver(1<<12, nil)
 	var progressed int
 	res, err := Run(RunConfig{
@@ -129,7 +128,6 @@ func TestObservedRunEndToEnd(t *testing.T) {
 // TestUnobservedRunUnchanged pins the nil-observer path: no Obs, no
 // OnEpoch, same results as before the instrumentation existed.
 func TestUnobservedRunUnchanged(t *testing.T) {
-	skipRealTrainingUnderRace(t)
 	run := func(o *obs.Observer) *Result {
 		res, err := Run(RunConfig{
 			Spec:             dataset.Netflix,

@@ -416,7 +416,7 @@ func BuildWorkerConfs(plat Platform, plan Plan, train *sparse.COO, tuning Tuning
 func EngineFor(d *device.Device, budget int) mf.Engine {
 	switch d.Kind {
 	case device.GPU:
-		return &mf.Batched{Groups: budget, BatchSize: 1 << 14}
+		return &mf.Batched{Groups: budget}
 	default:
 		return &mf.FPSGD{Threads: max(1, min(d.Threads, budget))}
 	}

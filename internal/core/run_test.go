@@ -10,18 +10,7 @@ import (
 	"hccmf/internal/dataset"
 	"hccmf/internal/device"
 	"hccmf/internal/mf"
-	"hccmf/internal/raceflag"
 )
-
-// skipRealTrainingUnderRace: real runs drive GPU workers through the
-// batched Hogwild-style engine, whose lock-free updates are intentional
-// (see internal/raceflag).
-func skipRealTrainingUnderRace(t *testing.T) {
-	t.Helper()
-	if raceflag.Enabled {
-		t.Skip("real training uses intentionally lock-free kernels; skipped under -race")
-	}
-}
 
 func TestRunSimulationOnly(t *testing.T) {
 	res, err := Run(RunConfig{
@@ -45,7 +34,6 @@ func TestRunSimulationOnly(t *testing.T) {
 }
 
 func TestRunWithRealTraining(t *testing.T) {
-	skipRealTrainingUnderRace(t)
 	res, err := Run(RunConfig{
 		Spec:             dataset.Netflix,
 		Platform:         PaperPlatformOverall(),
@@ -95,7 +83,6 @@ func TestRunWithRealTraining(t *testing.T) {
 }
 
 func TestRunRealTrainingTransposedDataset(t *testing.T) {
-	skipRealTrainingUnderRace(t)
 	// A wider-than-tall dataset exercises the transpose path end to end.
 	wide := dataset.Spec{
 		Name: "wide", M: 300, N: 4000, NNZ: 60000,
@@ -162,7 +149,6 @@ func TestRunValidation(t *testing.T) {
 // run-level error, account its retries, and converge like the fault-free
 // run.
 func TestRunSurvivesInjectedFaults(t *testing.T) {
-	skipRealTrainingUnderRace(t)
 	run := func(rate float64) *Result {
 		res, err := Run(RunConfig{
 			Spec:             dataset.Netflix,

@@ -88,17 +88,15 @@ func epochBench(b *testing.B, e mf.Engine) {
 	ReportUpdates(b, m.NNZ())
 }
 
-// FPSGDEpoch benchmarks one block-scheduled epoch (4 threads).
+// FPSGDEpoch benchmarks one block-walk epoch (4 threads).
 func FPSGDEpoch(b *testing.B) {
 	epochBench(b, &mf.FPSGD{Threads: 4})
 }
 
-// BatchedEpoch benchmarks one cuMF_SGD-style batched epoch (8 groups).
+// BatchedEpoch benchmarks one cuMF_SGD-style batched epoch (8 groups on
+// the same block walk).
 func BatchedEpoch(b *testing.B) {
-	if raceflag.Enabled {
-		b.Skip("batched kernel is intentionally lock-free; skipped under -race")
-	}
-	epochBench(b, &mf.Batched{Groups: 8, BatchSize: 4096})
+	epochBench(b, &mf.Batched{Groups: 8})
 }
 
 // HogwildEpoch benchmarks one lock-free Hogwild epoch (4 threads).

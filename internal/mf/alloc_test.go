@@ -74,7 +74,7 @@ func TestFPSGDEpochZeroAllocs(t *testing.T) {
 func TestBatchedEpochZeroAllocs(t *testing.T) {
 	skipAllocGuardUnderRace(t)
 	f, m, h := allocModel(t, 1<<14)
-	e := &Batched{Groups: 4, BatchSize: 4096}
+	e := &Batched{Groups: 4}
 	assertZeroAllocs(t, "Batched.Epoch", func() {
 		e.Epoch(f, m, h)
 	})

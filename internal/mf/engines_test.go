@@ -1,7 +1,6 @@
 package mf
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -138,63 +137,17 @@ func TestFPSGDGridCacheReused(t *testing.T) {
 	}
 }
 
-// FPSGD at one thread is a plain sweep of the shard: bit-identical to
-// TrainEntries, and it never builds (or sorts a copy into) a block grid —
-// not even in its first epoch, which would otherwise pay that setup.
-func TestFPSGDSingleThreadIsPlainSweep(t *testing.T) {
-	m := trainSet(t, 60, 40, 2000, 9)
-	h := HyperParams{Gamma: 0.01, Lambda1: 0.005, Lambda2: 0.005}
-	want := NewFactorsInit(m.Rows, m.Cols, 8, m.MeanRating(), sparse.NewRand(3))
-	got := want.Clone()
-	e := &FPSGD{Threads: 1}
-	for epoch := 0; epoch < 3; epoch++ {
-		TrainEntries(want, m.Entries, h)
-		e.Epoch(got, m, h)
-	}
-	for i := range want.P {
-		if math.Float32bits(want.P[i]) != math.Float32bits(got.P[i]) {
-			t.Fatalf("P[%d]: fpsgd-1 %v, TrainEntries %v", i, got.P[i], want.P[i])
-		}
-	}
-	for i := range want.Q {
-		if math.Float32bits(want.Q[i]) != math.Float32bits(got.Q[i]) {
-			t.Fatalf("Q[%d]: fpsgd-1 %v, TrainEntries %v", i, got.Q[i], want.Q[i])
-		}
-	}
-	if e.grid != nil {
-		t.Fatal("fpsgd-1 cached a block grid it never reads")
-	}
-
-	if raceflag.Enabled {
-		return // allocation counts are meaningless under -race
-	}
-	// A fresh engine's first epoch allocates nothing: no grid, no sorted
-	// copy, no scheduler, no pool.
-	const runs = 5
-	fresh := make([]FPSGD, runs+1) // AllocsPerRun adds one warm-up call
-	next := 0
-	if avg := testing.AllocsPerRun(runs, func() {
-		fresh[next].Threads = 1
-		fresh[next].Epoch(got, m, h)
-		next++
-	}); avg != 0 {
-		t.Fatalf("fpsgd-1 first epoch: %v allocs, want 0", avg)
-	}
-}
-
 func TestBatchedEngineConverges(t *testing.T) {
-	skipLockFreeUnderRace(t)
 	m := trainSet(t, 80, 60, 4000, 9)
-	rmse := runEngine(t, &Batched{Groups: 8, BatchSize: 512}, m, 25)
+	rmse := runEngine(t, &Batched{Groups: 8}, m, 25)
 	if rmse > 0.35 {
 		t.Fatalf("batched RMSE after 25 epochs = %v", rmse)
 	}
 }
 
 func TestBatchedWholeEpochBatch(t *testing.T) {
-	skipLockFreeUnderRace(t)
 	m := trainSet(t, 40, 40, 800, 10)
-	runEngine(t, &Batched{Groups: 4, BatchSize: 0}, m, 10)
+	runEngine(t, &Batched{Groups: 4}, m, 10)
 }
 
 func TestEngineNames(t *testing.T) {
@@ -245,74 +198,6 @@ func TestTrainerNoTestFallsBackToTrain(t *testing.T) {
 	f := NewFactorsInit(20, 20, 4, m.MeanRating(), sparse.NewRand(1))
 	if got, want := tr.TestRMSE(f), RMSE(f, m.Entries); got != want {
 		t.Fatalf("fallback RMSE = %v, want %v", got, want)
-	}
-}
-
-// blockScheduler invariants under concurrency.
-func TestBlockSchedulerExclusivity(t *testing.T) {
-	const nside = 5
-	s := newBlockScheduler(nside, nside)
-	type token struct{ br, bc int }
-	acquired := make(chan token, nside*nside)
-	done := make(chan struct{})
-	go func() {
-		rows := map[int]int{}
-		cols := map[int]int{}
-		for tok := range acquired {
-			if tok.br >= 0 {
-				rows[tok.br]++
-				cols[tok.bc]++
-				if rows[tok.br] > 1 || cols[tok.bc] > 1 {
-					t.Error("two in-flight blocks share a row or column")
-				}
-			} else {
-				rows[-tok.br-1]--
-				cols[-tok.bc-1]--
-			}
-		}
-		close(done)
-	}()
-
-	var count int
-	countCh := make(chan int, 8)
-	for w := 0; w < 8; w++ {
-		go func() {
-			local := 0
-			for {
-				idx, ok := s.acquire()
-				if !ok {
-					countCh <- local
-					return
-				}
-				br, bc := idx/nside, idx%nside
-				acquired <- token{br, bc}
-				local++
-				acquired <- token{-br - 1, -bc - 1}
-				s.release(idx)
-			}
-		}()
-	}
-	for w := 0; w < 8; w++ {
-		count += <-countCh
-	}
-	close(acquired)
-	<-done
-	if count != nside*nside {
-		t.Fatalf("processed %d blocks, want %d", count, nside*nside)
-	}
-}
-
-func TestSortEntriesByRow(t *testing.T) {
-	rng := sparse.NewRand(13)
-	entries := make([]sparse.Rating, 500)
-	for i := range entries {
-		entries[i] = sparse.Rating{U: int32(rng.Intn(40)), I: int32(rng.Intn(40)), V: 1}
-	}
-	sortEntriesByRow(entries)
-	for i := 1; i < len(entries); i++ {
-		if lessByRow(entries[i], entries[i-1]) {
-			t.Fatalf("not sorted at %d", i)
-		}
 	}
 }
 

@@ -2,28 +2,23 @@ package mf
 
 import (
 	"fmt"
-	"sync"
 
 	"hccmf/internal/sparse"
 )
 
-// FPSGD is the cache-friendly block-scheduled SGD engine of Chin et al.
-// (the paper's reference [2], "fast parallel SGD"). The rating matrix is
-// tiled into a (Threads+1)×(Threads+1) block grid; a scheduler hands each
-// worker thread a *free* block — one sharing no block-row or block-column
-// with any in-flight block — so threads never touch the same P or Q rows
-// and no per-update locking is needed. Within an epoch every block is
-// processed exactly once.
+// FPSGD is the cache-friendly block-partitioned SGD engine of Chin et al.
+// (the paper's reference [2], "fast parallel SGD"). The shard is laid out
+// on a G×G block grid (gridSide) and every epoch is the deterministic
+// BlockWalk over it: Threads pool threads share each stratum's row- and
+// column-disjoint blocks, so they never touch the same P or Q rows and no
+// per-update locking is needed. Within an epoch every block is processed
+// exactly once, and the factors come out bit-identical at any Threads.
+// The first epoch over a shard lays its entries out in place.
 type FPSGD struct {
 	// Threads is the number of worker threads (≥1).
 	Threads int
 
-	mu    sync.Mutex
-	grid  *sparse.BlockGridded
-	src   *sparse.COO // grid cache key
-	nside int
-	sched *blockScheduler // reused across epochs, reset() each time
-	sweeper
+	BlockWalk
 }
 
 // Name implements Engine.
@@ -36,219 +31,120 @@ func (fp *FPSGD) Name() string {
 // lint:hotpath
 func (fp *FPSGD) Epoch(f *Factors, train *sparse.COO, h HyperParams) {
 	start := fp.metrics.EpochStart()
-	fp.epoch(f, train, h)
+	fp.Walk(f, train, h, gridSide(train.Cols, f.K), fp.Threads)
 	fp.metrics.EpochDone(start, int64(len(train.Entries)))
 }
 
+// tileBytesDefault is a conservative per-core slice of L2 (typical
+// client/server cores have 0.5–2 MiB per core); a Q tile or block must
+// share the cache with the streaming P rows and the entry stream itself.
+const tileBytesDefault = 256 << 10
+
+// gridSideFloor is the smallest grid side gridSide picks. A stratum holds
+// G blocks, so a floor of 16 gives each of up to 16 threads a block of
+// every stratum even when Q is small enough to fit one block.
+const gridSideFloor = 16
+
+// tileCols reports how many consecutive columns fit one Q tile of the
+// given byte budget at factor dimension k (4 bytes per float32), never
+// less than one column.
+func tileCols(k, budget int) int {
+	if k <= 0 {
+		return 1
+	}
+	return max(1, budget/(4*k))
+}
+
+// TileCols is tileCols at the default budget: the width of the Q tiles
+// the parameter server's async streams walk their item slices in.
+func TileCols(k int) int { return tileCols(k, tileBytesDefault) }
+
+// gridSide is the block-grid side G of the FPSGD and Batched walks over a
+// shard of cols columns at factor dimension k: the smallest side whose Q
+// block (cols/G columns) fits tileBytesDefault, but at least
+// gridSideFloor. BlockWalk clamps it to the shard's rows and columns. G
+// depends on the shard's shape and k only — never on Threads, GOMAXPROCS
+// or a detected cache size, each of which would make the bits depend on
+// the host.
+func gridSide(cols, k int) int {
+	tc := TileCols(k)
+	return max(gridSideFloor, (cols+tc-1)/tc)
+}
+
+// BlockWalk is the one deterministic block schedule of the FPSGD, Batched
+// and DSGD engines. It lays the shard out on a G×G block grid
+// (sparse.NewBlockGrid, in place, once per shard) and runs an epoch as G
+// DSGD strata: stratum s is the blocks (b, (b+s) mod G), b = 0..G-1. The
+// blocks of one stratum share no block-row and no block-column, so they
+// touch disjoint rows of P and of Q: any pool thread may take any of
+// them, and the result does not depend on which thread ran which block.
+// The engine's wg barrier separates strata. At one thread the walk is the
+// same loop run inline, so an epoch's bits depend only on the shard's
+// entries and G, never on the thread count or on timing.
+//
+// The zero value is ready to use. A BlockWalk must not run concurrent
+// epochs (true of every engine that embeds one).
+type BlockWalk struct {
+	sweeper
+	// grid is the shard's layout, reused across epochs while the engine
+	// walks the same entries at the same side.
+	grid *sparse.BlockGridded
+}
+
+// Walk runs one epoch over train on a side×side block grid with threads
+// pool threads (≤1 runs inline). side is clamped to train's rows and
+// columns; a side of 1 sweeps train in its own order. The first walk over
+// train.Entries at a side reorders them into the grid's block order.
+//
 // lint:hotpath
-func (fp *FPSGD) epoch(f *Factors, train *sparse.COO, h HyperParams) {
-	threads := fp.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	nside := threads + 1
-	if nside > train.Rows {
-		nside = train.Rows
-	}
-	if nside > train.Cols {
-		nside = train.Cols
-	}
-	if nside < 1 {
-		nside = 1
-	}
-	// One thread or a degenerate grid sweeps the shard as it is, so the
-	// grid (and its per-block row sort) is only built when it will be read.
-	var grid *sparse.BlockGridded
-	if threads > 1 && nside >= 2 {
-		grid = fp.cachedGrid(train, nside)
-	}
-	if grid == nil {
+func (w *BlockWalk) Walk(f *Factors, train *sparse.COO, h HyperParams, side, threads int) {
+	side = min(side, train.Rows, train.Cols)
+	if side <= 1 {
 		TrainEntries(f, train.Entries, h)
 		return
 	}
-
-	sched := fp.scheduler(grid)
-	pool := fp.ensure(threads)
-	fp.wg.Add(threads)
-	for w := 0; w < threads; w++ {
-		// Concurrent kernel sweeps never share a factor row: the
-		// blockScheduler carried in the task hands out row- and
-		// column-disjoint blocks; joined by fp.wg.Wait.
-		pool.tasks <- sweepTask{f: f, h: h, sched: sched, grid: grid, wg: &fp.wg}
-	}
-	fp.wg.Wait()
-}
-
-// scheduler returns the epoch block scheduler, reusing the previous epoch's
-// allocation when the grid shape is unchanged.
-func (fp *FPSGD) scheduler(grid *sparse.BlockGridded) *blockScheduler {
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
-	if fp.sched != nil && fp.sched.nbr == grid.NBR && fp.sched.nbc == grid.NBC {
-		fp.sched.reset()
-		return fp.sched
-	}
-	fp.sched = newBlockScheduler(grid.NBR, grid.NBC)
-	return fp.sched
-}
-
-// cachedGrid reuses the block grid across epochs as long as the engine
-// trains the same matrix with the same grid side. Grid construction (and
-// the per-block row sort) is a per-matrix setup cost, not a per-epoch one.
-func (fp *FPSGD) cachedGrid(train *sparse.COO, nside int) *sparse.BlockGridded {
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
-	if fp.grid != nil && fp.src == train && fp.nside == nside {
-		return fp.grid
-	}
-	g, err := sparse.NewBlockGrid(train, nside, nside)
-	if err != nil {
-		return nil
-	}
-	// Sort blocks by row for cache locality, as the paper's modified
-	// baseline does ("block sorting by row").
-	for i := range g.Blocks {
-		sortEntriesByRow(g.Blocks[i].Entries)
-	}
-	fp.grid, fp.src, fp.nside = g, train, nside
-	return g
-}
-
-func sortEntriesByRow(entries []sparse.Rating) {
-	// Insertion-friendly small slices dominate; stdlib sort is fine here
-	// because grids are rebuilt once per matrix, not per epoch.
-	if len(entries) < 2 {
+	g := w.layout(train, side)
+	if threads <= 1 {
+		for s := 0; s < side; s++ {
+			for b := 0; b < side; b++ {
+				TrainEntries(f, g.Block(b, (b+s)%side), h)
+			}
+		}
 		return
 	}
-	quickSortByRow(entries)
-}
-
-func quickSortByRow(e []sparse.Rating) {
-	for len(e) > 12 {
-		p := partitionByRow(e)
-		if p < len(e)-p {
-			quickSortByRow(e[:p])
-			e = e[p:]
-		} else {
-			quickSortByRow(e[p:])
-			e = e[:p]
-		}
-	}
-	for i := 1; i < len(e); i++ {
-		for j := i; j > 0 && lessByRow(e[j], e[j-1]); j-- {
-			e[j], e[j-1] = e[j-1], e[j]
-		}
-	}
-}
-
-func partitionByRow(e []sparse.Rating) int {
-	pivot := e[len(e)/2]
-	i, j := 0, len(e)-1
-	for {
-		for lessByRow(e[i], pivot) {
-			i++
-		}
-		for lessByRow(pivot, e[j]) {
-			j--
-		}
-		if i >= j {
-			return j + 1
-		}
-		e[i], e[j] = e[j], e[i]
-		i++
-		j--
-	}
-}
-
-func lessByRow(a, b sparse.Rating) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.I < b.I
-}
-
-// blockScheduler hands out grid blocks so that no two in-flight blocks
-// share a block-row or block-column, and every block runs exactly once per
-// epoch. acquire blocks until a free block exists or the epoch is done.
-type blockScheduler struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	nbr     int
-	nbc     int
-	done    []bool
-	rowBusy []bool
-	colBusy []bool
-	left    int
-}
-
-func newBlockScheduler(nbr, nbc int) *blockScheduler {
-	s := &blockScheduler{
-		nbr: nbr, nbc: nbc,
-		done:    make([]bool, nbr*nbc),
-		rowBusy: make([]bool, nbr),
-		colBusy: make([]bool, nbc),
-		left:    nbr * nbc,
-	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// acquire returns the index of a free, not-yet-done block, or ok=false when
-// the epoch has completed.
-func (s *blockScheduler) acquire() (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.left == 0 {
-			return 0, false
-		}
-		for br := 0; br < s.nbr; br++ {
-			if s.rowBusy[br] {
+	pool := w.ensure(threads)
+	for s := 0; s < side; s++ {
+		for b := 0; b < side; b++ {
+			blk := g.Block(b, (b+s)%side)
+			if len(blk) == 0 {
 				continue
 			}
-			for bc := 0; bc < s.nbc; bc++ {
-				if s.colBusy[bc] {
-					continue
-				}
-				idx := br*s.nbc + bc
-				if s.done[idx] {
-					continue
-				}
-				s.done[idx] = true
-				s.rowBusy[br] = true
-				s.colBusy[bc] = true
-				s.left--
-				return idx, true
-			}
+			// Concurrent kernel sweeps never share a factor row: the
+			// blocks of one stratum are row- and column-disjoint; the
+			// stratum is joined by w.wg.Wait.
+			w.wg.Add(1)
+			pool.tasks <- sweepTask{f: f, h: h, entries: blk, wg: &w.wg}
 		}
-		// All remaining blocks conflict with in-flight ones; wait for a
-		// release.
-		s.cond.Wait()
+		w.wg.Wait()
 	}
 }
 
-// reset rewinds the scheduler for another epoch over the same grid shape,
-// reusing its slices.
-func (s *blockScheduler) reset() {
-	s.mu.Lock()
-	for i := range s.done {
-		s.done[i] = false
+// layout returns train's block grid, laying the entries out in place the
+// first time this walk sees them at this side. The cache key is the
+// entries slice itself, so a shard that was swapped, grown or reallocated
+// is laid out again.
+func (w *BlockWalk) layout(train *sparse.COO, side int) *sparse.BlockGridded {
+	g := w.grid
+	e := train.Entries
+	if g != nil && g.NBR == side && len(g.Entries) == len(e) &&
+		(len(e) == 0 || &g.Entries[0] == &e[0]) {
+		return g
 	}
-	for i := range s.rowBusy {
-		s.rowBusy[i] = false
+	g, err := sparse.NewBlockGrid(train, side, side)
+	if err != nil {
+		// lint:invariant Walk clamps side to [2, min(Rows, Cols)], a range NewBlockGrid always accepts.
+		panic(err)
 	}
-	for i := range s.colBusy {
-		s.colBusy[i] = false
-	}
-	s.left = len(s.done)
-	s.mu.Unlock()
-}
-
-// release frees the row/column of a completed block.
-func (s *blockScheduler) release(idx int) {
-	s.mu.Lock()
-	s.rowBusy[idx/s.nbc] = false
-	s.colBusy[idx%s.nbc] = false
-	s.mu.Unlock()
-	s.cond.Broadcast()
+	w.grid = g
+	return g
 }

@@ -17,7 +17,7 @@ func TestMeteredEnginesReport(t *testing.T) {
 	engines := []Engine{
 		&FPSGD{Threads: 2},
 		&Hogwild{Threads: 2},
-		&Batched{Groups: 2, BatchSize: 256},
+		&Batched{Groups: 2},
 	}
 	epochs := 0
 	for _, e := range engines {

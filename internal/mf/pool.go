@@ -17,25 +17,21 @@ import (
 // with a WaitGroup owned by the engine struct. After the first epoch the
 // engines allocate nothing.
 //
-// Concurrency notes: the workers race on the shared *Factors exactly the
-// way the seed closures did — Hogwild and Batched sweeps are intentionally
-// lock-free (see raceflag), FPSGD tasks are made row/column-disjoint by the
-// blockScheduler carried inside the task. Tests gate the racy engines on
-// raceflag.Enabled, and the raceguard analyzer treats `go sweepWorker(...)`
-// like a goroutine literal; this file is inside the raceflag quarantine on
-// purpose.
+// Concurrency notes: Hogwild's chunk sweeps race on the shared *Factors
+// by design (see raceflag), so tests gate that engine on raceflag.Enabled.
+// FPSGD and Batched hand the pool only the blocks of one BlockWalk
+// stratum at a time, which share no factor row, so they run under -race.
+// The raceguard analyzer treats `go sweepWorker(...)` like a goroutine
+// literal; this file is inside the raceflag quarantine on purpose, for
+// Hogwild.
 
-// sweepTask is one unit of sweep work. Exactly one of sched/entries is set:
-// a scheduler task loops acquiring disjoint blocks from the carried grid
-// until the epoch is drained (FPSGD); an entries task sweeps the given
-// contiguous run once (Hogwild chunk, Batched group). Both sweep through
-// TrainEntries, the build's one sweep loop.
+// sweepTask is one unit of sweep work: a contiguous run of entries (a
+// Hogwild chunk or a BlockWalk block) swept once through TrainEntries,
+// the build's one sweep loop.
 type sweepTask struct {
 	f       *Factors
 	h       HyperParams
 	entries []sparse.Rating
-	sched   *blockScheduler
-	grid    *sparse.BlockGridded
 	wg      *sync.WaitGroup
 }
 
@@ -46,19 +42,7 @@ type sweepTask struct {
 // lint:hotpath
 func sweepWorker(tasks <-chan sweepTask) {
 	for t := range tasks {
-		switch {
-		case t.sched != nil:
-			for {
-				idx, ok := t.sched.acquire()
-				if !ok {
-					break
-				}
-				TrainEntries(t.f, t.grid.Blocks[idx].Entries, t.h)
-				t.sched.release(idx)
-			}
-		default:
-			TrainEntries(t.f, t.entries, t.h)
-		}
+		TrainEntries(t.f, t.entries, t.h)
 		t.wg.Done()
 	}
 }
@@ -81,11 +65,11 @@ func newSweepPool(workers int) *sweepPool {
 
 func closeSweepPool(p *sweepPool) { close(p.tasks) }
 
-// sweeper is the reusable engine state embedded in each parallel engine:
-// the lazily built worker pool and the epoch-join WaitGroup. Engines embed
-// it by value, which is why Hogwild and Batched moved to pointer receivers
-// in this pass. An engine value must not run concurrent Epochs (true of
-// every call site: one engine per worker, one epoch at a time).
+// sweeper is the reusable engine state embedded in each parallel engine
+// (directly in Hogwild, through BlockWalk in FPSGD and Batched): the
+// lazily built worker pool and the epoch-join WaitGroup. An engine value
+// must not run concurrent Epochs (true of every call site: one engine per
+// worker, one epoch at a time).
 type sweeper struct {
 	pool *sweepPool
 	size int

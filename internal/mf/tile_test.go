@@ -7,6 +7,34 @@ import (
 	"hccmf/internal/sparse"
 )
 
+// tileOrder lays entries out the way the parameter server's async streams
+// lay out one item slice starting at colLo: sparse.BlockOrder over a
+// column axis of Q tiles tileCols(k, budget) wide. It returns the tile
+// count. Every entry's column must be ≥ colLo.
+func tileOrder(entries []sparse.Rating, colLo, k, budget int) int {
+	if len(entries) == 0 {
+		return 0
+	}
+	tc := tileCols(k, budget)
+	maxI := colLo
+	for _, e := range entries {
+		maxI = max(maxI, int(e.I))
+	}
+	tiles := sparse.Axis{Of: make([]int32, maxI+1), N: (maxI-colLo)/tc + 1}
+	for i := colLo; i <= maxI; i++ {
+		tiles.Of[i] = int32((i - colLo) / tc)
+	}
+	sparse.BlockOrder(entries, sparse.Axis{N: 1}, tiles)
+	return tiles.N
+}
+
+func lessByRow(a, b sparse.Rating) bool {
+	if a.U != b.U {
+		return a.U < b.U
+	}
+	return a.I < b.I
+}
+
 // tileOrder invariants (the parameter server's async streams depend on
 // them): the reorder is a permutation, tile indices are non-decreasing
 // across the slice, and entries within one tile keep (row, col) order.
@@ -153,7 +181,7 @@ func BenchmarkTileOrder(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(entries, src)
-		TileOrder(entries, 0, 64)
+		tileOrder(entries, 0, 64, tileBytesDefault)
 	}
 }
 
@@ -164,7 +192,7 @@ func TestTileOrderSingleTileKeepsRowSort(t *testing.T) {
 		entries[i] = sparse.Rating{U: int32(rng.Intn(50)), I: int32(rng.Intn(50)), V: 1}
 	}
 	want := append([]sparse.Rating(nil), entries...)
-	sortEntriesByRow(want)
+	sort.SliceStable(want, func(a, b int) bool { return lessByRow(want[a], want[b]) })
 	if n := tileOrder(entries, 0, 8, tileBytesDefault); n != 1 {
 		t.Fatalf("ntiles = %d, want 1 (50 cols fit one default tile)", n)
 	}

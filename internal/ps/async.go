@@ -66,7 +66,7 @@ func (c *Cluster) runEpochAsync(epoch, total int) error {
 func (c *Cluster) workerEpochAsync(ws *workerState, coord *sliceCoordinator, epoch, total int) error {
 	h := c.hyperFor(epoch)
 	slices := coord.slices
-	chunks := ws.sliceChunks(coord, c.cfg.K)
+	chunks := ws.sliceChunks(coord)
 	var wg sync.WaitGroup
 	errs := make([]error, len(slices))
 	for sj := range slices {
@@ -203,43 +203,24 @@ func ratingSlices(counts []int64, s int) []itemSlice {
 	return out
 }
 
-// sliceChunks buckets the worker's shard entries by item slice and orders
-// each chunk tile-major — L2-sized column tiles of its slice, (row, col)
-// within a tile (mf.TileOrder) — so a stream's Q rows stay cache-resident
-// while P streams past. The result is cached: the slicing is stable across
-// epochs, and eviction and rebalance reset the cache when the shard moves.
-// One count-then-place scatter fills a single backing array.
-func (ws *workerState) sliceChunks(sc *sliceCoordinator, k int) [][]sparse.Rating {
+// sliceChunks lays the worker's shard out in place by (item slice, Q
+// tile within the slice) — sparse.BlockOrder over the coordinator's tile
+// table, (row, col) within a tile — so a stream's Q rows stay
+// cache-resident while P streams past, and returns each slice's run of
+// tiles as its stream's chunk. The result is cached: the slicing is stable
+// across epochs, and eviction and rebalance reset the cache when the
+// shard moves.
+func (ws *workerState) sliceChunks(sc *sliceCoordinator) [][]sparse.Rating {
 	if len(ws.chunks) == len(sc.slices) {
 		return ws.chunks
 	}
 	entries := ws.conf.Shard.Entries
-	starts := make([]int, len(sc.slices)+1)
-	for _, e := range entries {
-		starts[sc.sliceOf[e.I]+1]++
-	}
-	for j := range sc.slices {
-		starts[j+1] += starts[j]
-	}
-	next := append([]int(nil), starts[:len(sc.slices)]...)
-	backing := make([]sparse.Rating, len(entries))
-	for _, e := range entries {
-		j := sc.sliceOf[e.I]
-		backing[next[j]] = e
-		next[j]++
-	}
+	off := sparse.BlockOrder(entries, sparse.Axis{N: 1}, sc.tiles)
 	chunks := make([][]sparse.Rating, len(sc.slices))
-	var wg sync.WaitGroup
-	for j, sl := range sc.slices {
-		chunk := backing[starts[j]:starts[j+1]:starts[j+1]]
-		chunks[j] = chunk
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mf.TileOrder(chunk, sl.lo, k)
-		}()
+	for j := range chunks {
+		lo, hi := off[sc.firstTile[j]], off[sc.firstTile[j+1]]
+		chunks[j] = entries[lo:hi:hi]
 	}
-	wg.Wait()
 	ws.chunks = chunks
 	return chunks
 }
@@ -251,11 +232,13 @@ func (ws *workerState) sliceChunks(sc *sliceCoordinator, k int) [][]sparse.Ratin
 type sliceCoordinator struct {
 	cluster *Cluster
 	slices  []itemSlice
-	// sliceOf maps each item to the index of the slice holding it.
-	sliceOf []int32
-	mu      sync.Mutex
-	pending []int
-	arrived []map[*workerState]bool
+	// tiles maps each item to its Q tile, numbered across slices: slice
+	// j holds tiles [firstTile[j], firstTile[j+1]), each mf.TileCols wide.
+	tiles     sparse.Axis
+	firstTile []int
+	mu        sync.Mutex
+	pending   []int
+	arrived   []map[*workerState]bool
 }
 
 // coordinator returns the epoch's slice coordinator, reusing the previous
@@ -274,18 +257,22 @@ func (c *Cluster) coordinator(streams int) *sliceCoordinator {
 			}
 		}
 		slices := ratingSlices(counts, streams)
-		sliceOf := make([]int32, c.cfg.N)
+		tc := mf.TileCols(c.cfg.K)
+		tileOf := make([]int32, c.cfg.N)
+		firstTile := make([]int, len(slices)+1)
 		for j, sl := range slices {
 			for i := sl.lo; i < sl.hi; i++ {
-				sliceOf[i] = int32(j)
+				tileOf[i] = int32(firstTile[j] + (i-sl.lo)/tc)
 			}
+			firstTile[j+1] = firstTile[j] + (sl.hi-sl.lo+tc-1)/tc
 		}
 		sc = &sliceCoordinator{
-			cluster: c,
-			slices:  slices,
-			sliceOf: sliceOf,
-			pending: make([]int, len(slices)),
-			arrived: make([]map[*workerState]bool, len(slices)),
+			cluster:   c,
+			slices:    slices,
+			tiles:     sparse.Axis{Of: tileOf, N: firstTile[len(slices)]},
+			firstTile: firstTile,
+			pending:   make([]int, len(slices)),
+			arrived:   make([]map[*workerState]bool, len(slices)),
 		}
 		for i := range sc.arrived {
 			sc.arrived[i] = make(map[*workerState]bool, len(c.workers))

@@ -14,8 +14,8 @@ import (
 // trains, and holds for the SSE and the portable (-tags noasm) kernel
 // alike, since both are bit-identical to the reference update. The
 // problem holds repeated (row, col) cells, so the hash also pins the order
-// mf.TileOrder gives them: their input order, TileOrder being a stable
-// sort.
+// sparse.BlockOrder gives them: their input order, BlockOrder being a
+// stable sort.
 const asyncGoldenHash = 0x76caa21d90395611
 
 // TestAsyncStreamGolden pins the bits the async stream compute produces:

@@ -92,7 +92,7 @@ func TestSliceChunksBucketByItem(t *testing.T) {
 	}
 	coord := c.coordinator(2)
 	ws := c.workers[0]
-	chunks := ws.sliceChunks(coord, k)
+	chunks := ws.sliceChunks(coord)
 	slices := coord.slices
 	if len(chunks) != len(slices) {
 		t.Fatalf("%d chunks for %d slices", len(chunks), len(slices))
@@ -102,7 +102,11 @@ func TestSliceChunksBucketByItem(t *testing.T) {
 		want[j] = map[sparse.Rating]int{}
 	}
 	for _, e := range confs[0].Shard.Entries {
-		want[coord.sliceOf[e.I]][e]++
+		j := 0
+		for int(e.I) >= slices[j].hi {
+			j++
+		}
+		want[j][e]++
 	}
 	for j, chunk := range chunks {
 		// A permutation of the slice's shard entries.
@@ -142,7 +146,7 @@ func TestSliceChunksBucketByItem(t *testing.T) {
 		}
 	}
 	// Cached on second call.
-	if &ws.sliceChunks(coord, k)[0] != &chunks[0] {
+	if &ws.sliceChunks(coord)[0] != &chunks[0] {
 		t.Fatal("chunks not cached")
 	}
 }
@@ -178,7 +182,7 @@ func TestAsyncSlicesBalanceSkewedPopularity(t *testing.T) {
 	coord := c.coordinator(2)
 	perStream := make([]int, len(coord.slices))
 	for _, ws := range c.workers {
-		for j, chunk := range ws.sliceChunks(coord, k) {
+		for j, chunk := range ws.sliceChunks(coord) {
 			perStream[j] += len(chunk)
 		}
 	}

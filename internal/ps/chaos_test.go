@@ -1,7 +1,9 @@
 package ps
 
 import (
+	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"hccmf/internal/comm"
@@ -223,5 +225,86 @@ func TestEvictionAccountsFailedRetries(t *testing.T) {
 	}
 	if got := c.CommStats().Retries; got != 3 {
 		t.Fatalf("Retries = %d, want 3 (one exhausted budget of 4 attempts)", got)
+	}
+}
+
+// killable delegates to a live transport until kill is set, then fails
+// every transfer: a link that dies between two epochs.
+type killable struct {
+	comm.Transport
+	kill atomic.Bool
+}
+
+var errLinkDown = errors.New("link down")
+
+func (k *killable) Pull(dst, src []float32, x comm.Xfer) (comm.TransferStats, error) {
+	if k.kill.Load() {
+		return comm.TransferStats{}, errLinkDown
+	}
+	return k.Transport.Pull(dst, src, x)
+}
+
+func (k *killable) Push(dst, src []float32, x comm.Xfer) (comm.TransferStats, error) {
+	if k.kill.Load() {
+		return comm.TransferStats{}, errLinkDown
+	}
+	return k.Transport.Push(dst, src, x)
+}
+
+// An heir whose multi-thread FPSGD engine already laid out its own shard
+// must train the ratings it inherits: every inherited row with a rating
+// moves in the heir's next epoch. The worker dies after epoch 0, so the
+// heir's block layout predates the merge.
+func TestEvictionHeirTrainsMergedShard(t *testing.T) {
+	const m, n = 120, 80
+	full, confs := buildProblem(t, m, n, 8000, []float64{0.5, 0.5}, 43)
+	link := &killable{Transport: comm.MustNew(comm.Spec{Kind: comm.KindShared, Workers: 4})}
+	for i := range confs {
+		confs[i].Engine = &mf.FPSGD{Threads: 2}
+	}
+	confs[1].Transport = link
+	cfg := defaultConfig(m, n)
+	cfg.Strategy = comm.Strategy{QOnly: true, Encoding: comm.FP32, Streams: 1}
+	cfg.MeanRating = full.MeanRating()
+	cfg.EvictOnFailure = true
+	c, err := New(cfg, confs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunEpoch(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	dead := c.workers[1]
+	lo, hi := dead.conf.RowLo, dead.conf.RowHi
+	before := append([]float32(nil), dead.local.P[lo*cfg.K:hi*cfg.K]...)
+	rated := make(map[int]bool)
+	for _, e := range dead.conf.Shard.Entries {
+		rated[int(e.U)] = true
+	}
+
+	link.kill.Store(true)
+	if err := c.RunEpoch(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if ev := c.Evictions(); len(ev) != 1 || ev[0].Worker != confs[1].Name {
+		t.Fatalf("evictions = %+v", ev)
+	}
+	heir := c.workers[0]
+	if got, want := len(heir.conf.Shard.Entries), len(full.Entries); got != want {
+		t.Fatalf("heir shard holds %d ratings, want %d", got, want)
+	}
+	for r := lo; r < hi; r++ {
+		if !rated[r] {
+			continue
+		}
+		row := heir.local.P[r*cfg.K : (r+1)*cfg.K]
+		old := before[(r-lo)*cfg.K : (r-lo+1)*cfg.K]
+		same := true
+		for j := range row {
+			same = same && math.Float32bits(row[j]) == math.Float32bits(old[j])
+		}
+		if same {
+			t.Fatalf("inherited row %d was not trained by the heir", r)
+		}
 	}
 }

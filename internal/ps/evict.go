@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hccmf/internal/obs"
+	"hccmf/internal/sparse"
 )
 
 // Worker eviction — graceful degradation when a worker's link dies.
@@ -165,7 +166,13 @@ func (c *Cluster) inherit(dead, heir *workerState) {
 	copy(c.global.P[lo:hi], dead.local.P[lo:hi])
 	copy(heir.local.P[lo:hi], dead.local.P[lo:hi])
 
-	heir.conf.Shard.Entries = append(heir.conf.Shard.Entries, dead.conf.Shard.Entries...)
+	// The merged shard is a new COO, as a rebalance's shards are: an
+	// engine's cached block layout must never outlive the entries it was
+	// built from.
+	own, gone := heir.conf.Shard.Entries, dead.conf.Shard.Entries
+	merged := make([]sparse.Rating, 0, len(own)+len(gone))
+	heir.conf.Shard = &sparse.COO{Rows: heir.conf.Shard.Rows, Cols: heir.conf.Shard.Cols,
+		Entries: append(append(merged, own...), gone...)}
 	heir.conf.RowLo, heir.conf.RowHi = newLo, newHi
 	heir.conf.Weight += dead.conf.Weight
 	// The async chunk cache buckets the old shard; rebuild lazily.

@@ -1,64 +1,6 @@
 package related
 
-import (
-	"sync"
-	"testing"
-
-	"hccmf/internal/mf"
-	"hccmf/internal/sparse"
-)
-
-func TestBlockCollaborativeConverges(t *testing.T) {
-	m := lowRank(t, 120, 90, 6000, 21)
-	e := &BlockCollaborative{Workers: 4}
-	f := mf.NewFactorsInit(m.Rows, m.Cols, 8, m.MeanRating(), sparse.NewRand(22))
-	h := mf.HyperParams{Gamma: 0.01, Lambda1: 0.005, Lambda2: 0.005}
-	before := mf.RMSE(f, m.Entries)
-	for ep := 0; ep < 25; ep++ {
-		e.Epoch(f, m, h)
-	}
-	after := mf.RMSE(f, m.Entries)
-	if after >= before || after > 0.4 {
-		t.Fatalf("block-collab RMSE %v → %v", before, after)
-	}
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Name() != "block-collab-4" {
-		t.Fatalf("Name = %q", e.Name())
-	}
-	// Every block hand-off goes through the global lock: at least one
-	// acquisition per block per epoch.
-	minAcq := int64(25 * 5 * 5)
-	if e.LockAcquisitions < minAcq {
-		t.Fatalf("lock acquisitions = %d, want ≥ %d", e.LockAcquisitions, minAcq)
-	}
-}
-
-func TestBlockCollaborativeSingleWorkerIsSerial(t *testing.T) {
-	m := lowRank(t, 40, 30, 800, 23)
-	f1 := mf.NewFactorsInit(m.Rows, m.Cols, 4, m.MeanRating(), sparse.NewRand(1))
-	f2 := f1.Clone()
-	h := mf.HyperParams{Gamma: 0.01}
-	(&BlockCollaborative{Workers: 1}).Epoch(f1, m, h)
-	mf.Serial{}.Epoch(f2, m, h)
-	for i := range f1.P {
-		if f1.P[i] != f2.P[i] {
-			t.Fatal("1-worker block-collab diverged from serial")
-		}
-	}
-}
-
-func TestBlockCollaborativeTinyMatrixFallsBack(t *testing.T) {
-	m := sparse.NewCOO(2, 2, 2)
-	m.Add(0, 0, 1)
-	m.Add(1, 1, 2)
-	f := mf.NewFactorsInit(2, 2, 2, 1.5, sparse.NewRand(1))
-	(&BlockCollaborative{Workers: 4}).Epoch(f, m, mf.HyperParams{Gamma: 0.01})
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 // The Section 3.3 communication argument, quantified: on tall matrices the
 // block grid moves (p+1)(m+n)/(2pn) times the row grid's Q-only traffic —
@@ -94,60 +36,4 @@ func TestTrafficValidation(t *testing.T) {
 	if _, err := RowGridQOnlyTraffic(1, 0, 1); err == nil {
 		t.Fatal("zero k accepted")
 	}
-}
-
-// Exclusivity invariant under concurrency: the scheduler never admits two
-// blocks sharing a row or column.
-func TestExclusiveSchedulerInvariant(t *testing.T) {
-	const side = 6
-	s := newExclusiveScheduler(side, side)
-	var mu chanCounter
-	done := make(chan int, 16)
-	for w := 0; w < 6; w++ {
-		go func() {
-			count := 0
-			for {
-				idx, _, ok := s.acquire()
-				if !ok {
-					done <- count
-					return
-				}
-				if !mu.enter(idx/side, idx%side) {
-					t.Error("two in-flight blocks share a row or column")
-				}
-				count++
-				mu.leave(idx/side, idx%side)
-				s.release(idx)
-			}
-		}()
-	}
-	total := 0
-	for w := 0; w < 6; w++ {
-		total += <-done
-	}
-	if total != side*side {
-		t.Fatalf("processed %d blocks, want %d", total, side*side)
-	}
-}
-
-// chanCounter tracks in-flight row/column usage.
-type chanCounter struct {
-	mu   sync.Mutex
-	rows [16]int
-	cols [16]int
-}
-
-func (c *chanCounter) enter(r, col int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rows[r]++
-	c.cols[col]++
-	return c.rows[r] <= 1 && c.cols[col] <= 1
-}
-
-func (c *chanCounter) leave(r, col int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rows[r]--
-	c.cols[col]--
 }

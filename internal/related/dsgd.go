@@ -10,17 +10,16 @@ package related
 
 import (
 	"fmt"
-	"sync"
 
 	"hccmf/internal/mf"
 	"hccmf/internal/sparse"
 )
 
 // DSGD is stratified SGD: the rating matrix is tiled into a p×p block
-// grid; a sub-epoch assigns worker i the block (i, (i+s) mod p), so the
-// p concurrent blocks share no rows or columns and need no locks; a
-// barrier separates sub-epochs and an epoch is p sub-epochs (every block
-// trained once).
+// grid; a sub-epoch trains the stratum of blocks (i, (i+s) mod p), whose p
+// blocks share no rows or columns and need no locks; a barrier separates
+// sub-epochs and an epoch is p sub-epochs (every block trained once). It
+// is mf.BlockWalk at side p on p threads.
 //
 // Faithful to the original — and to the paper's critique — the row grid
 // is an *equal* split: DSGD has no notion of heterogeneous worker speed,
@@ -29,8 +28,7 @@ type DSGD struct {
 	// Workers is the number of parallel workers p.
 	Workers int
 
-	grid *sparse.BlockGridded
-	src  *sparse.COO
+	walk mf.BlockWalk
 }
 
 // Name identifies the system in reports.
@@ -38,50 +36,8 @@ func (d *DSGD) Name() string { return fmt.Sprintf("dsgd-%d", d.Workers) }
 
 // Epoch implements mf.Engine: p sub-epochs with rotating strata.
 func (d *DSGD) Epoch(f *mf.Factors, train *sparse.COO, h mf.HyperParams) {
-	p := d.Workers
-	if p < 1 {
-		p = 1
-	}
-	if p > train.Rows {
-		p = train.Rows
-	}
-	if p > train.Cols {
-		p = train.Cols
-	}
-	if p == 1 {
-		mf.TrainEntries(f, train.Entries, h)
-		return
-	}
-	grid := d.cachedGrid(train, p)
-	if grid == nil {
-		mf.TrainEntries(f, train.Entries, h)
-		return
-	}
-	for s := 0; s < p; s++ {
-		var wg sync.WaitGroup
-		for w := 0; w < p; w++ {
-			block := grid.Blocks[w*p+(w+s)%p]
-			wg.Add(1)
-			go func(entries []sparse.Rating) {
-				defer wg.Done()
-				// lint:allow raceguard each stratum is a diagonal of the block grid: blocks share no rows or columns, so factor updates are disjoint by construction.
-				mf.TrainEntries(f, entries, h)
-			}(block.Entries)
-		}
-		wg.Wait() // the stratum barrier
-	}
-}
-
-func (d *DSGD) cachedGrid(train *sparse.COO, p int) *sparse.BlockGridded {
-	if d.grid != nil && d.src == train && d.grid.NBR == p {
-		return d.grid
-	}
-	g, err := sparse.NewBlockGrid(train, p, p)
-	if err != nil {
-		return nil
-	}
-	d.grid, d.src = g, train
-	return g
+	p := max(1, d.Workers)
+	d.walk.Walk(f, train, h, p, p)
 }
 
 // EpochMakespan models one DSGD epoch on heterogeneous workers with the

@@ -61,14 +61,15 @@ func FuzzCOOCSRGridRoundTrip(f *testing.F) {
 		if g.NNZ() != m.NNZ() {
 			t.Fatalf("grid nnz = %d, want %d", g.NNZ(), m.NNZ())
 		}
-		for bi := range g.Blocks {
-			b := &g.Blocks[bi]
-			rlo, rhi := g.RowRange(b.BR)
-			clo, chi := g.ColRange(b.BC)
-			for _, e := range b.Entries {
-				if int(e.U) < rlo || int(e.U) >= rhi || int(e.I) < clo || int(e.I) >= chi {
-					t.Fatalf("entry (%d,%d) in block (%d,%d) outside its range rows [%d,%d) cols [%d,%d)",
-						e.U, e.I, b.BR, b.BC, rlo, rhi, clo, chi)
+		for br := 0; br < nbr; br++ {
+			for bc := 0; bc < nbc; bc++ {
+				rlo, rhi := g.RowRange(br)
+				clo, chi := g.ColRange(bc)
+				for _, e := range g.Block(br, bc) {
+					if int(e.U) < rlo || int(e.U) >= rhi || int(e.I) < clo || int(e.I) >= chi {
+						t.Fatalf("entry (%d,%d) in block (%d,%d) outside its range rows [%d,%d) cols [%d,%d)",
+							e.U, e.I, br, bc, rlo, rhi, clo, chi)
+					}
 				}
 			}
 		}
@@ -78,10 +79,9 @@ func FuzzCOOCSRGridRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewBlockGrid on round-tripped COO: %v", err)
 		}
-		for bi := range g.Blocks {
-			if len(g.Blocks[bi].Entries) != len(g2.Blocks[bi].Entries) {
-				t.Fatalf("block %d count %d != round-tripped %d",
-					bi, len(g.Blocks[bi].Entries), len(g2.Blocks[bi].Entries))
+		for b := range g.Offsets {
+			if g.Offsets[b] != g2.Offsets[b] {
+				t.Fatalf("block offset %d = %d, round-tripped %d", b, g.Offsets[b], g2.Offsets[b])
 			}
 		}
 	})

@@ -111,82 +111,3 @@ func cutGrid(ptr []int64, nLines int, weights []float64) ([]Slice, error) {
 	slices[p-1].NNZ = total - ptr[slices[p-1].Lo]
 	return slices, nil
 }
-
-// Block is one tile of a 2-D block grid, identified by its (BR, BC) block
-// coordinates and carrying the entries that fall inside it.
-type Block struct {
-	BR, BC  int
-	Entries []Rating
-}
-
-// BlockGridded tiles the matrix into nbr×nbc blocks and buckets entries
-// into them. Used by the FPSGD baseline's exclusive block scheduler.
-type BlockGridded struct {
-	Rows, Cols int
-	NBR, NBC   int
-	Blocks     []Block // row-major: Blocks[br*NBC+bc]
-}
-
-// NewBlockGrid tiles m into nbr×nbc blocks. Entries inside each block keep
-// their order from m.
-func NewBlockGrid(m *COO, nbr, nbc int) (*BlockGridded, error) {
-	if nbr <= 0 || nbc <= 0 {
-		return nil, errors.New("sparse: block grid dimensions must be positive")
-	}
-	if nbr > m.Rows || nbc > m.Cols {
-		return nil, fmt.Errorf("sparse: grid %dx%d exceeds matrix %dx%d", nbr, nbc, m.Rows, m.Cols)
-	}
-	g := &BlockGridded{Rows: m.Rows, Cols: m.Cols, NBR: nbr, NBC: nbc,
-		Blocks: make([]Block, nbr*nbc)}
-	for i := range g.Blocks {
-		g.Blocks[i].BR = i / nbc
-		g.Blocks[i].BC = i % nbc
-	}
-	rowOf := func(u int32) int {
-		br := int(int64(u) * int64(nbr) / int64(m.Rows))
-		if br >= nbr {
-			br = nbr - 1
-		}
-		return br
-	}
-	colOf := func(c int32) int {
-		bc := int(int64(c) * int64(nbc) / int64(m.Cols))
-		if bc >= nbc {
-			bc = nbc - 1
-		}
-		return bc
-	}
-	for _, e := range m.Entries {
-		idx := rowOf(e.U)*nbc + colOf(e.I)
-		g.Blocks[idx].Entries = append(g.Blocks[idx].Entries, e)
-	}
-	return g, nil
-}
-
-// RowRange reports the row index range [lo, hi) covered by block row br:
-// exactly the rows u with floor(u·NBR/Rows) == br, the bucketing
-// NewBlockGrid applies, so the bounds are ceilings. (The previous
-// floor-based bounds disagreed with the bucketing whenever Rows%NBR != 0;
-// the sparse round-trip fuzz target caught the mismatch.)
-func (g *BlockGridded) RowRange(br int) (lo, hi int) {
-	lo = (br*g.Rows + g.NBR - 1) / g.NBR
-	hi = ((br+1)*g.Rows + g.NBR - 1) / g.NBR
-	return lo, hi
-}
-
-// ColRange reports the column index range [lo, hi) covered by block col
-// bc, mirroring RowRange.
-func (g *BlockGridded) ColRange(bc int) (lo, hi int) {
-	lo = (bc*g.Cols + g.NBC - 1) / g.NBC
-	hi = ((bc+1)*g.Cols + g.NBC - 1) / g.NBC
-	return lo, hi
-}
-
-// NNZ reports total entries across all blocks.
-func (g *BlockGridded) NNZ() int {
-	n := 0
-	for i := range g.Blocks {
-		n += len(g.Blocks[i].Entries)
-	}
-	return n
-}

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -139,15 +140,17 @@ func TestNewBlockGrid(t *testing.T) {
 	if g.NNZ() != m.NNZ() {
 		t.Fatalf("blocks hold %d entries, want %d", g.NNZ(), m.NNZ())
 	}
-	for _, b := range g.Blocks {
-		rlo, rhi := g.RowRange(b.BR)
-		clo, chi := g.ColRange(b.BC)
-		for _, e := range b.Entries {
-			if int(e.U) < rlo || int(e.U) >= rhi {
-				t.Fatalf("entry %v escaped block row range [%d,%d)", e, rlo, rhi)
-			}
-			if int(e.I) < clo || int(e.I) >= chi {
-				t.Fatalf("entry %v escaped block col range [%d,%d)", e, clo, chi)
+	for br := 0; br < g.NBR; br++ {
+		for bc := 0; bc < g.NBC; bc++ {
+			rlo, rhi := g.RowRange(br)
+			clo, chi := g.ColRange(bc)
+			for _, e := range g.Block(br, bc) {
+				if int(e.U) < rlo || int(e.U) >= rhi {
+					t.Fatalf("entry %v escaped block row range [%d,%d)", e, rlo, rhi)
+				}
+				if int(e.I) < clo || int(e.I) >= chi {
+					t.Fatalf("entry %v escaped block col range [%d,%d)", e, clo, chi)
+				}
 			}
 		}
 	}
@@ -208,5 +211,88 @@ func TestCutRowGridPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BlockOrder is a stable sort by (block, row, col): it equals a reference
+// stable sort position for position, repeated cells (told apart by V)
+// included, and its offsets delimit exactly each block's entries. The
+// inputs reach both of sortRowCol's paths: shuffled entries, and
+// row-major ones (the order shards are cut in) with short and with long
+// row runs per block.
+func TestBlockOrderMatchesStableSort(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		rows, cols int
+		rowMajor   bool
+	}{
+		{"shuffled", 50, 70, false},
+		{"row-major, long runs", 50, 70, true},
+		{"row-major, short runs", 2000, 70, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := NewRand(37)
+			entries := make([]Rating, 5000)
+			for i := range entries {
+				entries[i] = Rating{U: int32(rng.Intn(tc.rows)), I: int32(rng.Intn(tc.cols)), V: float32(i)}
+			}
+			if tc.rowMajor {
+				sort.SliceStable(entries, func(a, b int) bool { return entries[a].U < entries[b].U })
+			}
+			checkBlockOrder(t, entries, EvenAxis(tc.rows, 3), EvenAxis(tc.cols, 4))
+		})
+	}
+}
+
+func checkBlockOrder(t *testing.T, entries []Rating, ra, ca Axis) {
+	t.Helper()
+	block := func(e Rating) int { return int(ra.Of[e.U])*ca.N + int(ca.Of[e.I]) }
+	want := append([]Rating(nil), entries...)
+	sort.SliceStable(want, func(a, b int) bool {
+		x, y := want[a], want[b]
+		if block(x) != block(y) {
+			return block(x) < block(y)
+		}
+		if x.U != y.U {
+			return x.U < y.U
+		}
+		return x.I < y.I
+	})
+	off := BlockOrder(entries, ra, ca)
+	for i := range entries {
+		if entries[i] != want[i] {
+			t.Fatalf("position %d = %+v, stable sort has %+v", i, entries[i], want[i])
+		}
+	}
+	nb := ra.N * ca.N
+	if len(off) != nb+1 || off[0] != 0 || off[nb] != len(entries) {
+		t.Fatalf("offsets %v", off)
+	}
+	for b := 0; b < nb; b++ {
+		for _, e := range entries[off[b]:off[b+1]] {
+			if block(e) != b {
+				t.Fatalf("entry %+v of block %d sits in block %d's range", e, block(e), b)
+			}
+		}
+	}
+}
+
+// BenchmarkBlockOrder lays out one worker's shard at train-cached's shape:
+// 2.2 M ratings over 12,000 rows and 888 columns on a 16×16 grid, from
+// the row-major order sparse.RowShards cuts shards in.
+func BenchmarkBlockOrder(b *testing.B) {
+	const rows, cols, nnz, side = 12_000, 888, 2_200_000, 16
+	rng := NewRand(38)
+	m := NewCOO(rows, cols, nnz)
+	for i := 0; i < nnz; i++ {
+		m.Add(int32(rng.Intn(rows)), int32(rng.Intn(cols)), 1)
+	}
+	m.SortByRow()
+	src := append([]Rating(nil), m.Entries...)
+	ra, ca := EvenAxis(rows, side), EvenAxis(cols, side)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(m.Entries, src)
+		BlockOrder(m.Entries, ra, ca)
 	}
 }

@@ -14,9 +14,9 @@
 #      simtime also polices obs.WallClock: sim packages may use an
 #      injected observer but never mint a real clock (DESIGN.md §11)
 #   5. go test -race over the concurrent packages — ps, comm, comm/net,
-#      mf, simengine, obs, recommend, plus the parallel-ingestion
-#      packages dataset, sparse, parallel; the intentional Hogwild races
-#      stay off these runs via internal/raceflag
+#      mf, simengine, obs, recommend, core, related, plus the
+#      parallel-ingestion packages dataset, sparse, parallel; the
+#      intentional Hogwild races stay off these runs via internal/raceflag
 #   6. go test -run=NONE -bench=. -benchtime=1x — every benchmark runs
 #      once (including the ingest/v1 ingestion suite and the schedule/v1
 #      straggler pair), so a PR cannot silently break the suites behind
@@ -75,9 +75,10 @@ vet_json=$(mktemp -t hccmf-vet.XXXXXX.json)
 go run ./cmd/hccmf-vet -baseline lint.baseline -json -summary ./... > "$vet_json"
 echo "   (machine-readable findings: $vet_json)"
 
-echo "== go test -race (ps, comm, comm/net, mf, simengine, obs, recommend, dataset, sparse, parallel)"
+echo "== go test -race (ps, comm, comm/net, mf, simengine, obs, recommend, core, related, dataset, sparse, parallel)"
 go test -race ./internal/ps ./internal/comm ./internal/comm/net ./internal/mf ./internal/simengine \
-	./internal/obs ./internal/recommend ./internal/dataset ./internal/sparse ./internal/parallel
+	./internal/obs ./internal/recommend ./internal/core ./internal/related \
+	./internal/dataset ./internal/sparse ./internal/parallel
 
 echo "== bench smoke (every benchmark once, kernel + ingest + schedule suites)"
 bench_log=$(mktemp -t hccmf-bench-smoke.XXXXXX)
