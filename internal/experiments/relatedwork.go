@@ -84,9 +84,11 @@ func RelatedWork() (*RelatedWorkResult, error) {
 	res.HCCRMSE = hccRes.FinalRMSE
 
 	fd := mf.NewFactorsInit(ds.Train.Rows, ds.Train.Cols, k, ds.Train.MeanRating(), sparse.NewRand(22))
-	dsgd := &related.DSGD{Workers: 4}
+	// DSGD lays its training set out in block order in place; a clone
+	// keeps NOMAD's input in the dataset's order.
+	dsgd, dsgdTrain := &related.DSGD{Workers: 4}, ds.Train.Clone()
 	for e := 0; e < epochs; e++ {
-		dsgd.Epoch(fd, ds.Train, h)
+		dsgd.Epoch(fd, dsgdTrain, h)
 	}
 	res.DSGDRMSE = mf.RMSE(fd, ds.Test.Entries)
 

@@ -8,7 +8,11 @@ import "hccmf/internal/sparse"
 type Engine interface {
 	// Name identifies the engine in reports ("serial", "hogwild", ...).
 	Name() string
-	// Epoch performs one full pass over train, updating f in place.
+	// Epoch performs one full pass over train, updating f in place. The
+	// block engines (FPSGD, Batched, related.DSGD) may permute
+	// train.Entries: their first epoch over a shard lays it out in block
+	// order in place, keeping every rating. Callers that need the
+	// original order pass a clone.
 	Epoch(f *Factors, train *sparse.COO, h HyperParams)
 }
 

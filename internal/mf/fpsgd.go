@@ -59,13 +59,31 @@ func tileCols(k, budget int) int {
 // the parameter server's async streams walk their item slices in.
 func TileCols(k int) int { return tileCols(k, tileBytesDefault) }
 
+// TileAxis numbers the Q tiles of consecutive item slices: slice j holds
+// items [cuts[j], cuts[j+1]) and is cut, from its first item, into tiles
+// TileCols(k) wide, numbered across slices so that slice j holds tiles
+// [first[j], first[j+1]). The parameter server's async streams lay a
+// shard out over it with sparse.BlockOrder, one run of tiles per stream.
+func TileAxis(cuts []int, k int) (tiles sparse.Axis, first []int) {
+	tc, s := TileCols(k), len(cuts)-1
+	of := make([]int32, cuts[s])
+	first = make([]int, s+1)
+	for j := 0; j < s; j++ {
+		for i := cuts[j]; i < cuts[j+1]; i++ {
+			of[i] = int32(first[j] + (i-cuts[j])/tc)
+		}
+		first[j+1] = first[j] + (cuts[j+1]-cuts[j]+tc-1)/tc
+	}
+	return sparse.Axis{Of: of, N: first[s]}, first
+}
+
 // gridSide is the block-grid side G of the FPSGD and Batched walks over a
 // shard of cols columns at factor dimension k: the smallest side whose Q
 // block (cols/G columns) fits tileBytesDefault, but at least
-// gridSideFloor. BlockWalk clamps it to the shard's rows and columns. G
-// depends on the shard's shape and k only — never on Threads, GOMAXPROCS
-// or a detected cache size, each of which would make the bits depend on
-// the host.
+// gridSideFloor. BlockWalk clamps it to the rows the shard's ratings
+// occupy and to its columns. G depends on the shard's shape and k only —
+// never on Threads, GOMAXPROCS or a detected cache size, each of which
+// would make the bits depend on the host.
 func gridSide(cols, k int) int {
 	tc := TileCols(k)
 	return max(gridSideFloor, (cols+tc-1)/tc)
@@ -73,8 +91,9 @@ func gridSide(cols, k int) int {
 
 // BlockWalk is the one deterministic block schedule of the FPSGD, Batched
 // and DSGD engines. It lays the shard out on a G×G block grid
-// (sparse.NewBlockGrid, in place, once per shard) and runs an epoch as G
-// DSGD strata: stratum s is the blocks (b, (b+s) mod G), b = 0..G-1. The
+// (sparse.NewBlockGrid, in place, once per shard) whose block rows cut the
+// band of rows the shard's ratings occupy, and runs an epoch as G DSGD
+// strata: stratum s is the blocks (b, (b+s) mod G), b = 0..G-1. The
 // blocks of one stratum share no block-row and no block-column, so they
 // touch disjoint rows of P and of Q: any pool thread may take any of
 // them, and the result does not depend on which thread ran which block.
@@ -86,24 +105,28 @@ func gridSide(cols, k int) int {
 // epochs (true of every engine that embeds one).
 type BlockWalk struct {
 	sweeper
-	// grid is the shard's layout, reused across epochs while the engine
-	// walks the same entries at the same side.
+	// grid is the layout of the entries laid, asked for at side; nil
+	// when side clamps below 2 and the walk sweeps them in their own
+	// order.
 	grid *sparse.BlockGridded
+	laid []sparse.Rating
+	side int
 }
 
 // Walk runs one epoch over train on a side×side block grid with threads
-// pool threads (≤1 runs inline). side is clamped to train's rows and
-// columns; a side of 1 sweeps train in its own order. The first walk over
-// train.Entries at a side reorders them into the grid's block order.
+// pool threads (≤1 runs inline). side is clamped to the rows train's
+// ratings occupy and to its columns; a side of 1 sweeps train in its own
+// order. The first walk over train.Entries at a side reorders them into
+// the grid's block order.
 //
 // lint:hotpath
 func (w *BlockWalk) Walk(f *Factors, train *sparse.COO, h HyperParams, side, threads int) {
-	side = min(side, train.Rows, train.Cols)
-	if side <= 1 {
+	g := w.layout(train, side)
+	if g == nil {
 		TrainEntries(f, train.Entries, h)
 		return
 	}
-	g := w.layout(train, side)
+	side = g.NBR
 	if threads <= 1 {
 		for s := 0; s < side; s++ {
 			for b := 0; b < side; b++ {
@@ -129,20 +152,31 @@ func (w *BlockWalk) Walk(f *Factors, train *sparse.COO, h HyperParams, side, thr
 	}
 }
 
-// layout returns train's block grid, laying the entries out in place the
-// first time this walk sees them at this side. The cache key is the
-// entries slice itself, so a shard that was swapped, grown or reallocated
-// is laid out again.
+// layout returns train's block grid at side, laying the entries out in
+// place the first time this walk sees them at this side, or nil when the
+// clamped side is below 2. The cache key is the entries slice itself, so
+// a shard that was swapped, grown or reallocated is laid out again.
 func (w *BlockWalk) layout(train *sparse.COO, side int) *sparse.BlockGridded {
-	g := w.grid
 	e := train.Entries
-	if g != nil && g.NBR == side && len(g.Entries) == len(e) &&
-		(len(e) == 0 || &g.Entries[0] == &e[0]) {
-		return g
+	if w.laid != nil && w.side == side && len(w.laid) == len(e) &&
+		(len(e) == 0 || &w.laid[0] == &e[0]) {
+		return w.grid
 	}
-	g, err := sparse.NewBlockGrid(train, side, side)
+	w.laid, w.side, w.grid = e, side, nil
+	if len(e) == 0 {
+		return nil
+	}
+	lo, hi := int(e[0].U), int(e[0].U)
+	for _, r := range e[1:] {
+		lo, hi = min(lo, int(r.U)), max(hi, int(r.U))
+	}
+	hi++
+	if side = min(side, hi-lo, train.Cols); side < 2 {
+		return nil
+	}
+	g, err := sparse.NewBlockGrid(train, lo, hi, side, side)
 	if err != nil {
-		// lint:invariant Walk clamps side to [2, min(Rows, Cols)], a range NewBlockGrid always accepts.
+		// lint:invariant layout clamps side to [2, min(rows occupied, Cols)] over the occupied band, a grid NewBlockGrid always accepts.
 		panic(err)
 	}
 	w.grid = g

@@ -8,85 +8,49 @@ import (
 )
 
 // tileOrder lays entries out the way the parameter server's async streams
-// lay out one item slice starting at colLo: sparse.BlockOrder over a
-// column axis of Q tiles tileCols(k, budget) wide. It returns the tile
-// count. Every entry's column must be ≥ colLo.
-func tileOrder(entries []sparse.Rating, colLo, k, budget int) int {
-	if len(entries) == 0 {
-		return 0
-	}
-	tc := tileCols(k, budget)
-	maxI := colLo
-	for _, e := range entries {
-		maxI = max(maxI, int(e.I))
-	}
-	tiles := sparse.Axis{Of: make([]int32, maxI+1), N: (maxI-colLo)/tc + 1}
-	for i := colLo; i <= maxI; i++ {
-		tiles.Of[i] = int32((i - colLo) / tc)
-	}
+// lay out one item slice, items [colLo, colHi): sparse.BlockOrder over
+// TileAxis. It returns the tile count.
+func tileOrder(entries []sparse.Rating, colLo, colHi, k int) int {
+	tiles, first := TileAxis([]int{colLo, colHi}, k)
 	sparse.BlockOrder(entries, sparse.Axis{N: 1}, tiles)
-	return tiles.N
+	return first[1] - first[0]
 }
 
-func lessByRow(a, b sparse.Rating) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.I < b.I
-}
-
-// tileOrder invariants (the parameter server's async streams depend on
-// them): the reorder is a permutation, tile indices are non-decreasing
-// across the slice, and entries within one tile keep (row, col) order.
+// TileAxis over several slices: every slice's tiles are at most
+// TileCols(k) wide, start at the slice's first item, never straddle a
+// slice cut, and are numbered consecutively across slices; laid out over
+// the axis, slice j's entries are exactly the run of tiles
+// [first[j], first[j+1]).
 func TestTileOrderInvariants(t *testing.T) {
+	const k = 2048 // 32-item tiles
+	tc := TileCols(k)
+	cuts := []int{0, 70, 71, 200, 264}
+	tiles, first := TileAxis(cuts, k)
+	if len(first) != len(cuts) || first[0] != 0 || tiles.N != first[len(cuts)-1] {
+		t.Fatalf("first = %v, N = %d", first, tiles.N)
+	}
+	for j := 0; j+1 < len(cuts); j++ {
+		if want := (cuts[j+1] - cuts[j] + tc - 1) / tc; first[j+1]-first[j] != want {
+			t.Fatalf("slice %d has %d tiles, want %d", j, first[j+1]-first[j], want)
+		}
+		for i := cuts[j]; i < cuts[j+1]; i++ {
+			if want := first[j] + (i-cuts[j])/tc; int(tiles.Of[i]) != want {
+				t.Fatalf("item %d in tile %d, want %d", i, tiles.Of[i], want)
+			}
+		}
+	}
+
 	rng := sparse.NewRand(31)
-	const colLo, cols, k = 100, 400, 32
 	entries := make([]sparse.Rating, 3000)
 	for i := range entries {
-		entries[i] = sparse.Rating{
-			U: int32(rng.Intn(200)),
-			I: int32(colLo + rng.Intn(cols)),
-			V: rng.Float32(),
-		}
+		entries[i] = sparse.Rating{U: int32(rng.Intn(200)), I: int32(rng.Intn(cuts[len(cuts)-1])), V: float32(i)}
 	}
-	// Budget sized to force several tiles: 40 columns per tile → 10 tiles.
-	budget := 40 * 4 * k
-	want := append([]sparse.Rating(nil), entries...)
-	ntiles := tileOrder(entries, colLo, k, budget)
-	if wantTiles := (cols + 39) / 40; ntiles != wantTiles {
-		t.Fatalf("ntiles = %d, want %d", ntiles, wantTiles)
-	}
-
-	// Permutation: the reorder must preserve the entry multiset exactly.
-	tc := tileCols(k, budget)
-	key := func(e sparse.Rating) (int, int32, int32) {
-		return (int(e.I) - colLo) / tc, e.U, e.I
-	}
-	seen := make(map[sparse.Rating]int, len(want))
-	for _, e := range want {
-		seen[e]++
-	}
-	for _, e := range entries {
-		seen[e]--
-		if seen[e] < 0 {
-			t.Fatalf("entry %+v appears more often after tileOrder", e)
-		}
-	}
-	for e, n := range seen {
-		if n != 0 {
-			t.Fatalf("entry %+v lost by tileOrder", e)
-		}
-	}
-
-	// Tile-monotone and (row, col)-sorted within each tile, checked directly.
-	for i := 1; i < len(entries); i++ {
-		tp, up, ip := key(entries[i-1])
-		tn, un, in := key(entries[i])
-		if tn < tp {
-			t.Fatalf("tile order broken at %d: %d after %d", i, tn, tp)
-		}
-		if tn == tp && (un < up || (un == up && in < ip)) {
-			t.Fatalf("(row,col) order broken inside tile %d at %d", tn, i)
+	off := sparse.BlockOrder(entries, sparse.Axis{N: 1}, tiles)
+	for j := 0; j+1 < len(cuts); j++ {
+		for _, e := range entries[off[first[j]]:off[first[j+1]]] {
+			if int(e.I) < cuts[j] || int(e.I) >= cuts[j+1] {
+				t.Fatalf("item %d in slice %d's run [%d,%d)", e.I, j, cuts[j], cuts[j+1])
+			}
 		}
 	}
 }
@@ -96,7 +60,7 @@ func TestTileOrderInvariants(t *testing.T) {
 // by V) included.
 func TestTileOrderMatchesStableSort(t *testing.T) {
 	rng := sparse.NewRand(33)
-	const colLo, cols, k = 7, 90, 8
+	const colLo, cols = 7, 90
 	entries := make([]sparse.Rating, 4000)
 	for i := range entries {
 		entries[i] = sparse.Rating{
@@ -105,46 +69,49 @@ func TestTileOrderMatchesStableSort(t *testing.T) {
 			V: float32(i),
 		}
 	}
-	for _, budget := range []int{tileBytesDefault, 16 * 4 * k} {
-		checkTileOrder(t, entries, colLo, k, budget)
+	for _, k := range []int{8, 4096} { // one tile; 16-item tiles
+		checkTileOrder(t, entries, colLo, k)
 	}
 }
 
-// checkTileOrder runs tileOrder on a copy of entries and requires it to
-// equal a reference stable sort by (tile, row, col), position for
-// position, and to report the tile count the largest column implies.
-func checkTileOrder(t *testing.T, entries []sparse.Rating, colLo, k, budget int) {
+// checkTileOrder runs tileOrder over the slice [colLo, largest column]
+// on a copy of entries and requires it to equal a reference stable sort
+// by (tile, row, col), position for position, and to report the tile
+// count the slice's width implies.
+func checkTileOrder(t *testing.T, entries []sparse.Rating, colLo, k int) {
 	t.Helper()
 	got := append([]sparse.Rating(nil), entries...)
 	want := append([]sparse.Rating(nil), entries...)
-	tc := tileCols(k, budget)
+	tc := TileCols(k)
 	sort.SliceStable(want, func(a, b int) bool {
 		ta, tb := (int(want[a].I)-colLo)/tc, (int(want[b].I)-colLo)/tc
 		if ta != tb {
 			return ta < tb
 		}
-		return lessByRow(want[a], want[b])
+		if want[a].U != want[b].U {
+			return want[a].U < want[b].U
+		}
+		return want[a].I < want[b].I
 	})
 	maxI := colLo
 	for _, e := range entries {
 		maxI = max(maxI, int(e.I))
 	}
-	if n, wantN := tileOrder(got, colLo, k, budget), (maxI-colLo)/tc+1; n != wantN {
-		t.Fatalf("budget %d: ntiles = %d, want %d", budget, n, wantN)
+	if n, wantN := tileOrder(got, colLo, maxI+1, k), (maxI-colLo)/tc+1; n != wantN {
+		t.Fatalf("k %d: ntiles = %d, want %d", k, n, wantN)
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("budget %d: position %d = %+v, stable sort has %+v", budget, i, got[i], want[i])
+			t.Fatalf("k %d: position %d = %+v, stable sort has %+v", k, i, got[i], want[i])
 		}
 	}
 }
 
 // A sparse chunk whose few entries sit one or more tiles past colLo, in
-// narrow row and column spans, needs more tile slots than its column or
-// row span provides: the count buffer must be sized for the tile pass too.
+// narrow row and column spans, still lands in the right tiles.
 func TestTileOrderSparseFarFromColLo(t *testing.T) {
 	const colLo, k = 5, 64
-	tc := tileCols(k, tileBytesDefault)
+	tc := TileCols(k)
 	cases := map[string][]sparse.Rating{
 		"one rating one tile past colLo": {
 			{U: 0, I: int32(colLo + tc), V: 1},
@@ -164,24 +131,8 @@ func TestTileOrderSparseFarFromColLo(t *testing.T) {
 	}
 	for name, entries := range cases {
 		t.Run(name, func(t *testing.T) {
-			checkTileOrder(t, entries, colLo, k, tileBytesDefault)
+			checkTileOrder(t, entries, colLo, k)
 		})
-	}
-}
-
-// BenchmarkTileOrder orders one async-stream chunk at the wide workload's
-// shape: 1.8 M ratings over 27,698 rows and a 6,563-item slice at k = 64.
-func BenchmarkTileOrder(b *testing.B) {
-	rng := sparse.NewRand(34)
-	src := make([]sparse.Rating, 1_800_000)
-	for i := range src {
-		src[i] = sparse.Rating{U: int32(rng.Intn(27698)), I: int32(rng.Intn(6563)), V: 1}
-	}
-	entries := make([]sparse.Rating, len(src))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(entries, src)
-		tileOrder(entries, 0, 64, tileBytesDefault)
 	}
 }
 
@@ -192,8 +143,13 @@ func TestTileOrderSingleTileKeepsRowSort(t *testing.T) {
 		entries[i] = sparse.Rating{U: int32(rng.Intn(50)), I: int32(rng.Intn(50)), V: 1}
 	}
 	want := append([]sparse.Rating(nil), entries...)
-	sort.SliceStable(want, func(a, b int) bool { return lessByRow(want[a], want[b]) })
-	if n := tileOrder(entries, 0, 8, tileBytesDefault); n != 1 {
+	sort.SliceStable(want, func(a, b int) bool {
+		if want[a].U != want[b].U {
+			return want[a].U < want[b].U
+		}
+		return want[a].I < want[b].I
+	})
+	if n := tileOrder(entries, 0, 50, 8); n != 1 {
 		t.Fatalf("ntiles = %d, want 1 (50 cols fit one default tile)", n)
 	}
 	for i := range entries {

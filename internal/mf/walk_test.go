@@ -12,13 +12,15 @@ import (
 
 // serialStrata is the block walk's oracle, written without the walk or
 // sparse's layout builder: bucket the ratings into a g×g grid of
-// equal-width blocks, sort each block by (row, col) keeping repeated cells
-// in input order, then update block by block over the g DSGD strata —
-// stratum s is the blocks (b, (b+s) mod g).
+// equal-width blocks — the block rows cut the band of rows the ratings
+// occupy — sort each block by (row, col) keeping repeated cells in input
+// order, then update block by block over the g DSGD strata: stratum s is
+// the blocks (b, (b+s) mod g).
 func serialStrata(f *mf.Factors, m *sparse.COO, g int, h mf.HyperParams) {
+	lo, hi := rowBand(m)
 	blocks := make([][]sparse.Rating, g*g)
 	for _, e := range m.Entries {
-		br, bc := int(e.U)*g/m.Rows, int(e.I)*g/m.Cols
+		br, bc := (int(e.U)-lo)*g/(hi-lo), int(e.I)*g/m.Cols
 		blocks[br*g+bc] = append(blocks[br*g+bc], e)
 	}
 	for _, blk := range blocks {
@@ -38,14 +40,23 @@ func serialStrata(f *mf.Factors, m *sparse.COO, g int, h mf.HyperParams) {
 	}
 }
 
-// randomRatings draws nnz ratings uniformly over a rows×cols matrix; on
-// the smaller shapes many cells repeat, so the oracle also pins the order
-// of repeated cells.
-func randomRatings(rows, cols, nnz int, seed uint64) *sparse.COO {
+// rowBand reports the rows [lo, hi) m's ratings occupy.
+func rowBand(m *sparse.COO) (lo, hi int) {
+	lo, hi = m.Rows, 0
+	for _, e := range m.Entries {
+		lo, hi = min(lo, int(e.U)), max(hi, int(e.U)+1)
+	}
+	return lo, hi
+}
+
+// randomRatings draws nnz ratings uniformly over rows [lo, hi) and all
+// cols columns of a rows×cols matrix; on the smaller shapes many cells
+// repeat, so the oracle also pins the order of repeated cells.
+func randomRatings(rows, lo, hi, cols, nnz int, seed uint64) *sparse.COO {
 	rng := sparse.NewRand(seed)
 	m := sparse.NewCOO(rows, cols, nnz)
 	for c := 0; c < nnz; c++ {
-		m.Add(int32(rng.Intn(rows)), int32(rng.Intn(cols)), 1+4*rng.Float32())
+		m.Add(int32(lo+rng.Intn(hi-lo)), int32(rng.Intn(cols)), 1+4*rng.Float32())
 	}
 	return m
 }
@@ -67,22 +78,27 @@ func TestBlockWalkMatchesSerialStrata(t *testing.T) {
 	const epochs = 3
 	shapes := []struct {
 		name            string
-		rows, cols, nnz int
+		rows, lo, hi    int // a rows-row matrix whose ratings sit in rows [lo, hi)
+		cols, nnz       int
 		k               int
 		wantSide, dsgdP int
 	}{
 		// Q fits one block: the side is the floor.
-		{"square", 300, 300, 20000, 8, 16, 4},
+		{"square", 300, 0, 300, 300, 20000, 8, 16, 4},
 		// Few rows: the side is clamped to the row count.
-		{"wide, side clamped to rows", 12, 500, 3000, 8, 12, 5},
+		{"wide, side clamped to rows", 12, 0, 12, 500, 3000, 8, 12, 5},
 		// Q past one block: 3000 columns of k = 512 need 24 blocks, and
 		// 20 rows clamp them.
-		{"Q over a block, clamped", 20, 3000, 4000, 512, 20, 3},
+		{"Q over a block, clamped", 20, 0, 20, 3000, 4000, 512, 20, 3},
+		// A worker's shard: its ratings fill one band of the matrix's
+		// rows, which the block rows cut.
+		{"worker band", 400, 100, 160, 300, 8000, 8, 16, 4},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
-			m := randomRatings(sh.rows, sh.cols, sh.nnz, 41)
-			side := min(mf.GridSide(sh.cols, sh.k), sh.rows, sh.cols)
+			m := randomRatings(sh.rows, sh.lo, sh.hi, sh.cols, sh.nnz, 41)
+			lo, hi := rowBand(m)
+			side := min(mf.GridSide(sh.cols, sh.k), hi-lo, sh.cols)
 			if side != sh.wantSide {
 				t.Fatalf("grid side %d, want %d", side, sh.wantSide)
 			}

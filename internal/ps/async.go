@@ -232,8 +232,8 @@ func (ws *workerState) sliceChunks(sc *sliceCoordinator) [][]sparse.Rating {
 type sliceCoordinator struct {
 	cluster *Cluster
 	slices  []itemSlice
-	// tiles maps each item to its Q tile, numbered across slices: slice
-	// j holds tiles [firstTile[j], firstTile[j+1]), each mf.TileCols wide.
+	// tiles maps each item to its Q tile (mf.TileAxis): slice j holds
+	// tiles [firstTile[j], firstTile[j+1]).
 	tiles     sparse.Axis
 	firstTile []int
 	mu        sync.Mutex
@@ -257,19 +257,15 @@ func (c *Cluster) coordinator(streams int) *sliceCoordinator {
 			}
 		}
 		slices := ratingSlices(counts, streams)
-		tc := mf.TileCols(c.cfg.K)
-		tileOf := make([]int32, c.cfg.N)
-		firstTile := make([]int, len(slices)+1)
+		cuts := make([]int, len(slices)+1)
 		for j, sl := range slices {
-			for i := sl.lo; i < sl.hi; i++ {
-				tileOf[i] = int32(firstTile[j] + (i-sl.lo)/tc)
-			}
-			firstTile[j+1] = firstTile[j] + (sl.hi-sl.lo+tc-1)/tc
+			cuts[j+1] = sl.hi
 		}
+		tiles, firstTile := mf.TileAxis(cuts, c.cfg.K)
 		sc = &sliceCoordinator{
 			cluster:   c,
 			slices:    slices,
-			tiles:     sparse.Axis{Of: tileOf, N: firstTile[len(slices)]},
+			tiles:     tiles,
 			firstTile: firstTile,
 			pending:   make([]int, len(slices)),
 			arrived:   make([]map[*workerState]bool, len(slices)),

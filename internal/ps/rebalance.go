@@ -135,8 +135,10 @@ func (c *Cluster) reshard(shares []float64) error {
 	}
 	// Workers are kept sorted ascending by RowLo (construction cuts the
 	// grid in order; eviction hulls preserve disjoint interval order), so
-	// concatenating shards in roster order yields the full training set
-	// with every row's entries contiguous and in original relative order.
+	// concatenating shards in roster order yields the full training set.
+	// A block engine may have laid a shard out in block order, so a row's
+	// entries need not be contiguous there; RowShards regroups them with a
+	// stable scatter by row, each row keeping its shard's order.
 	total := 0
 	for i, ws := range c.workers {
 		if i > 0 && ws.conf.RowLo < c.workers[i-1].conf.RowHi {

@@ -19,12 +19,13 @@ type Axis struct {
 	N  int
 }
 
-// EvenAxis cuts the axis [0, size) into n blocks of equal width: index x
-// lies in block ⌊x·n/size⌋.
-func EvenAxis(size, n int) Axis {
-	of := make([]int32, size)
-	for x := range of {
-		of[x] = int32(int64(x) * int64(n) / int64(size))
+// EvenAxis cuts the band [lo, hi) of an axis into n blocks of equal
+// width: index x lies in block ⌊(x−lo)·n/(hi−lo)⌋. Of covers [0, hi);
+// indices below lo must not occur.
+func EvenAxis(lo, hi, n int) Axis {
+	of := make([]int32, hi)
+	for x := lo; x < hi; x++ {
+		of[x] = int32(int64(x-lo) * int64(n) / int64(hi-lo))
 	}
 	return Axis{Of: of, N: n}
 }
@@ -43,12 +44,12 @@ func (a Axis) at(x int32) int {
 // entries[off[b]:off[b+1]], and inside a block entries run in (row, col)
 // order, stable for repeated cells. A stable counting pass scatters the
 // entries by block into a scratch array, and sortRowCol puts each block
-// in (row, col) order over its own spans, so that work stays in cache.
-// When the entries already come block row by block row — a row-major
-// shard, the order shards are cut in — each block row is placed on its
-// own, through a scratch of one block row. It runs in time linear in the
-// entries plus the key ranges. Cold path: it runs once per layout, so it
-// allocates its scratch locally.
+// in (row, col) order with counting passes over its own row and column
+// spans, so that work stays in cache. When the entries already come block
+// row by block row — a row-major shard, the order shards are cut in —
+// each block row is placed on its own, through a scratch of one block
+// row. It runs in time linear in the entries plus the key ranges. Cold
+// path: it runs once per layout, so it allocates its scratch locally.
 func BlockOrder(entries []Rating, rows, cols Axis) []int {
 	nb := rows.N * cols.N
 	off := make([]int, nb+1)
@@ -92,20 +93,12 @@ func BlockOrder(entries []Rating, rows, cols Axis) []int {
 }
 
 // sortRowCol writes src into dst in (row, col) order, stable for repeated
-// cells; src is scratch afterwards. A block whose rows already ascend in
-// short runs (a row-major shard, after the stable block pass) is copied
-// with an insertion sort of each run by column; any other block takes two
-// stable counting passes, by column and then by row, over its own spans.
-// count is the reusable count buffer, returned grown.
+// cells: two stable counting passes over the block's own row and column
+// spans, by column into dst and then by row back into src, and home to
+// dst. src is scratch afterwards. count is the reusable count buffer,
+// returned grown.
 func sortRowCol(dst, src []Rating, count []int) []int {
-	if shortRows(src) {
-		for k, e := range src {
-			j := k
-			for ; j > 0 && dst[j-1].U == e.U && dst[j-1].I > e.I; j-- {
-				dst[j] = dst[j-1]
-			}
-			dst[j] = e
-		}
+	if len(src) == 0 {
 		return count
 	}
 	minU, maxU := src[0].U, src[0].U
@@ -114,30 +107,24 @@ func sortRowCol(dst, src []Rating, count []int) []int {
 		minU, maxU = min(minU, e.U), max(maxU, e.U)
 		minI, maxI = min(minI, e.I), max(maxI, e.I)
 	}
-	if n := max(int(maxI-minI), int(maxU-minU)) + 2; cap(count) < n {
-		count = make([]int, n)
+	nc, nr := int(maxI-minI)+2, int(maxU-minU)+2
+	if cap(count) < nc+nr {
+		count = make([]int, nc+nr)
 	}
-
-	// By column, into dst.
-	byCol := count[:int(maxI-minI)+2]
+	byCol, byRow := count[:nc], count[nc:nc+nr]
 	clear(byCol)
+	clear(byRow)
 	for _, e := range src {
 		byCol[e.I-minI+1]++
+		byRow[e.U-minU+1]++
 	}
 	prefixSum(byCol)
+	prefixSum(byRow)
 	for _, e := range src {
 		j := e.I - minI
 		dst[byCol[j]] = e
 		byCol[j]++
 	}
-
-	// By row, back into src, then home to dst.
-	byRow := count[:int(maxU-minU)+2]
-	clear(byRow)
-	for _, e := range dst {
-		byRow[e.U-minU+1]++
-	}
-	prefixSum(byRow)
 	for _, e := range dst {
 		j := e.U - minU
 		src[byRow[j]] = e
@@ -146,28 +133,6 @@ func sortRowCol(dst, src []Rating, count []int) []int {
 	copy(dst, src)
 	return count
 }
-
-// shortRows reports whether src's rows ascend in runs of at most shortRun
-// entries, which bounds sortRowCol's insertion sort to linear time.
-func shortRows(src []Rating) bool {
-	run := 1
-	for k := 1; k < len(src); k++ {
-		switch u, p := src[k].U, src[k-1].U; {
-		case u < p:
-			return false
-		case u > p:
-			run = 1
-		default:
-			if run++; run > shortRun {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// shortRun is the longest row run shortRows accepts.
-const shortRun = 32
 
 // prefixSum turns per-key counts, stored one slot past each key, into
 // each key's starting offset.
@@ -179,10 +144,12 @@ func prefixSum(c []int) {
 
 // BlockGridded is a rating matrix laid out on an NBR×NBC grid of
 // equal-width blocks: block (br, bc) holds the entries in rows
-// RowRange(br) and columns ColRange(bc).
+// RowRange(br) and columns ColRange(bc). The block rows cut the band
+// [RowLo, RowHi) of rows, the block columns all Cols columns.
 type BlockGridded struct {
-	Rows, Cols int
-	NBR, NBC   int
+	RowLo, RowHi int
+	Cols         int
+	NBR, NBC     int
 	// Entries holds the blocks back to back, row-major by (br, bc), each
 	// in (row, col) order (BlockOrder).
 	Entries []Rating
@@ -191,17 +158,22 @@ type BlockGridded struct {
 	Offsets []int
 }
 
-// NewBlockGrid lays m out on an nbr×nbc block grid in place: it reorders
-// m.Entries, which the grid's Entries then alias.
-func NewBlockGrid(m *COO, nbr, nbc int) (*BlockGridded, error) {
+// NewBlockGrid lays m out in place on a grid of nbr block rows over the
+// row band [rowLo, rowHi), which must hold every entry, and nbc block
+// columns over all of m's columns: it reorders m.Entries, which the
+// grid's Entries then alias. A worker's shard holds one band of the
+// matrix's rows; cutting that band instead of all m.Rows gives every
+// block row of the grid some of the shard's rows.
+func NewBlockGrid(m *COO, rowLo, rowHi, nbr, nbc int) (*BlockGridded, error) {
 	if nbr <= 0 || nbc <= 0 {
 		return nil, errors.New("sparse: block grid dimensions must be positive")
 	}
-	if nbr > m.Rows || nbc > m.Cols {
-		return nil, fmt.Errorf("sparse: grid %dx%d exceeds matrix %dx%d", nbr, nbc, m.Rows, m.Cols)
+	if rowLo < 0 || rowHi > m.Rows || nbr > rowHi-rowLo || nbc > m.Cols {
+		return nil, fmt.Errorf("sparse: grid %dx%d exceeds rows [%d,%d) x %d cols of a %dx%d matrix",
+			nbr, nbc, rowLo, rowHi, m.Cols, m.Rows, m.Cols)
 	}
-	off := BlockOrder(m.Entries, EvenAxis(m.Rows, nbr), EvenAxis(m.Cols, nbc))
-	return &BlockGridded{Rows: m.Rows, Cols: m.Cols, NBR: nbr, NBC: nbc,
+	off := BlockOrder(m.Entries, EvenAxis(rowLo, rowHi, nbr), EvenAxis(0, m.Cols, nbc))
+	return &BlockGridded{RowLo: rowLo, RowHi: rowHi, Cols: m.Cols, NBR: nbr, NBC: nbc,
 		Entries: m.Entries, Offsets: off}, nil
 }
 
@@ -212,20 +184,23 @@ func (g *BlockGridded) Block(br, bc int) []Rating {
 }
 
 // RowRange reports the row index range [lo, hi) covered by block row br:
-// exactly the rows u with floor(u·NBR/Rows) == br, the bucketing
-// EvenAxis applies, so the bounds are ceilings.
+// exactly the rows u in the band with ⌊(u−RowLo)·NBR/(RowHi−RowLo)⌋ == br,
+// the bucketing EvenAxis applies.
 func (g *BlockGridded) RowRange(br int) (lo, hi int) {
-	lo = (br*g.Rows + g.NBR - 1) / g.NBR
-	hi = ((br+1)*g.Rows + g.NBR - 1) / g.NBR
-	return lo, hi
+	lo, hi = evenRange(g.RowHi-g.RowLo, g.NBR, br)
+	return g.RowLo + lo, g.RowLo + hi
 }
 
 // ColRange reports the column index range [lo, hi) covered by block col
 // bc, mirroring RowRange.
 func (g *BlockGridded) ColRange(bc int) (lo, hi int) {
-	lo = (bc*g.Cols + g.NBC - 1) / g.NBC
-	hi = ((bc+1)*g.Cols + g.NBC - 1) / g.NBC
-	return lo, hi
+	return evenRange(g.Cols, g.NBC, bc)
+}
+
+// evenRange is block b of EvenAxis(0, size, n) as an index range: the
+// indices x with ⌊x·n/size⌋ == b, so the bounds are ceilings.
+func evenRange(size, n, b int) (lo, hi int) {
+	return (b*size + n - 1) / n, ((b+1)*size + n - 1) / n
 }
 
 // NNZ reports total entries across all blocks.

@@ -54,7 +54,7 @@ func FuzzCOOCSRGridRoundTrip(f *testing.F) {
 
 		nbr := int(nbrB)%rows + 1
 		nbc := int(nbcB)%cols + 1
-		g, err := NewBlockGrid(m, nbr, nbc)
+		g, err := NewBlockGrid(m, 0, rows, nbr, nbc)
 		if err != nil {
 			t.Fatalf("NewBlockGrid(%d,%d) on %dx%d: %v", nbr, nbc, rows, cols, err)
 		}
@@ -75,7 +75,7 @@ func FuzzCOOCSRGridRoundTrip(f *testing.F) {
 		}
 
 		// Gridding the round-tripped matrix must bucket identically.
-		g2, err := NewBlockGrid(back, nbr, nbc)
+		g2, err := NewBlockGrid(back, 0, rows, nbr, nbc)
 		if err != nil {
 			t.Fatalf("NewBlockGrid on round-tripped COO: %v", err)
 		}

@@ -131,47 +131,79 @@ func TestCutColGrid(t *testing.T) {
 	}
 }
 
+// NewBlockGrid keeps every entry, each inside its block's row and column
+// ranges, and its block rows cut exactly the row band it is given: on a
+// shard holding rows [100, 164) of 200, every block row gets ratings.
 func TestNewBlockGrid(t *testing.T) {
-	m := randomCOO(29, 64, 64, 1000)
-	g, err := NewBlockGrid(m, 4, 4)
-	if err != nil {
-		t.Fatal(err)
+	whole := randomCOO(29, 64, 64, 1000)
+	band := randomCOO(29, 64, 64, 1000)
+	band.Rows = 200
+	for i := range band.Entries {
+		band.Entries[i].U += 100
 	}
-	if g.NNZ() != m.NNZ() {
-		t.Fatalf("blocks hold %d entries, want %d", g.NNZ(), m.NNZ())
-	}
-	for br := 0; br < g.NBR; br++ {
-		for bc := 0; bc < g.NBC; bc++ {
-			rlo, rhi := g.RowRange(br)
-			clo, chi := g.ColRange(bc)
-			for _, e := range g.Block(br, bc) {
-				if int(e.U) < rlo || int(e.U) >= rhi {
-					t.Fatalf("entry %v escaped block row range [%d,%d)", e, rlo, rhi)
+	for _, tc := range []struct {
+		name   string
+		m      *COO
+		lo, hi int
+	}{
+		{"whole matrix", whole, 0, 64},
+		{"row band", band, 100, 164},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nnz := tc.m.NNZ()
+			g, err := NewBlockGrid(tc.m, tc.lo, tc.hi, 4, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.NNZ() != nnz {
+				t.Fatalf("blocks hold %d entries, want %d", g.NNZ(), nnz)
+			}
+			if lo, _ := g.RowRange(0); lo != tc.lo {
+				t.Fatalf("first block row starts at %d, want %d", lo, tc.lo)
+			}
+			if _, hi := g.RowRange(g.NBR - 1); hi != tc.hi {
+				t.Fatalf("last block row ends at %d, want %d", hi, tc.hi)
+			}
+			for br := 0; br < g.NBR; br++ {
+				rlo, rhi := g.RowRange(br)
+				if g.Offsets[br*g.NBC] == g.Offsets[(br+1)*g.NBC] {
+					t.Fatalf("block row %d [%d,%d) holds no ratings", br, rlo, rhi)
 				}
-				if int(e.I) < clo || int(e.I) >= chi {
-					t.Fatalf("entry %v escaped block col range [%d,%d)", e, clo, chi)
+				for bc := 0; bc < g.NBC; bc++ {
+					clo, chi := g.ColRange(bc)
+					for _, e := range g.Block(br, bc) {
+						if int(e.U) < rlo || int(e.U) >= rhi {
+							t.Fatalf("entry %v escaped block row range [%d,%d)", e, rlo, rhi)
+						}
+						if int(e.I) < clo || int(e.I) >= chi {
+							t.Fatalf("entry %v escaped block col range [%d,%d)", e, clo, chi)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
 func TestNewBlockGridErrors(t *testing.T) {
 	m := randomCOO(31, 4, 4, 8)
-	if _, err := NewBlockGrid(m, 0, 2); err == nil {
+	if _, err := NewBlockGrid(m, 0, 4, 0, 2); err == nil {
 		t.Fatal("zero block rows accepted")
 	}
-	if _, err := NewBlockGrid(m, 2, 0); err == nil {
+	if _, err := NewBlockGrid(m, 0, 4, 2, 0); err == nil {
 		t.Fatal("zero block cols accepted")
 	}
-	if _, err := NewBlockGrid(m, 5, 2); err == nil {
+	if _, err := NewBlockGrid(m, 0, 4, 5, 2); err == nil {
 		t.Fatal("grid larger than matrix accepted")
+	}
+	if _, err := NewBlockGrid(m, 0, 5, 2, 2); err == nil {
+		t.Fatal("row band past the matrix accepted")
 	}
 }
 
 func TestBlockGridRangesPartition(t *testing.T) {
-	g := &BlockGridded{Rows: 10, Cols: 7, NBR: 3, NBC: 2}
-	last := 0
+	g := &BlockGridded{RowLo: 5, RowHi: 15, Cols: 7, NBR: 3, NBC: 2}
+	last := g.RowLo
 	for br := 0; br < g.NBR; br++ {
 		lo, hi := g.RowRange(br)
 		if lo != last {
@@ -182,8 +214,8 @@ func TestBlockGridRangesPartition(t *testing.T) {
 		}
 		last = hi
 	}
-	if last != g.Rows {
-		t.Fatalf("row ranges end at %d, want %d", last, g.Rows)
+	if last != g.RowHi {
+		t.Fatalf("row ranges end at %d, want %d", last, g.RowHi)
 	}
 }
 
@@ -217,29 +249,31 @@ func TestCutRowGridPartitionProperty(t *testing.T) {
 // BlockOrder is a stable sort by (block, row, col): it equals a reference
 // stable sort position for position, repeated cells (told apart by V)
 // included, and its offsets delimit exactly each block's entries. The
-// inputs reach both of sortRowCol's paths: shuffled entries, and
-// row-major ones (the order shards are cut in) with short and with long
-// row runs per block.
+// inputs reach both of its scatters: shuffled entries, and row-major ones
+// (the order shards are cut in), placed one block row at a time, with
+// long and with short row runs per block, over the whole row axis and
+// over a band of it.
 func TestBlockOrderMatchesStableSort(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		rows, cols int
-		rowMajor   bool
+		name              string
+		rowLo, rows, cols int
+		rowMajor          bool
 	}{
-		{"shuffled", 50, 70, false},
-		{"row-major, long runs", 50, 70, true},
-		{"row-major, short runs", 2000, 70, true},
+		{"shuffled", 0, 50, 70, false},
+		{"row-major, long runs", 0, 50, 70, true},
+		{"row-major, short runs", 0, 2000, 70, true},
+		{"row-major, row band", 600, 2000, 70, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := NewRand(37)
 			entries := make([]Rating, 5000)
 			for i := range entries {
-				entries[i] = Rating{U: int32(rng.Intn(tc.rows)), I: int32(rng.Intn(tc.cols)), V: float32(i)}
+				entries[i] = Rating{U: int32(tc.rowLo + rng.Intn(tc.rows-tc.rowLo)), I: int32(rng.Intn(tc.cols)), V: float32(i)}
 			}
 			if tc.rowMajor {
 				sort.SliceStable(entries, func(a, b int) bool { return entries[a].U < entries[b].U })
 			}
-			checkBlockOrder(t, entries, EvenAxis(tc.rows, 3), EvenAxis(tc.cols, 4))
+			checkBlockOrder(t, entries, EvenAxis(tc.rowLo, tc.rows, 3), EvenAxis(0, tc.cols, 4))
 		})
 	}
 }
@@ -289,7 +323,7 @@ func BenchmarkBlockOrder(b *testing.B) {
 	}
 	m.SortByRow()
 	src := append([]Rating(nil), m.Entries...)
-	ra, ca := EvenAxis(rows, side), EvenAxis(cols, side)
+	ra, ca := EvenAxis(0, rows, side), EvenAxis(0, cols, side)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(m.Entries, src)
