@@ -87,6 +87,94 @@ func BenchmarkEngineScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkDataPlane times the passes that move every rating before the
+// first SGD update, on the data perfbench's workloads train on:
+// dataset.Generate's Netflix@0.05 (train-cached, cut into two worker
+// shards) and ML-20m@0.2 (train-wide-tcp, one worker). split is
+// SplitTrainTest, shards is RowShards, walk lays each shard out on the
+// FPSGD/Batched block grid (side max(16, ⌈cols/TileCols(k)⌉) over the
+// shard's row band, as mf.BlockWalk does), and tiles lays each shard out
+// over mf.TileAxis with two item slices cut by rating count, as the async
+// streams do. The generated ratings are Zipf-skewed, unlike
+// sparse.BenchmarkBlockOrder's uniform input, so hot users' long runs of
+// repeated cells show here.
+func BenchmarkDataPlane(b *testing.B) {
+	const k = 64
+	for _, in := range []struct {
+		name    string
+		spec    dataset.Spec
+		scale   float64
+		workers int
+	}{
+		{"netflix0.05", dataset.Netflix, 0.05, 2},
+		{"ml20m0.2", dataset.MovieLens20M, 0.2, 1},
+	} {
+		ds := dataset.MustGenerate(in.spec.MustScaled(in.scale), 1)
+		train := ds.Train
+		weights := make([]float64, in.workers)
+		for i := range weights {
+			weights[i] = 1
+		}
+		_, shards, err := sparse.RowShards(train, weights)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(in.name+"/split", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := train.SplitTrainTest(sparse.NewRand(1), 0.1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(in.name+"/shards", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sparse.RowShards(train, weights); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		tc := mf.TileCols(k)
+		side := max(16, (train.Cols+tc-1)/tc)
+		counts := make([]int64, train.Cols)
+		for _, e := range train.Entries {
+			counts[e.I]++
+		}
+		half, cut := int64(train.NNZ()/2), 0
+		for run := int64(0); run < half; cut++ {
+			run += counts[cut]
+		}
+		tiles, _ := mf.TileAxis([]int{0, cut, train.Cols}, k)
+		layouts := []struct {
+			name string
+			axes func(sh *sparse.COO) (rows, cols sparse.Axis)
+		}{
+			{"walk", func(sh *sparse.COO) (rows, cols sparse.Axis) {
+				lo, hi := int(sh.Entries[0].U), int(sh.Entries[len(sh.Entries)-1].U)+1
+				g := min(side, hi-lo)
+				return sparse.EvenAxis(lo, hi, g), sparse.EvenAxis(0, sh.Cols, g)
+			}},
+			{"tiles", func(*sparse.COO) (rows, cols sparse.Axis) { return sparse.Axis{N: 1}, tiles }},
+		}
+		for _, l := range layouts {
+			b.Run(in.name+"/"+l.name, func(b *testing.B) {
+				src := make([][]sparse.Rating, len(shards))
+				for j, sh := range shards {
+					src[j] = append([]sparse.Rating(nil), sh.Entries...)
+				}
+				for i := 0; i < b.N; i++ {
+					for j, sh := range shards {
+						b.StopTimer()
+						copy(sh.Entries, src[j])
+						rows, cols := l.axes(sh)
+						b.StartTimer()
+						sparse.BlockOrder(sh.Entries, rows, cols)
+					}
+				}
+			})
+		}
+	}
+}
+
 // --- Ingestion micro-benchmarks (the ingest/v1 group of -json reports) ---
 //
 // Each parallel parser is paired with its serial reference so the

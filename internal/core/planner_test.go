@@ -8,6 +8,7 @@ import (
 	"hccmf/internal/comm"
 	"hccmf/internal/dataset"
 	"hccmf/internal/partition"
+	"hccmf/internal/schedule"
 	"hccmf/internal/sparse"
 )
 
@@ -47,6 +48,30 @@ func TestPlanNetflixMatchesPaperChoices(t *testing.T) {
 	}
 	if math.Abs(sumShares(plan.Partition)-1) > 1e-9 {
 		t.Fatalf("shares sum to %v", sumShares(plan.Partition))
+	}
+}
+
+// TestContractClass covers both DESIGN.md §8 classes: a synchronous plan
+// is bit-exact; async streams and a live rebalancer each make a run
+// statistical, and the class names every reason.
+func TestContractClass(t *testing.T) {
+	syncPlan := planFor(t, dataset.Netflix, PlanOptions{})
+	asyncPlan := planFor(t, dataset.YahooR1, PlanOptions{})
+	live := schedule.Config{Policy: schedule.Throughput}
+	for _, tc := range []struct {
+		name  string
+		plan  Plan
+		sched schedule.Config
+		want  string
+	}{
+		{"sync", syncPlan, schedule.Config{}, "bit-exact"},
+		{"async", asyncPlan, schedule.Config{}, "statistical (async streams)"},
+		{"sync, rebalanced", syncPlan, live, "statistical (live rebalancer)"},
+		{"async, rebalanced", asyncPlan, live, "statistical (async streams, live rebalancer)"},
+	} {
+		if got := ContractClass(tc.plan, tc.sched); got != tc.want {
+			t.Errorf("%s: ContractClass = %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"hccmf/internal/comm"
@@ -420,6 +421,28 @@ func EngineFor(d *device.Device, budget int) mf.Engine {
 	default:
 		return &mf.FPSGD{Threads: max(1, min(d.Threads, budget))}
 	}
+}
+
+// ContractClass names the result contract (DESIGN.md §8) that a real run
+// with plan p and rebalancer config sched falls in: "bit-exact" — a fixed
+// seed gives the same factor bits at any GOMAXPROCS — or "statistical",
+// where only the final RMSE is promised within a band, followed by what
+// puts the run there: async streams (more than one per worker, writing
+// the worker's P rows lock-free) or the rebalancer under live timing.
+// EngineFor's engines all walk the deterministic block schedule, so no
+// real run trains with Hogwild.
+func ContractClass(p Plan, sched schedule.Config) string {
+	var why []string
+	if p.Strategy.Streams > 1 {
+		why = append(why, "async streams")
+	}
+	if sched.Policy != schedule.Off {
+		why = append(why, "live rebalancer")
+	}
+	if len(why) == 0 {
+		return "bit-exact"
+	}
+	return "statistical (" + strings.Join(why, ", ") + ")"
 }
 
 // engineThreads is the host thread count an engine from EngineFor runs.

@@ -45,51 +45,136 @@ func (a Axis) at(x int32) int {
 // order, stable for repeated cells. A stable counting pass scatters the
 // entries by block into a scratch array, and sortRowCol puts each block
 // in (row, col) order with counting passes over its own row and column
-// spans, so that work stays in cache. When the entries already come block
-// row by block row — a row-major shard, the order shards are cut in —
-// each block row is placed on its own, through a scratch of one block
-// row. It runs in time linear in the entries plus the key ranges. Cold
-// path: it runs once per layout, so it allocates its scratch locally.
+// spans, so that work stays in cache. It runs in time linear in the
+// entries plus the key ranges. Cold path: it runs once per layout, so it
+// allocates its scratch locally.
+//
+// The passes run in parallel (chunks.go) and the output is the same at
+// any GOMAXPROCS. The entries are counted by block in chunks. When they
+// already come block row by block row — a row-major shard, the order
+// shards are cut in — and there are several block rows, each block row is
+// placed on its own, through a scratch of one block row, and the block
+// rows are dealt to the workers in contiguous runs of about equal entry
+// count. Otherwise each chunk scatters its own entries into one scratch
+// array at chunk-major cursors, and the blocks' sorts are dealt out in
+// contiguous runs of about equal entry count: on the async streams' tile
+// axis, whose item slices are cut by rating count, those runs fall at
+// about the slices' bounds.
 func BlockOrder(entries []Rating, rows, cols Axis) []int {
 	nb := rows.N * cols.N
 	off := make([]int, nb+1)
-	if len(entries) == 0 {
+	n := len(entries)
+	if n == 0 {
 		return off
 	}
-	grouped, last := true, 0
-	for _, e := range entries {
-		br := rows.at(e.U)
-		off[br*cols.N+cols.at(e.I)+1]++
-		grouped = grouped && br >= last
-		last = br
+	nch := chunkCount(n)
+	cnt := make([]int, nch*nb)
+	// firstRow and lastRow are each chunk's first and last block row, or
+	// -1 in lastRow when the chunk's block rows ever decrease.
+	firstRow, lastRow := make([]int, nch), make([]int, nch)
+	eachChunk(n, nch, func(c, lo, hi int) {
+		h := cnt[c*nb : (c+1)*nb]
+		ok, last := true, rows.at(entries[lo].U)
+		firstRow[c] = last
+		for _, e := range entries[lo:hi] {
+			br := rows.at(e.U)
+			h[br*cols.N+cols.at(e.I)]++
+			ok = ok && br >= last
+			last = br
+		}
+		lastRow[c] = last
+		if !ok {
+			lastRow[c] = -1
+		}
+	})
+	grouped := true
+	for c := range lastRow {
+		grouped = grouped && lastRow[c] >= 0 && (c == 0 || lastRow[c-1] <= firstRow[c])
 	}
-	prefixSum(off)
-	span := nb // blocks placed per scatter
-	if grouped {
-		span = cols.N
+	for b := 0; b < nb; b++ {
+		k := 0
+		for c := 0; c < nch; c++ {
+			k += cnt[c*nb+b]
+		}
+		off[b+1] = off[b] + k
 	}
+	if grouped && rows.N > 1 {
+		runs := balancedRuns(off, cols.N, nch)
+		eachChunk(len(runs)-1, len(runs)-1, func(r, _, _ int) {
+			placeRows(entries, off, cols, runs[r], runs[r+1])
+		})
+		return off
+	}
+	chunkCursors(cnt, nb, func(b int) int { return off[b] })
+	tmp := make([]Rating, n)
+	eachChunk(n, nch, func(c, lo, hi int) {
+		next := cnt[c*nb : (c+1)*nb]
+		for _, e := range entries[lo:hi] {
+			b := rows.at(e.U)*cols.N + cols.at(e.I)
+			tmp[next[b]] = e
+			next[b]++
+		}
+	})
+	runs := balancedRuns(off, 1, nch)
+	eachChunk(len(runs)-1, len(runs)-1, func(r, _, _ int) {
+		var count []int
+		for b := runs[r]; b < runs[r+1]; b++ {
+			count = sortRowCol(entries[off[b]:off[b+1]], tmp[off[b]:off[b+1]], count)
+		}
+	})
+	return off
+}
+
+// placeRows lays block rows [lo, hi) out in place, one block row at a
+// time through a scratch of the largest: a stable scatter by block column
+// into the scratch, then sortRowCol of each block back into entries. The
+// block rows' entries must already be contiguous, in block-row order.
+func placeRows(entries []Rating, off []int, cols Axis, lo, hi int) {
+	span := cols.N
 	scratch := 0
-	for lo := 0; lo < nb; lo += span {
-		scratch = max(scratch, off[lo+span]-off[lo])
+	for br := lo; br < hi; br++ {
+		scratch = max(scratch, off[(br+1)*span]-off[br*span])
 	}
 	tmp := make([]Rating, scratch)
 	cur := make([]int, span)
 	var count []int
-	for lo := 0; lo < nb; lo += span {
-		first := off[lo]
+	for br := lo; br < hi; br++ {
+		b0 := br * span
+		first := off[b0]
 		for b := range cur {
-			cur[b] = off[lo+b] - first
+			cur[b] = off[b0+b] - first
 		}
-		for _, e := range entries[first:off[lo+span]] {
-			b := rows.at(e.U)*cols.N + cols.at(e.I) - lo
+		for _, e := range entries[first:off[b0+span]] {
+			b := cols.at(e.I)
 			tmp[cur[b]] = e
 			cur[b]++
 		}
-		for b := lo; b < lo+span; b++ {
+		for b := b0; b < b0+span; b++ {
 			count = sortRowCol(entries[off[b]:off[b+1]], tmp[off[b]-first:off[b+1]-first], count)
 		}
 	}
-	return off
+}
+
+// balancedRuns cuts units [0, nu) — unit u is blocks [u·step, (u+1)·step)
+// of the offsets off — into at most w contiguous runs of about equal
+// entry count, and returns the runs' unit bounds: run r is units
+// [runs[r], runs[r+1]). Run r closes at the first unit bound at or past
+// r+1 w-ths of the entries.
+func balancedRuns(off []int, step, w int) []int {
+	nu := (len(off) - 1) / step
+	w = max(1, min(w, nu))
+	total := off[len(off)-1]
+	runs := make([]int, w+1)
+	u := 0
+	for r := 1; r < w; r++ {
+		target := total * r / w
+		for u < nu && off[u*step] < target {
+			u++
+		}
+		runs[r] = u
+	}
+	runs[w] = nu
+	return runs
 }
 
 // sortRowCol writes src into dst in (row, col) order, stable for repeated

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Rating is one observed entry of the rating matrix R: user u rated item i
@@ -181,22 +182,51 @@ func (m *COO) Shuffle(rng *Rand) {
 
 // SplitTrainTest deterministically splits the matrix into train and test
 // sets, with approximately testFrac of entries (per the rng) in the test
-// split. Dimensions are preserved. testFrac reaches this point straight
-// from CLI flags and config, so an out-of-range value is a returned
-// error, not a panic.
+// split. Dimensions are preserved, and both sides keep the input's order.
+// testFrac reaches this point straight from CLI flags and config, so an
+// out-of-range value is a returned error, not a panic.
+//
+// The rng draws one value per entry, in order, so the decisions are drawn
+// serially into a bitmap (a set bit sends the entry to test); the copy
+// into the two exact-size arrays then runs over chunks of the entries in
+// parallel, each chunk starting at the train and test counts before it.
 func (m *COO) SplitTrainTest(rng *Rand, testFrac float64) (train, test *COO, err error) {
 	if testFrac < 0 || testFrac >= 1 {
 		return nil, nil, fmt.Errorf("sparse: testFrac %v out of [0,1)", testFrac)
 	}
-	train = NewCOO(m.Rows, m.Cols, len(m.Entries))
-	test = NewCOO(m.Rows, m.Cols, int(float64(len(m.Entries))*testFrac)+1)
+	n := len(m.Entries)
 	threshold := uint64(testFrac * float64(math.MaxUint64))
-	for _, e := range m.Entries {
-		if rng.Uint64() < threshold {
-			test.Entries = append(test.Entries, e)
-		} else {
-			train.Entries = append(train.Entries, e)
+	toTest := make([]uint64, (n+63)/64)
+	rng.below(toTest, n, threshold)
+	// Chunks are cut in whole bitmap words; testBefore[c] counts the test
+	// entries of the chunks before c.
+	nch := chunkCount(n)
+	testBefore := make([]int, nch+1)
+	for c := range nch {
+		lo, hi := evenRange(len(toTest), nch, c)
+		testBefore[c+1] = testBefore[c]
+		for _, word := range toTest[lo:hi] {
+			testBefore[c+1] += bits.OnesCount64(word)
 		}
 	}
+	nTest := testBefore[nch]
+	train = &COO{Rows: m.Rows, Cols: m.Cols, Entries: make([]Rating, n-nTest)}
+	test = &COO{Rows: m.Rows, Cols: m.Cols, Entries: make([]Rating, nTest)}
+	eachChunk(len(toTest), nch, func(c, wlo, whi int) {
+		ti := testBefore[c]
+		tr := 64*wlo - ti
+		for w, word := range toTest[wlo:whi] {
+			lo := 64 * (wlo + w)
+			for b, e := range m.Entries[lo:min(lo+64, n)] {
+				if word>>b&1 != 0 {
+					test.Entries[ti] = e
+					ti++
+				} else {
+					train.Entries[tr] = e
+					tr++
+				}
+			}
+		}
+	})
 	return train, test, nil
 }

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -197,6 +198,50 @@ func TestCOOSplitTrainTest(t *testing.T) {
 	}
 	if train.Rows != m.Rows || test.Cols != m.Cols {
 		t.Fatal("split changed dimensions")
+	}
+}
+
+// TestSplitTrainTestMatchesAppendLoop checks the split against a serial
+// oracle, the plain append loop over one draw per entry, at sizes that
+// are cut into several chunks whenever GOMAXPROCS > 1, at sizes that are
+// no multiple of the bitmap's 64-bit word, and at both ends of testFrac.
+// Both sides must be exact-size, and the rng must end in the oracle's
+// state.
+func TestSplitTrainTestMatchesAppendLoop(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		frac float64
+	}{{300_000, 0.1}, {300_001, 0.5}, {131_137, 0.9}, {1000, 0.1}, {63, 0.3}, {0, 0.1}, {70_000, 0}} {
+		m := NewCOO(1000, 500, tc.n)
+		rng := NewRand(uint64(tc.n))
+		for i := 0; i < tc.n; i++ {
+			m.Add(int32(rng.Intn(1000)), int32(rng.Intn(500)), float32(i))
+		}
+		var wantTrain, wantTest []Rating
+		oracle := NewRand(5)
+		threshold := uint64(tc.frac * float64(math.MaxUint64))
+		for _, e := range m.Entries {
+			if oracle.Uint64() < threshold {
+				wantTest = append(wantTest, e)
+			} else {
+				wantTrain = append(wantTrain, e)
+			}
+		}
+		rng = NewRand(5)
+		train, test, err := m.SplitTrainTest(rng, tc.frac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(train.Entries, wantTrain) || !slices.Equal(test.Entries, wantTest) {
+			t.Fatalf("n=%d frac=%v: split differs from the append loop", tc.n, tc.frac)
+		}
+		if cap(train.Entries) != len(train.Entries) || cap(test.Entries) != len(test.Entries) {
+			t.Fatalf("n=%d: capacities %d and %d, want exact %d and %d", tc.n,
+				cap(train.Entries), cap(test.Entries), len(train.Entries), len(test.Entries))
+		}
+		if got, want := rng.Uint64(), oracle.Uint64(); got != want {
+			t.Fatalf("n=%d: rng left at a different state", tc.n)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 package sparse
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -252,46 +253,103 @@ func TestCutRowGridPartitionProperty(t *testing.T) {
 // inputs reach both of its scatters: shuffled entries, and row-major ones
 // (the order shards are cut in), placed one block row at a time, with
 // long and with short row runs per block, over the whole row axis and
-// over a band of it.
+// over a band of it. The 300k-entry inputs are cut into several chunks
+// whenever GOMAXPROCS > 1, so under `-cpu 1,2,4,8` they check that the
+// parallel passes give the serial order: uniform and power-law (a few hot
+// rows and columns hold most ratings) entries, one row holding thousands
+// of ratings in one block with repeated cells, and the async streams'
+// shape, one block row over uneven column tiles whose first tile holds
+// half the ratings.
 func TestBlockOrderMatchesStableSort(t *testing.T) {
+	const big = 300_000
+	uniform := func(rowLo, rows, cols int) func(*Rand) Rating {
+		return func(rng *Rand) Rating {
+			return Rating{U: int32(rowLo + rng.Intn(rows-rowLo)), I: int32(rng.Intn(cols))}
+		}
+	}
+	powerLaw := func(rows, cols int) func(*Rand) Rating {
+		return func(rng *Rand) Rating {
+			u, i := rng.Float64(), rng.Float64()
+			return Rating{U: int32(float64(rows) * u * u * u * u), I: int32(float64(cols) * i * i * i * i)}
+		}
+	}
+	hotRow := func(rng *Rand) Rating {
+		if rng.Intn(10) == 0 {
+			return Rating{U: 7, I: int32(rng.Intn(8))}
+		}
+		return Rating{U: int32(rng.Intn(2000)), I: int32(rng.Intn(700))}
+	}
 	for _, tc := range []struct {
-		name              string
-		rowLo, rows, cols int
-		rowMajor          bool
+		name     string
+		n        int
+		draw     func(*Rand) Rating
+		rowMajor bool
+		ra, ca   Axis
 	}{
-		{"shuffled", 0, 50, 70, false},
-		{"row-major, long runs", 0, 50, 70, true},
-		{"row-major, short runs", 0, 2000, 70, true},
-		{"row-major, row band", 600, 2000, 70, true},
+		{"shuffled", 5000, uniform(0, 50, 70), false, EvenAxis(0, 50, 3), EvenAxis(0, 70, 4)},
+		{"row-major, long runs", 5000, uniform(0, 50, 70), true, EvenAxis(0, 50, 3), EvenAxis(0, 70, 4)},
+		{"row-major, short runs", 5000, uniform(0, 2000, 70), true, EvenAxis(0, 2000, 3), EvenAxis(0, 70, 4)},
+		{"row-major, row band", 5000, uniform(600, 2000, 70), true, EvenAxis(600, 2000, 3), EvenAxis(0, 70, 4)},
+		{"big, shuffled", big, uniform(0, 5000, 900), false, EvenAxis(0, 5000, 16), EvenAxis(0, 900, 16)},
+		{"big, row-major", big, uniform(0, 5000, 900), true, EvenAxis(0, 5000, 16), EvenAxis(0, 900, 16)},
+		{"power-law, shuffled", big, powerLaw(20000, 3000), false, EvenAxis(0, 20000, 16), EvenAxis(0, 3000, 16)},
+		{"power-law, row-major", big, powerLaw(20000, 3000), true, EvenAxis(0, 20000, 16), EvenAxis(0, 3000, 16)},
+		{"hot row, shuffled", big, hotRow, false, EvenAxis(0, 2000, 16), EvenAxis(0, 700, 16)},
+		{"hot row, row-major", big, hotRow, true, EvenAxis(0, 2000, 16), EvenAxis(0, 700, 16)},
+		{"tile axis, row-major", big, powerLaw(20000, 3000), true, Axis{N: 1}, tileAxis([]int{0, 40, 3000}, 256)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := NewRand(37)
-			entries := make([]Rating, 5000)
+			entries := make([]Rating, tc.n)
 			for i := range entries {
-				entries[i] = Rating{U: int32(tc.rowLo + rng.Intn(tc.rows-tc.rowLo)), I: int32(rng.Intn(tc.cols)), V: float32(i)}
+				entries[i] = tc.draw(rng)
+				entries[i].V = float32(i)
 			}
 			if tc.rowMajor {
-				sort.SliceStable(entries, func(a, b int) bool { return entries[a].U < entries[b].U })
+				slices.SortFunc(entries, func(x, y Rating) int {
+					return cmp.Or(cmp.Compare(x.U, y.U), cmp.Compare(x.V, y.V))
+				})
 			}
-			checkBlockOrder(t, entries, EvenAxis(tc.rowLo, tc.rows, 3), EvenAxis(0, tc.cols, 4))
+			checkBlockOrder(t, entries, tc.ra, tc.ca)
 		})
 	}
 }
 
+// tileAxis cuts each item slice [cuts[j], cuts[j+1]) into tiles of width
+// tc, numbered across slices: the shape of the async streams' tile axis.
+func tileAxis(cuts []int, tc int) Axis {
+	of := make([]int32, cuts[len(cuts)-1])
+	first := 0
+	for j := 0; j+1 < len(cuts); j++ {
+		for i := cuts[j]; i < cuts[j+1]; i++ {
+			of[i] = int32(first + (i-cuts[j])/tc)
+		}
+		first += (cuts[j+1] - cuts[j] + tc - 1) / tc
+	}
+	return Axis{Of: of, N: first}
+}
+
 func checkBlockOrder(t *testing.T, entries []Rating, ra, ca Axis) {
 	t.Helper()
-	block := func(e Rating) int { return int(ra.Of[e.U])*ca.N + int(ca.Of[e.I]) }
-	want := append([]Rating(nil), entries...)
-	sort.SliceStable(want, func(a, b int) bool {
-		x, y := want[a], want[b]
-		if block(x) != block(y) {
-			return block(x) < block(y)
-		}
-		if x.U != y.U {
-			return x.U < y.U
-		}
-		return x.I < y.I
+	block := func(e Rating) int { return ra.at(e.U)*ca.N + ca.at(e.I) }
+	// Every entry's V is its input position, so ordering ties by V is
+	// the stable sort.
+	type keyed struct {
+		b int
+		e Rating
+	}
+	ks := make([]keyed, len(entries))
+	for i, e := range entries {
+		ks[i] = keyed{block(e), e}
+	}
+	slices.SortFunc(ks, func(x, y keyed) int {
+		return cmp.Or(cmp.Compare(x.b, y.b), cmp.Compare(x.e.U, y.e.U),
+			cmp.Compare(x.e.I, y.e.I), cmp.Compare(x.e.V, y.e.V))
 	})
+	want := make([]Rating, len(ks))
+	for i, k := range ks {
+		want[i] = k.e
+	}
 	off := BlockOrder(entries, ra, ca)
 	for i := range entries {
 		if entries[i] != want[i] {
@@ -313,7 +371,12 @@ func checkBlockOrder(t *testing.T, entries []Rating, ra, ca Axis) {
 
 // BenchmarkBlockOrder lays out one worker's shard at train-cached's shape:
 // 2.2 M ratings over 12,000 rows and 888 columns on a 16×16 grid, from
-// the row-major order sparse.RowShards cuts shards in.
+// the row-major order sparse.RowShards cuts shards in. Its ratings are
+// uniform, so every row run is short: it hid that insertion-sorting each
+// (row, block) run is 2–3× slower than BlockOrder on Zipf-skewed data,
+// where hot users' runs are long and full of repeated cells. The root
+// BenchmarkDataPlane times the layouts on the generated, skewed shards
+// the workloads train on.
 func BenchmarkBlockOrder(b *testing.B) {
 	const rows, cols, nnz, side = 12_000, 888, 2_200_000, 16
 	rng := NewRand(38)

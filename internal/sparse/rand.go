@@ -44,6 +44,34 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
+// below draws n values, in Uint64's order, and sets bit i%64 of word
+// i/64 of set when draw i is below threshold. It is Uint64 with the state
+// held in locals, so the serial pass over every rating that
+// SplitTrainTest makes stays in registers.
+func (r *Rand) below(set []uint64, n int, threshold uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for w := range set {
+		var word uint64
+		for b := range min(64, n-64*w) {
+			result := rotl(s1*5, 7) * 9
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = rotl(s3, 45)
+			var bit uint64
+			if result < threshold {
+				bit = 1
+			}
+			word |= bit << b
+		}
+		set[w] = word
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Uint64n returns a uniform value in [0, n). n must be > 0.
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {

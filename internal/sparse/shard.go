@@ -11,36 +11,14 @@ import "sync"
 // that appends to a shard — the ps eviction path merges a dead worker's
 // shard into its heir — reallocates instead of stomping its neighbour.
 
-// RowStarts returns the CSR-style row prefix index of m: starts[r] is the
-// position of row r's first entry in row-major stable order, and
-// starts[m.Rows] == m.NNZ().
-func RowStarts(m *COO) []int64 {
-	return rowStartsInto(nil, m)
-}
-
-// rowStartsInto is the caller-buffer variant of RowStarts, mirroring
-// RowCountsInto: it reuses starts when it has capacity m.Rows+1.
-func rowStartsInto(starts []int64, m *COO) []int64 {
-	if cap(starts) < m.Rows+1 {
-		starts = make([]int64, m.Rows+1)
-	}
-	starts = starts[:m.Rows+1]
-	clear(starts)
-	for _, e := range m.Entries {
-		starts[e.U+1]++
-	}
-	for r := 0; r < m.Rows; r++ {
-		starts[r+1] += starts[r]
-	}
-	return starts
-}
-
-// shardScratch pools the two per-call histograms of RowShards (prefix
-// index and scatter cursor), so grid rebuilds — the eviction path re-shards
-// on every worker failure — stop allocating histograms per call. The shard
-// backing array itself is NOT pooled: it is handed to the caller.
+// shardScratch pools the per-call histograms of RowShards (the row
+// prefix index and the per-chunk row counts that become the scatter
+// cursors), so grid rebuilds — the eviction path re-shards on every
+// worker failure — stop allocating histograms per call. The shard backing
+// array itself is NOT pooled: it is handed to the caller.
 type shardScratch struct {
-	starts, next []int64
+	starts []int64
+	cnt    []int
 }
 
 var shardScratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
@@ -50,28 +28,54 @@ var shardScratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
 // greedy cut as CutRowGrid). Entries within each shard are in row-major
 // order, stable within a row — identical to gathering from a CSR.
 //
+// The counting sort runs over chunks of the entries in parallel: each
+// chunk counts its rows, the cursors are laid out chunk-major (a row's
+// entries from chunk c land after those from chunks before c), and each
+// chunk scatters its own entries. The result is the serial stable sort.
+//
 // All shards share one backing array; each view's capacity is capped at
 // its own end, so growing one shard never corrupts another.
 func RowShards(m *COO, weights []float64) ([]Slice, []*COO, error) {
 	sc := shardScratchPool.Get().(*shardScratch)
 	defer shardScratchPool.Put(sc)
-	sc.starts = rowStartsInto(sc.starts, m)
-	starts := sc.starts
-	slices, err := cutGrid(starts, m.Rows, weights)
+	n, rows := len(m.Entries), m.Rows
+	nch := chunkCount(n)
+	if cap(sc.cnt) < nch*rows {
+		sc.cnt = make([]int, nch*rows)
+	}
+	cnt := sc.cnt[:nch*rows]
+	clear(cnt)
+	eachChunk(n, nch, func(c, lo, hi int) {
+		h := cnt[c*rows : (c+1)*rows]
+		for _, e := range m.Entries[lo:hi] {
+			h[e.U]++
+		}
+	})
+	if cap(sc.starts) < rows+1 {
+		sc.starts = make([]int64, rows+1)
+	}
+	starts := sc.starts[:rows+1]
+	starts[0] = 0
+	for r := 0; r < rows; r++ {
+		var k int64
+		for c := 0; c < nch; c++ {
+			k += int64(cnt[c*rows+r])
+		}
+		starts[r+1] = starts[r] + k
+	}
+	slices, err := cutGrid(starts, rows, weights)
 	if err != nil {
 		return nil, nil, err
 	}
-	backing := make([]Rating, len(m.Entries))
-	if cap(sc.next) < m.Rows {
-		sc.next = make([]int64, m.Rows)
-	}
-	next := sc.next[:m.Rows]
-	copy(next, starts[:m.Rows])
-	for _, e := range m.Entries {
-		pos := next[e.U]
-		next[e.U]++
-		backing[pos] = e
-	}
+	chunkCursors(cnt, rows, func(r int) int { return int(starts[r]) })
+	backing := make([]Rating, n)
+	eachChunk(n, nch, func(c, lo, hi int) {
+		next := cnt[c*rows : (c+1)*rows]
+		for _, e := range m.Entries[lo:hi] {
+			backing[next[e.U]] = e
+			next[e.U]++
+		}
+	})
 	shards := make([]*COO, len(slices))
 	for i, sl := range slices {
 		lo, hi := starts[sl.Lo], starts[sl.Hi]

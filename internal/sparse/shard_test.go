@@ -1,6 +1,10 @@
 package sparse
 
-import "testing"
+import (
+	"cmp"
+	"slices"
+	"testing"
+)
 
 func shardMatrix(t *testing.T, rows, cols, nnz int, seed uint64) *COO {
 	t.Helper()
@@ -87,5 +91,66 @@ func TestRowShardsBadWeights(t *testing.T) {
 	}
 	if _, _, err := RowShards(m, []float64{0.5, -0.5}); err == nil {
 		t.Fatal("negative weight accepted")
+	}
+}
+
+// TestRowShardsMatchesStableSort checks the parallel counting sort against
+// a serial oracle, a stable sort by row, on inputs of 300k entries, which
+// are cut into several chunks whenever GOMAXPROCS > 1: the shards, laid
+// end to end, are the stable sort, and each shard holds exactly its
+// slice's rows. Power-law rows put most ratings in a few hot rows.
+func TestRowShardsMatchesStableSort(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		powerLaw bool
+	}{{"uniform", false}, {"power-law", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const rows, cols, nnz = 20_000, 3000, 300_000
+			rng := NewRand(11)
+			m := NewCOO(rows, cols, nnz)
+			for i := 0; i < nnz; i++ {
+				u := rng.Float64()
+				if tc.powerLaw {
+					u = u * u * u * u
+				}
+				m.Add(int32(float64(rows)*u), int32(rng.Intn(cols)), float32(i))
+			}
+			want := append([]Rating(nil), m.Entries...)
+			slices.SortStableFunc(want, func(x, y Rating) int { return cmp.Compare(x.U, y.U) })
+
+			cut, shards, err := RowShards(m, []float64{0.5, 0.3, 0.2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Rating
+			for i, sh := range shards {
+				for _, e := range sh.Entries {
+					if int(e.U) < cut[i].Lo || int(e.U) >= cut[i].Hi {
+						t.Fatalf("shard %d holds row %d outside its slice %+v", i, e.U, cut[i])
+					}
+				}
+				got = append(got, sh.Entries...)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatal("shards laid end to end differ from the stable sort by row")
+			}
+		})
+	}
+}
+
+// TestAddColCountsMatchesColCounts checks the chunked column count, on an
+// input cut into several chunks whenever GOMAXPROCS > 1, against the
+// serial ColCounts, added onto counts already there.
+func TestAddColCountsMatchesColCounts(t *testing.T) {
+	m := shardMatrix(t, 500, 3000, 300_000, 13)
+	counts := make([]int64, m.Cols)
+	for i := range counts {
+		counts[i] = int64(i)
+	}
+	AddColCounts(counts, m.Entries)
+	for i, k := range m.ColCounts() {
+		if counts[i] != int64(i+k) {
+			t.Fatalf("column %d: %d, want %d", i, counts[i], i+k)
+		}
 	}
 }

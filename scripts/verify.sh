@@ -43,10 +43,11 @@
 #      hccmf-benchdiff, and shut the daemon down with SIGTERM
 #      (see DESIGN.md §13)
 #  11. distributed smoke — start hccmf-ps on a random port, train the
-#      same seeded job once in-process (COMM-P) and once against the
-#      server over hccmf-wire/v1 TCP, and require the saved factor
-#      models to be byte-identical; SIGTERM drains the server
-#      (see DESIGN.md §15)
+#      same seeded job in-process (COMM-P) at GOMAXPROCS=1 and at
+#      GOMAXPROCS=8 and once against the server over hccmf-wire/v1 TCP,
+#      and require the saved factor models to be byte-identical, so the
+#      bit-exact class holds at any core count (DESIGN.md §8); SIGTERM
+#      drains the server (see DESIGN.md §15)
 #  12. simulator smoke — build hccmf-sim, run the R2 preset with
 #      half-Q/async forced, and require the Figure 5 Gantt rows on stdout
 #      plus non-empty -metrics-out and -trace-out documents carrying
@@ -160,15 +161,19 @@ for _ in $(seq 1 100); do
 done
 [ -s "$ps_dir/addr" ] || { echo "distributed smoke: hccmf-ps never became ready" >&2; exit 1; }
 ps_addr=$(head -n1 "$ps_dir/addr")
-"$ps_dir/hccmf-train" -preset netflix -scale 0.002 -epochs 3 -k 8 -seed 1 \
-	-transport comm-p -save "$ps_dir/inproc.bin" > /dev/null
+for procs in 1 8; do
+	GOMAXPROCS=$procs "$ps_dir/hccmf-train" -preset netflix -scale 0.002 -epochs 3 -k 8 -seed 1 \
+		-transport comm-p -save "$ps_dir/inproc-$procs.bin" > /dev/null
+done
 "$ps_dir/hccmf-train" -preset netflix -scale 0.002 -epochs 3 -k 8 -seed 1 \
 	-connect "$ps_addr" -save "$ps_dir/tcp.bin" > /dev/null
-cmp "$ps_dir/inproc.bin" "$ps_dir/tcp.bin" || {
-	echo "distributed smoke: TCP-trained factors differ from in-process factors" >&2
-	exit 1
-}
-echo "   two-process run bit-identical to in-process COMM-P"
+for procs in 1 8; do
+	cmp "$ps_dir/inproc-$procs.bin" "$ps_dir/tcp.bin" || {
+		echo "distributed smoke: TCP-trained factors differ from in-process factors at GOMAXPROCS=$procs" >&2
+		exit 1
+	}
+done
+echo "   two-process run bit-identical to in-process COMM-P at GOMAXPROCS 1 and 8"
 kill -TERM "$ps_pid"
 wait "$ps_pid" || { echo "distributed smoke: hccmf-ps exited non-zero:" >&2; cat "$ps_dir/ps.log" >&2; exit 1; }
 trap 'rm -rf "$smoke_dir" "$ps_dir"' EXIT
