@@ -252,7 +252,9 @@ func (c *Cluster) coordinator(streams int) *sliceCoordinator {
 	if sc == nil || c.coordStreams != streams {
 		counts := make([]int64, c.cfg.N)
 		for _, ws := range c.workers {
-			sparse.AddColCounts(counts, ws.conf.Shard.Entries)
+			for _, e := range ws.conf.Shard.Entries {
+				counts[e.I]++
+			}
 		}
 		slices := ratingSlices(counts, streams)
 		cuts := make([]int, len(slices)+1)

@@ -67,7 +67,7 @@ func BlockOrder(entries []Rating, rows, cols Axis) []int {
 	if n == 0 {
 		return off
 	}
-	nch := chunkCount(n)
+	nch := chunkCount(n, nb)
 	cnt := make([]int, nch*nb)
 	// firstRow and lastRow are each chunk's first and last block row, or
 	// -1 in lastRow when the chunk's block rows ever decrease.

@@ -18,10 +18,17 @@ import (
 // takes over.
 const minChunk = 1 << 16
 
-// chunkCount is the number of chunks a pass over n entries is cut into:
-// one per GOMAXPROCS, but no more than n/minChunk and at least one.
-func chunkCount(n int) int {
-	return max(1, min(runtime.GOMAXPROCS(0), n/minChunk))
+// histPerEntry bounds a pass's scratch: its chunks' histograms together
+// hold at most one counter per histPerEntry entries (an eighth of an int
+// per entry, a twelfth of the ratings' own bytes), so the scratch grows
+// with the data, not with GOMAXPROCS times the key range.
+const histPerEntry = 8
+
+// chunkCount is the number of chunks a pass over n entries is cut into
+// when each chunk keeps a histogram of keys counters: one per GOMAXPROCS,
+// but no more than n/minChunk or n/(histPerEntry·keys), and at least one.
+func chunkCount(n, keys int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/minChunk, n/(histPerEntry*max(1, keys))))
 }
 
 // eachChunk calls fn(c, lo, hi) concurrently for each chunk c of [0, n)
@@ -49,28 +56,6 @@ func chunkCursors(cnt []int, nk int, start func(k int) int) {
 			n := cnt[c*nk+k]
 			cnt[c*nk+k] = pos
 			pos += n
-		}
-	}
-}
-
-// AddColCounts adds each column's number of entries to counts[col]; counts
-// must cover every column index in entries. Chunks count into their own
-// histograms, which are then summed.
-func AddColCounts(counts []int64, entries []Rating) {
-	nc, nch := len(counts), chunkCount(len(entries))
-	part := make([]int64, (nch-1)*nc)
-	eachChunk(len(entries), nch, func(c, lo, hi int) {
-		h := counts
-		if c > 0 {
-			h = part[(c-1)*nc : c*nc]
-		}
-		for _, e := range entries[lo:hi] {
-			h[e.I]++
-		}
-	})
-	for c := 1; c < nch; c++ {
-		for i, k := range part[(c-1)*nc : c*nc] {
-			counts[i] += k
 		}
 	}
 }

@@ -196,11 +196,26 @@ func (m *COO) SplitTrainTest(rng *Rand, testFrac float64) (train, test *COO, err
 	}
 	n := len(m.Entries)
 	threshold := uint64(testFrac * float64(math.MaxUint64))
+	// The draws step the generator's state in locals, which stay in
+	// registers, and write it back at the end.
 	toTest := make([]uint64, (n+63)/64)
-	rng.below(toTest, n, threshold)
+	s0, s1, s2, s3 := rng.s[0], rng.s[1], rng.s[2], rng.s[3]
+	for w := range toTest {
+		var word uint64
+		for b := range min(64, n-64*w) {
+			var draw, bit uint64
+			draw, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+			if draw < threshold {
+				bit = 1
+			}
+			word |= bit << b
+		}
+		toTest[w] = word
+	}
+	rng.s = [4]uint64{s0, s1, s2, s3}
 	// Chunks are cut in whole bitmap words; testBefore[c] counts the test
 	// entries of the chunks before c.
-	nch := chunkCount(n)
+	nch := chunkCount(n, 1)
 	testBefore := make([]int, nch+1)
 	for c := range nch {
 		lo, hi := evenRange(len(toTest), nch, c)

@@ -33,43 +33,25 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	out, s0, s1, s2, s3 := xoshiro(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return out
 }
 
-// below draws n values, in Uint64's order, and sets bit i%64 of word
-// i/64 of set when draw i is below threshold. It is Uint64 with the state
-// held in locals, so the serial pass over every rating that
-// SplitTrainTest makes stays in registers.
-func (r *Rand) below(set []uint64, n int, threshold uint64) {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for w := range set {
-		var word uint64
-		for b := range min(64, n-64*w) {
-			result := rotl(s1*5, 7) * 9
-			t := s1 << 17
-			s2 ^= s0
-			s3 ^= s1
-			s1 ^= s2
-			s0 ^= s3
-			s2 ^= t
-			s3 = rotl(s3, 45)
-			var bit uint64
-			if result < threshold {
-				bit = 1
-			}
-			word |= bit << b
-		}
-		set[w] = word
-	}
-	r.s = [4]uint64{s0, s1, s2, s3}
+// xoshiro is the generator's one step: it returns the output of state
+// (s0, s1, s2, s3) and the next state. The state goes in and out as
+// scalars so that a loop drawing many values can keep it in registers,
+// which the compiler does for no array.
+func xoshiro(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return out, s0, s1, s2, s3
 }
 
 // Uint64n returns a uniform value in [0, n). n must be > 0.

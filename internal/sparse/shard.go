@@ -39,7 +39,7 @@ func RowShards(m *COO, weights []float64) ([]Slice, []*COO, error) {
 	sc := shardScratchPool.Get().(*shardScratch)
 	defer shardScratchPool.Put(sc)
 	n, rows := len(m.Entries), m.Rows
-	nch := chunkCount(n)
+	nch := chunkCount(n, rows)
 	if cap(sc.cnt) < nch*rows {
 		sc.cnt = make([]int, nch*rows)
 	}

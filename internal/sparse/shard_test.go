@@ -138,19 +138,21 @@ func TestRowShardsMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestAddColCountsMatchesColCounts checks the chunked column count, on an
-// input cut into several chunks whenever GOMAXPROCS > 1, against the
-// serial ColCounts, added onto counts already there.
-func TestAddColCountsMatchesColCounts(t *testing.T) {
-	m := shardMatrix(t, 500, 3000, 300_000, 13)
-	counts := make([]int64, m.Cols)
-	for i := range counts {
-		counts[i] = int64(i)
-	}
-	AddColCounts(counts, m.Entries)
-	for i, k := range m.ColCounts() {
-		if counts[i] != int64(i+k) {
-			t.Fatalf("column %d: %d, want %d", i, counts[i], i+k)
+// TestChunkCountBoundsScratch checks that the chunks' histograms together
+// never hold more than one counter per histPerEntry entries, once a single
+// chunk's histogram fits that bound, at the GOMAXPROCS the test runs at
+// (CI runs the sparse suite at 1, 2, 4 and 8).
+func TestChunkCountBoundsScratch(t *testing.T) {
+	for _, tc := range []struct{ n, keys int }{
+		{300_000, 500}, {300_000, 30_000}, {1 << 20, 1 << 17}, {1 << 22, 1 << 16}, {5_000_000, 24_000},
+	} {
+		nch := chunkCount(tc.n, tc.keys)
+		if nch < 1 || nch*tc.keys > max(tc.keys, tc.n/histPerEntry) {
+			t.Fatalf("n=%d keys=%d: %d chunks hold %d counters, over %d", tc.n, tc.keys, nch,
+				nch*tc.keys, tc.n/histPerEntry)
 		}
+	}
+	if got := chunkCount(1<<20, 1<<17); got != 1 {
+		t.Fatalf("chunkCount(1<<20, 1<<17) = %d, want 1", got)
 	}
 }
