@@ -9,6 +9,9 @@
 package hccmf_test
 
 import (
+	"bufio"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"testing"
@@ -90,12 +93,14 @@ func BenchmarkEngineScaling(b *testing.B) {
 // BenchmarkDataPlane times the passes that move every rating before the
 // first SGD update, on the data perfbench's workloads train on:
 // dataset.Generate's Netflix@0.05 (train-cached, cut into two worker
-// shards) and ML-20m@0.2 (train-wide-tcp, one worker). split is
-// SplitTrainTest, shards is RowShards, walk lays each shard out on the
-// FPSGD/Batched block grid (side max(16, ⌈cols/TileCols(k)⌉) over the
-// shard's row band, as mf.BlockWalk does), and tiles lays each shard out
-// over mf.TileAxis with two item slices cut by rating count, as the async
-// streams do. The generated ratings are Zipf-skewed, unlike
+// shards) and ML-20m@0.2 (train-wide-tcp, one worker). read is
+// dataset.ReadRatingsFile with GOMAXPROCS parse workers on a text file of
+// every generated rating, as train-wide-tcp reads its input (train-cached
+// reads a binary file); split is SplitTrainTest, shards is RowShards,
+// walk lays each shard out on the FPSGD/Batched block grid (side
+// max(16, ⌈cols/TileCols(k)⌉) over the shard's row band, as mf.BlockWalk
+// does), and tiles lays each shard out over mf.TileAxis with two item
+// slices cut by rating count, as the async streams do. The generated ratings are Zipf-skewed, unlike
 // sparse.BenchmarkBlockOrder's uniform input, so hot users' long runs of
 // repeated cells show here.
 func BenchmarkDataPlane(b *testing.B) {
@@ -119,6 +124,19 @@ func BenchmarkDataPlane(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		text := filepath.Join(b.TempDir(), in.name+".txt")
+		all := &sparse.COO{Rows: train.Rows, Cols: train.Cols,
+			Entries: append(append([]sparse.Rating(nil), train.Entries...), ds.Test.Entries...)}
+		if err := writeTextFile(text, all); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(in.name+"/read", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := dataset.ReadRatingsFile(text, runtime.GOMAXPROCS(0)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 		b.Run(in.name+"/split", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := train.SplitTrainTest(sparse.NewRand(1), 0.1); err != nil {
@@ -173,6 +191,23 @@ func BenchmarkDataPlane(b *testing.B) {
 			})
 		}
 	}
+}
+
+// writeTextFile writes m to path in the text triple format.
+func writeTextFile(path string, m *sparse.COO) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(f, 1<<20)
+	err = dataset.WriteText(bw, m)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // --- Ingestion micro-benchmarks (the ingest/v1 group of -json reports) ---

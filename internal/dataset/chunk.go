@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"strconv"
 	"unicode"
@@ -12,12 +14,14 @@ import (
 )
 
 // Chunked zero-copy scanning primitives shared by the parallel text and
-// MovieLens parsers. The input is loaded as one byte buffer, cut into
-// ~ioChunkSize pieces at newline boundaries, and each chunk is parsed by a
-// worker with byte-slice field scanning — no bufio.Scanner tokens, no
-// strings.Fields allocations. Fields are handed to strconv through an
-// unsafe zero-copy string view, so the steady-state parse loop does not
-// allocate at all.
+// MovieLens parsers. Both cut their input into ~ioChunkSize pieces at
+// newline boundaries and parse each chunk on a worker with byte-slice
+// field scanning — no bufio.Scanner tokens, no strings.Fields
+// allocations. Fields are handed to strconv through an unsafe zero-copy
+// string view, so the steady-state parse loop does not allocate at all.
+// The MovieLens loader holds its input as one byte buffer; the text
+// reader reads each chunk through io.ReaderAt into a reused buffer
+// instead (textSource, cutChunks), so the text is never held whole.
 
 // ioChunkSize is the target byte size of one parser chunk. ~1 MiB keeps
 // per-chunk bookkeeping negligible while giving even modest files enough
@@ -305,80 +309,12 @@ func parseFloat32Fast(b []byte) (float32, bool) {
 	return foldDecimal(mant, digits, frac)
 }
 
-// parseTripleFast is the fused scanner+parser for the dominant text line
-// shape: `d+[ \t]+d+[ \t]+d+(.d+)?` with nothing after the rating — one
-// flat pass, no field slicing. ok=false sends the line to the general
-// field-scanner path, so anything irregular (signs, extra fields, exotic
-// whitespace, long digit runs, ambiguous float rounding) is parsed with
+// parseWS3Fast is the fused scanner+parser for MovieLens u.data lines:
+// `d+[ \t]+d+[ \t]+d+(.d+)?` with int64 ids, in one flat pass with no
+// field slicing. Anything after the rating is ignored as long as it is
+// separated by whitespace (the timestamp column). ok=false sends the line
+// to the general field-scanner path, so anything irregular is parsed with
 // byte-exact strings.Fields/strconv semantics instead.
-func parseTripleFast(s []byte) (u, i int32, v float32, ok bool) {
-	n := len(s)
-	pos, start := 0, 0
-	for pos < n {
-		d := s[pos] - '0'
-		if d > 9 {
-			break
-		}
-		u = u*10 + int32(d)
-		pos++
-	}
-	if pos == start || pos-start > 9 || pos >= n || (s[pos] != ' ' && s[pos] != '\t') {
-		return 0, 0, 0, false
-	}
-	for pos < n && (s[pos] == ' ' || s[pos] == '\t') {
-		pos++
-	}
-	start = pos
-	for pos < n {
-		d := s[pos] - '0'
-		if d > 9 {
-			break
-		}
-		i = i*10 + int32(d)
-		pos++
-	}
-	if pos == start || pos-start > 9 || pos >= n || (s[pos] != ' ' && s[pos] != '\t') {
-		return 0, 0, 0, false
-	}
-	for pos < n && (s[pos] == ' ' || s[pos] == '\t') {
-		pos++
-	}
-	var mant uint64
-	digits, frac := 0, -1
-	for pos < n {
-		c := s[pos]
-		if c == '.' {
-			if frac >= 0 {
-				return 0, 0, 0, false
-			}
-			frac = 0
-			pos++
-			continue
-		}
-		d := c - '0'
-		if d > 9 {
-			break
-		}
-		mant = mant*10 + uint64(d)
-		digits++
-		if frac >= 0 {
-			frac++
-		}
-		pos++
-	}
-	if pos != n {
-		return 0, 0, 0, false // a fourth field, or a stray byte in the rating
-	}
-	v, ok = foldDecimal(mant, digits, frac)
-	if !ok {
-		return 0, 0, 0, false
-	}
-	return u, i, v, true
-}
-
-// parseWS3Fast is parseTripleFast for MovieLens u.data lines: int64 ids,
-// and anything after the rating is ignored as long as it is separated by
-// whitespace (the timestamp column).
 func parseWS3Fast(s []byte) (a, b int64, v float32, ok bool) {
 	n := len(s)
 	pos, start := 0, 0
@@ -523,10 +459,11 @@ func parseF32(b []byte) (float32, error) {
 	return float32(v), err
 }
 
-// readAllBytes slurps r. Ingestion parses from one contiguous buffer so
-// chunk boundaries can be cut without copying; when the source exposes
-// its size (bytes.Reader/Buffer, regular files) the buffer is allocated
-// once instead of doubling through io.ReadAll.
+// readAllBytes slurps r. The MovieLens loader parses from one contiguous
+// buffer so chunk boundaries can be cut without copying, and the text
+// reader falls back to it for sources it cannot ReadAt. When the source
+// exposes its size (bytes.Reader/Buffer, regular files) the buffer is
+// allocated once instead of doubling through io.ReadAll.
 func readAllBytes(r io.Reader) ([]byte, error) {
 	hint := 0
 	switch v := r.(type) {
@@ -553,4 +490,207 @@ func readAllBytes(r io.Reader) ([]byte, error) {
 			buf = append(buf, 0)[:len(buf)]
 		}
 	}
+}
+
+// sizedReaderAt is a source the text reader can ReadAt directly, from its
+// current offset Size()−Len() to Size(): *bytes.Reader and
+// *strings.Reader.
+type sizedReaderAt interface {
+	io.ReaderAt
+	Size() int64
+	Len() int
+}
+
+// textSource returns r as the byte range [off, end) of a ReaderAt: a
+// regular *os.File and a sizedReaderAt from their current offset, any
+// other reader read whole into memory by readAllBytes. So is a regular
+// file of size 0: some (those under /proc) hold text anyway.
+func textSource(r io.Reader) (ra io.ReaderAt, off, end int64, err error) {
+	switch v := r.(type) {
+	case sizedReaderAt:
+		return v, v.Size() - int64(v.Len()), v.Size(), nil
+	case *os.File:
+		if off, size, ok := fileRange(v); ok && size > 0 {
+			return v, off, size, nil
+		}
+	}
+	buf, err := readAllBytes(r)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return bytes.NewReader(buf), 0, int64(len(buf)), nil
+}
+
+// fileRange reports the current offset, at most its size, and the size of
+// f when f is a regular file.
+func fileRange(f *os.File) (off, size int64, ok bool) {
+	st, err := f.Stat()
+	if err != nil || !st.Mode().IsRegular() {
+		return 0, 0, false
+	}
+	off, err = f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, 0, false
+	}
+	return min(off, st.Size()), st.Size(), true
+}
+
+// readFullAt fills p from ra at off. A short read — the source shrank
+// since its size was taken — is io.ErrUnexpectedEOF.
+func readFullAt(ra io.ReaderAt, p []byte, off int64) error {
+	n, err := ra.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// textChunk is one chunk [off, end) of the text body, with what the count
+// pass learns of it — its line count, the number of lines before it, and
+// its slot entries[first : first+slot] in the entries array — and the
+// number of entries the parse pass put there.
+type textChunk struct {
+	off, end    int64
+	lines, line int
+	first, slot int
+	parsed      int
+}
+
+func (c textChunk) len() int { return int(c.end - c.off) }
+
+// cutChunks cuts [off, end) of ra into chunks of about target bytes with
+// cutAt. The chunks are the ones splitChunks cuts from the same bytes,
+// except where a line of maxLineBytes or more crosses a cut.
+func cutChunks(ra io.ReaderAt, off, end int64, target int) ([]textChunk, error) {
+	var chunks []textChunk
+	for off < end {
+		next, err := cutAt(ra, off, end, target)
+		if err != nil {
+			return nil, err
+		}
+		chunks = append(chunks, textChunk{off: off, end: next})
+		off = next
+	}
+	return chunks, nil
+}
+
+// cutProbe is the size of the reads cutAt looks for a newline with.
+const cutProbe = 4 << 10
+
+// cutAt returns the end of the chunk of [start, end) that starts at start:
+// like splitChunks, the whole remainder when it is at most target bytes,
+// else just past the first newline at or after start+target, else end.
+// The search stops maxLineBytes past start+target: no newline there means
+// the line crossing start+target is too long for either parser, so the
+// chunk is cut mid-line. Its last line then holds at least maxLineBytes
+// bytes, so its parse stops with bufio.ErrTooLong (or at an earlier
+// error) and the next chunk, which starts mid-line, is never reported.
+// Chunks are thus at most target+maxLineBytes bytes.
+func cutAt(ra io.ReaderAt, start, end int64, target int) (int64, error) {
+	cut := start + int64(max(target, 1))
+	if cut >= end {
+		return end, nil
+	}
+	limit := min(end, cut+maxLineBytes)
+	var probe [cutProbe]byte
+	for pos := cut; pos < limit; {
+		p := probe[:min(int64(len(probe)), limit-pos)]
+		if err := readFullAt(ra, p, pos); err != nil {
+			return 0, err
+		}
+		if nl := bytes.IndexByte(p, '\n'); nl >= 0 {
+			return pos + int64(nl) + 1, nil
+		}
+		pos += int64(len(p))
+	}
+	return limit, nil
+}
+
+// chunkPad is the number of zero bytes parseChunk wants after a chunk, so
+// scanTriple can load 8 bytes at any position up to the chunk's end.
+const chunkPad = 16
+
+// scanTriple is the fused scanner and parser for the dominant text line
+// shape: `d+[ \t]d+[ \t]d+(.d+)?` and a newline (or the end of the
+// chunk), each digit run at most 8 digits. It reads the line at b[p:] in
+// one pass, with no line or field slicing, taking each digit run 8 bytes
+// at a time (digitRun, swarDigits), and returns the triple and the
+// offset of the next line. b must hold chunkPad zero bytes past end.
+// ok=false sends the line to the general path, so anything irregular —
+// signs, extra fields or spaces, '\r', long digit runs, ambiguous float
+// rounding — is parsed with byte-exact strings.Fields/strconv semantics
+// instead.
+func scanTriple(b []byte, p, end int) (u, i int32, v float32, next int, ok bool) {
+	w := binary.LittleEndian.Uint64(b[p:])
+	k := digitRun(w)
+	if k == 0 || (b[p+k] != ' ' && b[p+k] != '\t') {
+		return 0, 0, 0, 0, false
+	}
+	u = int32(swarDigits(w, k))
+	p += k + 1
+	w = binary.LittleEndian.Uint64(b[p:])
+	k = digitRun(w)
+	if k == 0 || (b[p+k] != ' ' && b[p+k] != '\t') {
+		return 0, 0, 0, 0, false
+	}
+	i = int32(swarDigits(w, k))
+	p += k + 1
+	w = binary.LittleEndian.Uint64(b[p:])
+	k = digitRun(w)
+	if k == 0 {
+		return 0, 0, 0, 0, false
+	}
+	mant, digits, frac := swarDigits(w, k), k, -1
+	p += k
+	if b[p] == '.' {
+		p++
+		w = binary.LittleEndian.Uint64(b[p:])
+		k = digitRun(w)
+		if k == 0 {
+			return 0, 0, 0, 0, false
+		}
+		mant = mant*pow10u64[k] + swarDigits(w, k)
+		digits += k
+		frac = k
+		p += k
+	}
+	switch {
+	case b[p] == '\n':
+		p++
+	case p != end:
+		return 0, 0, 0, 0, false // a fourth field, a stray byte, or a digit run over 8
+	}
+	v, ok = foldDecimal(mant, digits, frac)
+	return u, i, v, p, ok
+}
+
+// pow10u64 holds the powers of ten a fraction of up to 8 digits shifts
+// the integer part by.
+var pow10u64 = [9]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
+// digitRun returns how many of the 8 bytes in w, read little-endian (the
+// first byte lowest), are ASCII digits before the first non-digit: 0 to 8.
+// A byte's high bit is set in the mask unless it is a digit: below '0'
+// the subtraction borrows into it, from ':' to 0xB9 the addition sets it,
+// and from 0xBA up the subtraction leaves it set. Carries and borrows
+// only start at non-digit bytes and only move to later bytes, so the
+// lowest flagged byte is exactly the first non-digit.
+func digitRun(w uint64) int {
+	m := ((w + 0x4646464646464646) | (w - 0x3030303030303030)) & 0x8080808080808080
+	return bits.TrailingZeros64(m) >> 3
+}
+
+// swarDigits returns the value of the first k (1 to 8) bytes of w, which
+// must be ASCII digits, first byte most significant. The digits are
+// shifted to the top of the word, so the bytes below are zeros, leading
+// zeros of the value, and then adjacent digits, pairs and quads are
+// combined by three multiplies (SWAR: SIMD within a register).
+func swarDigits(w uint64, k int) uint64 {
+	w = (w - 0x3030303030303030) << (64 - 8*uint(k))
+	w = (w * (1 + 10<<8)) >> 8 & 0x00FF00FF00FF00FF
+	w = (w * (1 + 100<<16)) >> 16 & 0x0000FFFF0000FFFF
+	return (w * (1 + 10000<<32)) >> 32
 }

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"math"
 	"strconv"
 	"testing"
@@ -103,6 +104,50 @@ func TestASCIIFields3MatchesNextField(t *testing.T) {
 		}
 		if string(f0) != string(w0) || string(f1) != string(w1) || string(f2) != string(w2) {
 			t.Fatalf("%q: fields %q,%q,%q want %q,%q,%q", s, f0, f1, f2, w0, w1, w2)
+		}
+	}
+}
+
+// TestSWARDigitsMatchStrconv holds scanTriple's word-at-a-time digit
+// helpers to a byte loop and strconv: digitRun must stop at the first
+// non-digit whatever byte it is and whatever follows it, and swarDigits
+// must give the value of every run of 1 to 8 digits.
+func TestSWARDigitsMatchStrconv(t *testing.T) {
+	rng := sparse.NewRand(43)
+	var b [8]byte
+	for j := 0; j <= 8; j++ {
+		for c := 0; c < 256; c++ {
+			for trial := 0; trial < 4; trial++ {
+				for x := range b {
+					switch {
+					case x < j:
+						b[x] = byte('0' + rng.Intn(10))
+					case x == j:
+						b[x] = byte(c)
+					default:
+						b[x] = byte(rng.Intn(256))
+					}
+				}
+				want := 0
+				for want < 8 && b[want] >= '0' && b[want] <= '9' {
+					want++
+				}
+				w := binary.LittleEndian.Uint64(b[:])
+				k := digitRun(w)
+				if k != want {
+					t.Fatalf("digitRun(%q) = %d, want %d", b, k, want)
+				}
+				if k == 0 {
+					continue
+				}
+				v, err := strconv.ParseUint(string(b[:k]), 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := swarDigits(w, k); got != v {
+					t.Fatalf("swarDigits(%q, %d) = %d, want %d", b, k, got, v)
+				}
+			}
 		}
 	}
 }

@@ -57,6 +57,7 @@ func FuzzReadBinary(f *testing.F) {
 	corrupt := append([]byte(nil), valid...)
 	corrupt[5] ^= 0xff
 	f.Add(corrupt)
+	f.Add(binaryHeader(1 << 34)) // header only, declaring the most entries it may
 	f.Fuzz(func(t *testing.T, input []byte) {
 		m, err := ReadBinary(bytes.NewReader(input))
 		if err != nil {
@@ -101,36 +102,69 @@ func FuzzSplitChunks(f *testing.F) {
 
 // FuzzReadTextEquivalence holds the parallel parser to the serial
 // reference on arbitrary inputs: same accept/reject decision, same error
-// text, same entries — with a tiny chunk size so even short fuzz inputs
-// span multiple chunks.
+// text, same entries. It compares twice: with a tiny chunk size, so even
+// short fuzz inputs span multiple chunks, and at the production chunk
+// size with the lines after the first repeated past scanTriple's 16-byte
+// lookahead, so the scanner reads real bytes of the following lines
+// rather than a chunk's zero padding.
 func FuzzReadTextEquivalence(f *testing.F) {
 	f.Add("2 2 1\n0 1 3.5\n")
 	f.Add("% c\n3 4 2\n0 0 1\n2 3 5\n")
 	f.Add("2 2 9\n0 0 1\n")
 	f.Add("2 2 1\nbad line\n")
 	f.Add("")
+	// Negative header dims, with no triple and with one.
+	f.Add("-2 3 0\n")
+	f.Add("-2 3 1\n0 0 1\n")
+	// Separators and line ends scanTriple leaves to the general path.
+	f.Add("2 2 2\r\n0 1 3.5\r\n1 0 4\r\n")
+	f.Add("2 2 2\n0\t1\t3.5\n1\t\t0 4\n")
+	f.Add("2 2 2\n  0 1 3.5\n \t1 0 4\n")
+	// Ids of 8 and more digits; a rating "3." and a rating of 17 digits.
+	f.Add("123456790 87654322 2\n12345678 87654321 2.5\n123456789 1 3\n")
+	f.Add("2 2 2\n0 1 3.\n1 1 12345678.123456789\n")
+	// Comment and blank lines between triples leave gaps to compact.
+	f.Add("3 3 3\n0 0 1\n\n# c\n1 1 2\n%x\n\n\n2 2 3\n")
+	f.Add("2 2 1\n0 1 3.5")
+	// A line of 1 MiB, too long for either parser, and a comment line just
+	// short of that, each across a chunk boundary.
+	f.Add("2 2 2\n0 1 3.5\n" + strings.Repeat("7", maxLineBytes) + "\n1 1 1\n")
+	f.Add("2 2 2\n0 1 3.5\n#" + strings.Repeat(" ", maxLineBytes-2) + "\n1 1 1\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		sm, serr := readTextSerial(strings.NewReader(input))
-		pm, perr := parseTextParallel([]byte(input), 4, 7)
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("serial err %v, parallel err %v", serr, perr)
-		}
-		if serr != nil {
-			if serr.Error() != perr.Error() {
-				t.Fatalf("error text differs: %q vs %q", serr, perr)
-			}
+		equivalent(t, input, 7)
+		first, rest, _ := strings.Cut(input, "\n")
+		if rest == "" {
 			return
 		}
-		if sm.Rows != pm.Rows || sm.Cols != pm.Cols || len(sm.Entries) != len(pm.Entries) {
-			t.Fatalf("shape differs: %dx%d/%d vs %dx%d/%d",
-				sm.Rows, sm.Cols, len(sm.Entries), pm.Rows, pm.Cols, len(pm.Entries))
-		}
-		for i := range sm.Entries {
-			if sm.Entries[i] != pm.Entries[i] {
-				t.Fatalf("entry %d differs: %v vs %v", i, sm.Entries[i], pm.Entries[i])
-			}
-		}
+		long := first + "\n" + strings.Repeat(rest+"\n", 2+chunkPad/len(rest))
+		equivalent(t, long, ioChunkSize)
 	})
+}
+
+// equivalent fails t unless the chunked reader at chunkSize and the serial
+// reader agree on input.
+func equivalent(t *testing.T, input string, chunkSize int) {
+	t.Helper()
+	sm, serr := readTextSerial(strings.NewReader(input))
+	pm, perr := readTextChunked([]byte(input), 4, chunkSize)
+	if (serr == nil) != (perr == nil) {
+		t.Fatalf("chunk %d: serial err %v, parallel err %v", chunkSize, serr, perr)
+	}
+	if serr != nil {
+		if serr.Error() != perr.Error() {
+			t.Fatalf("chunk %d: error text differs: %q vs %q", chunkSize, serr, perr)
+		}
+		return
+	}
+	if sm.Rows != pm.Rows || sm.Cols != pm.Cols || len(sm.Entries) != len(pm.Entries) {
+		t.Fatalf("chunk %d: shape differs: %dx%d/%d vs %dx%d/%d", chunkSize,
+			sm.Rows, sm.Cols, len(sm.Entries), pm.Rows, pm.Cols, len(pm.Entries))
+	}
+	for i := range sm.Entries {
+		if sm.Entries[i] != pm.Entries[i] {
+			t.Fatalf("chunk %d: entry %d differs: %v vs %v", chunkSize, i, sm.Entries[i], pm.Entries[i])
+		}
+	}
 }
 
 func FuzzReadMovieLensCSV(f *testing.F) {

@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"unsafe"
 
 	"hccmf/internal/parallel"
@@ -23,11 +26,11 @@ import (
 //
 // Readers come in two flavours: a serial reference implementation
 // (bufio.Scanner, one line at a time) and a parallel pipeline that cuts
-// the input into ~1 MiB chunks at newline boundaries and parses each chunk
-// on a worker with zero-copy byte-slice field scanning. The two are
-// byte-identical in accepted entries, entry order, and error messages
-// (enforced by equivalence tests and a fuzz target); the parallel path is
-// the default because it is faster even at one worker.
+// the input into ~1 MiB chunks at newline boundaries, counts each chunk's
+// lines to give it a slot in the entries array, and parses each chunk
+// straight into its slot on a worker. The two are byte-identical in
+// accepted entries, entry order, and error messages (enforced by
+// equivalence tests and fuzz targets); the parallel path is the default.
 
 // WriteText writes the matrix in the text triple format. Lines are
 // rendered with strconv.Append* into a reused block buffer — the output is
@@ -72,15 +75,20 @@ func ReadText(r io.Reader) (*sparse.COO, error) {
 // parse workers. workers <= 1 runs the serial reference parser; any other
 // count runs the chunked parallel pipeline, whose output — entries, entry
 // order, and error messages — is byte-identical to the serial path.
+//
+// The chunked pipeline reads from the current offset of r to its end
+// through ReadAt when r is a regular *os.File, a *bytes.Reader or a
+// *strings.Reader, and leaves r's offset where it was; any other reader
+// is read whole into memory first.
 func ReadTextWorkers(r io.Reader, workers int) (*sparse.COO, error) {
 	if workers <= 1 {
 		return readTextSerial(r)
 	}
-	buf, err := readAllBytes(r)
+	ra, off, end, err := textSource(r)
 	if err != nil {
 		return nil, err
 	}
-	return parseTextParallel(buf, workers, ioChunkSize)
+	return readTextAt(ra, off, end, workers, ioChunkSize)
 }
 
 // headerCapHint bounds the Entries capacity pre-allocated from an
@@ -149,77 +157,152 @@ func errNNZMismatch(declared, got int) error {
 	return fmt.Errorf("dataset: header declares %d entries, file has %d", declared, got)
 }
 
-// chunkResult is one chunk's parse output. Errors are recorded as a
-// chunk-relative line number plus a deferred formatter, because a worker
-// does not know how many lines precede its chunk; the sequential merge
-// adds the offsets and reports the first error in input order — the same
-// error, with the same text, the serial parser would have stopped at.
-type chunkResult struct {
-	entries []sparse.Rating
-	lines   int                  // lines consumed in this chunk
-	errLine int                  // chunk-relative 1-based line of the first error; 0 = none
-	mkErr   func(line int) error // formats the error once the absolute line is known
-	rawErr  error                // line-number-free error (e.g. bufio.ErrTooLong), reported verbatim
-}
-
-// fail records the first error of a chunk and stops its parse loop.
-func (c *chunkResult) fail(relLine int, mk func(line int) error) {
-	c.errLine = relLine
-	c.mkErr = mk
-}
-
-// parseTextParallel is the chunked pipeline behind ReadTextWorkers. The
-// header is located sequentially (it is within the first few lines), the
-// remainder is cut into chunkSize chunks at newline boundaries, chunks are
-// parsed concurrently, and the per-chunk entry slices are concatenated in
-// chunk order — so entry order matches the serial parser exactly.
-// chunkSize is a parameter so tests can force many tiny chunks.
-func parseTextParallel(buf []byte, workers, chunkSize int) (*sparse.COO, error) {
-	rows, cols, nnz, rest, headerLines, err := parseTextHeader(buf)
+// readTextAt is the chunked pipeline behind ReadTextWorkers. It reads the
+// text in [off, end) of ra straight into the entries array, in four
+// steps, so the text is never held whole and no entry is copied twice:
+//
+//   - cut: the header is located sequentially (it is within the first
+//     few lines), and the body after it is cut into ~chunkSize chunks at
+//     newline boundaries by small ReadAt probes;
+//   - count: each worker reads its chunks into one reused buffer and
+//     counts their lines, which gives every chunk a slot in the entries
+//     array and the absolute line number it starts at;
+//   - parse: each worker reads its chunks again and parses them straight
+//     into their slots;
+//   - compact: slots that comment or blank lines left part empty are
+//     closed up in chunk order.
+//
+// Entry order and errors match the serial parser exactly: the first
+// error in chunk order is the first error in input order, and it carries
+// the line number the serial parser would report. chunkSize is a
+// parameter so tests can force many tiny chunks.
+func readTextAt(ra io.ReaderAt, off, end int64, workers, chunkSize int) (*sparse.COO, error) {
+	h, body, line, err := readTextHeader(ra, off, end)
 	if err != nil {
 		return nil, err
 	}
-	chunks := splitChunks(rest, chunkSize)
-	results := make([]chunkResult, len(chunks))
+	chunks, err := cutChunks(ra, body, end, chunkSize)
+	if err != nil {
+		return nil, err
+	}
+	longest := 0
+	for _, c := range chunks {
+		longest = max(longest, c.len())
+	}
+	// The count pass hands its buffers to the parse pass.
+	var bufs sync.Pool
+	getBuf := func() []byte {
+		if b, ok := bufs.Get().(*[]byte); ok {
+			return *b
+		}
+		return make([]byte, longest+chunkPad)
+	}
+	errs := make([]error, len(chunks))
 	parallel.Chunks(len(chunks), 1, workers, func(lo, hi int) {
+		buf := getBuf()
 		for j := lo; j < hi; j++ {
-			results[j] = parseTriples(chunks[j], rows, cols)
+			b := buf[:chunks[j].len()]
+			if errs[j] = readFullAt(ra, b, chunks[j].off); errs[j] != nil {
+				return
+			}
+			chunks[j].lines = bytes.Count(b, []byte{'\n'})
+			if b[len(b)-1] != '\n' {
+				chunks[j].lines++
+			}
+			// A triple takes at least five bytes and, unless it ends the
+			// input, a newline: a slot of (len+1)/6 fits every triple the
+			// chunk can hold, so a flood of blank lines cannot inflate
+			// the allocation past about twice the input.
+			chunks[j].slot = min(chunks[j].lines, (len(b)+1)/6)
 		}
+		bufs.Put(&buf)
 	})
-
-	line := headerLines
+	slots := 0
+	for j := range chunks {
+		if errs[j] != nil {
+			return nil, errs[j]
+		}
+		chunks[j].line, chunks[j].first = line, slots
+		line += chunks[j].lines
+		slots += chunks[j].slot
+	}
+	entries := make([]sparse.Rating, slots)
+	parallel.Chunks(len(chunks), 1, workers, func(lo, hi int) {
+		buf := getBuf()
+		for j := lo; j < hi; j++ {
+			c := &chunks[j]
+			b := buf[:c.len()+chunkPad]
+			if errs[j] = readFullAt(ra, b[:c.len()], c.off); errs[j] != nil {
+				return
+			}
+			clear(b[c.len():])
+			c.parsed, errs[j] = parseChunk(b, entries[c.first:c.first+c.slot], h, c.line)
+			if errs[j] != nil {
+				return
+			}
+		}
+		bufs.Put(&buf)
+	})
 	total := 0
-	for j := range results {
-		res := &results[j]
-		if res.errLine > 0 {
-			return nil, res.mkErr(line + res.errLine)
+	for j, c := range chunks {
+		if errs[j] != nil {
+			return nil, errs[j]
 		}
-		if res.rawErr != nil {
-			return nil, res.rawErr
+		if c.first != total {
+			copy(entries[total:], entries[c.first:c.first+c.parsed])
 		}
-		line += res.lines
-		total += len(res.entries)
+		total += c.parsed
 	}
-	if total != nnz {
-		return nil, errNNZMismatch(nnz, total)
+	if total != h.nnz {
+		return nil, errNNZMismatch(h.nnz, total)
 	}
-	m := sparse.NewCOO(rows, cols, total)
-	for j := range results {
-		m.Entries = append(m.Entries, results[j].entries...)
-	}
-	return m, nil
+	return &sparse.COO{Rows: h.rows, Cols: h.cols, Entries: entries[:total]}, nil
 }
 
-// parseTextHeader scans the prologue of buf for the "m n nnz" header,
-// skipping comments and blank lines, and returns the parsed dimensions,
-// the unconsumed remainder, and the number of lines consumed.
-func parseTextHeader(buf []byte) (rows, cols, nnz int, rest []byte, lines int, err error) {
-	for len(buf) > 0 {
+// textHeader is the parsed "m n nnz" header line.
+type textHeader struct{ rows, cols, nnz int }
+
+// headerProbe is the chunk size readTextHeader reads the prologue in:
+// the header is within the first few lines, so a full parse chunk would
+// only fault in pages for nothing.
+const headerProbe = 64 << 10
+
+// readTextHeader reads the prologue of [off, end) up to and including the
+// header line. It returns the header, the offset of the body after it,
+// and the number of lines consumed.
+func readTextHeader(ra io.ReaderAt, off, end int64) (h textHeader, body int64, lines int, err error) {
+	var buf []byte
+	for pos := off; pos < end; {
+		next, err := cutAt(ra, pos, end, headerProbe)
+		if err != nil {
+			return h, 0, 0, err
+		}
+		buf = slices.Grow(buf[:0], int(next-pos))[:next-pos]
+		if err := readFullAt(ra, buf, pos); err != nil {
+			return h, 0, 0, err
+		}
+		hdr, used, n, found, err := parseTextHeader(buf, lines)
+		lines += n
+		if err != nil || found {
+			return hdr, pos + int64(used), lines, err
+		}
+		pos = next
+	}
+	return h, 0, 0, fmt.Errorf("dataset: empty input")
+}
+
+// parseTextHeader scans buf, whose first line is line line0+1, for the
+// "m n nnz" header, skipping comments and blank lines. It returns the
+// header, the bytes and lines consumed, and whether the header was found
+// before buf ran out.
+func parseTextHeader(buf []byte, line0 int) (h textHeader, used, lines int, found bool, err error) {
+	rest := buf
+	for len(rest) > 0 {
 		var line []byte
-		line, buf = nextLine(buf)
+		line, rest = nextLine(rest)
 		lines++
 		if len(line) >= maxLineBytes {
-			return 0, 0, 0, nil, 0, bufio.ErrTooLong
+			return h, 0, lines, false, bufio.ErrTooLong
 		}
 		trimmed := bytes.TrimSpace(line)
 		if len(trimmed) == 0 || trimmed[0] == '%' || trimmed[0] == '#' {
@@ -229,48 +312,48 @@ func parseTextHeader(buf []byte) (rows, cols, nnz int, rest []byte, lines int, e
 		f1, fr := nextField(fr)
 		f2, fr := nextField(fr)
 		if extra, _ := nextField(fr); f2 == nil || extra != nil {
-			return 0, 0, 0, nil, 0, fmt.Errorf("dataset: line %d: header wants 'm n nnz', got %q", lines, trimmed)
+			return h, 0, lines, false, fmt.Errorf("dataset: line %d: header wants 'm n nnz', got %q", line0+lines, trimmed)
 		}
 		var e1, e2, e3 error
-		rows, e1 = strconv.Atoi(bstr(f0))
-		cols, e2 = strconv.Atoi(bstr(f1))
-		nnz, e3 = strconv.Atoi(bstr(f2))
+		h.rows, e1 = strconv.Atoi(bstr(f0))
+		h.cols, e2 = strconv.Atoi(bstr(f1))
+		h.nnz, e3 = strconv.Atoi(bstr(f2))
 		if e1 != nil || e2 != nil || e3 != nil {
-			return 0, 0, 0, nil, 0, fmt.Errorf("dataset: line %d: bad header %q", lines, trimmed)
+			return h, 0, lines, false, fmt.Errorf("dataset: line %d: bad header %q", line0+lines, trimmed)
 		}
-		return rows, cols, nnz, buf, lines, nil
+		return h, len(buf) - len(rest), lines, true, nil
 	}
-	return 0, 0, 0, nil, 0, fmt.Errorf("dataset: empty input")
+	return h, len(buf), lines, false, nil
 }
 
-// parseTriples parses one chunk of "u i r" lines with the zero-copy field
-// scanner. Entries are appended to a chunk-local slice; on the first bad
-// line the chunk stops and records a deferred error.
-func parseTriples(chunk []byte, rows, cols int) chunkResult {
-	var res chunkResult
-	// The shortest meaningful line ("0 0 1\n") is six bytes; /8 slightly
-	// undershoots so the common real-world line lengths rarely regrow.
-	res.entries = make([]sparse.Rating, 0, len(chunk)/8)
-	for len(chunk) > 0 {
-		var line []byte
-		line, chunk = nextLine(chunk)
-		res.lines++
-		if len(line) >= maxLineBytes {
-			res.rawErr = bufio.ErrTooLong
-			return res
-		}
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) == 0 || trimmed[0] == '%' || trimmed[0] == '#' {
+// parseChunk parses one chunk of "u i r" lines into dst and returns the
+// number of entries written. b holds the chunk followed by chunkPad zero
+// bytes, and line is the number of lines before the chunk. Lines of the
+// dominant shape go through the fused scanTriple; every other line takes
+// the general path, whose field splitting and number parsing match the
+// serial parser's strings.Fields and strconv exactly. The chunk stops at
+// its first bad line, with the error the serial parser reports there.
+func parseChunk(b []byte, dst []sparse.Rating, h textHeader, line int) (int, error) {
+	n := 0
+	end := len(b) - chunkPad
+	for p := 0; p < end; {
+		line++
+		if u, i, v, next, ok := scanTriple(b, p, end); ok {
+			if int(u) >= h.rows || int(i) >= h.cols {
+				return n, fmt.Errorf("dataset: line %d: %v", line, sparse.CheckRange(u, i, h.rows, h.cols))
+			}
+			dst[n] = sparse.Rating{U: u, I: i, V: v}
+			n++
+			p = next
 			continue
 		}
-		if u, i, v, ok := parseTripleFast(trimmed); ok {
-			if err := sparse.CheckRange(u, i, rows, cols); err != nil {
-				res.fail(res.lines, func(line int) error {
-					return fmt.Errorf("dataset: line %d: %v", line, err)
-				})
-				return res
-			}
-			res.entries = append(res.entries, sparse.Rating{U: u, I: i, V: v})
+		raw, rest := nextLine(b[p:end])
+		p = end - len(rest)
+		if len(raw) >= maxLineBytes {
+			return n, bufio.ErrTooLong
+		}
+		trimmed := bytes.TrimSpace(raw)
+		if len(trimmed) == 0 || trimmed[0] == '%' || trimmed[0] == '#' {
 			continue
 		}
 		f0, f1, f2, exact, ascii := asciiFields3(trimmed)
@@ -283,29 +366,21 @@ func parseTriples(chunk []byte, rows, cols int) chunkResult {
 			exact = f2 != nil && extra == nil
 		}
 		if !exact {
-			res.fail(res.lines, func(line int) error {
-				return fmt.Errorf("dataset: line %d: want 'u i r', got %q", line, trimmed)
-			})
-			return res
+			return n, fmt.Errorf("dataset: line %d: want 'u i r', got %q", line, trimmed)
 		}
 		u, e1 := parseI32(f0)
 		i, e2 := parseI32(f1)
 		v, e3 := parseF32(f2)
 		if e1 != nil || e2 != nil || e3 != nil {
-			res.fail(res.lines, func(line int) error {
-				return fmt.Errorf("dataset: line %d: bad triple %q", line, trimmed)
-			})
-			return res
+			return n, fmt.Errorf("dataset: line %d: bad triple %q", line, trimmed)
 		}
-		if err := sparse.CheckRange(u, i, rows, cols); err != nil {
-			res.fail(res.lines, func(line int) error {
-				return fmt.Errorf("dataset: line %d: %v", line, err)
-			})
-			return res
+		if err := sparse.CheckRange(u, i, h.rows, h.cols); err != nil {
+			return n, fmt.Errorf("dataset: line %d: %v", line, err)
 		}
-		res.entries = append(res.entries, sparse.Rating{U: u, I: i, V: v})
+		dst[n] = sparse.Rating{U: u, I: i, V: v}
+		n++
 	}
-	return res
+	return n, nil
 }
 
 // Binary format: magic "HCMF", version u32, rows/cols u64, nnz u64, then
@@ -377,7 +452,8 @@ func ReadBinary(r io.Reader) (*sparse.COO, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := sparse.NewCOO(rows, cols, int(nnz))
+	rem, known := remainingBytes(r)
+	m := sparse.NewCOO(rows, cols, binaryCap(nnz, rem, known))
 	block := make([]byte, ioWriteBlock)
 	var done uint64
 	for done < nnz {
@@ -389,7 +465,7 @@ func ReadBinary(r io.Reader) (*sparse.COO, error) {
 			// sparse.Rating on little-endian hosts: bulk-copy the block into
 			// the entries array, then range-check the decoded coordinates.
 			base := len(m.Entries)
-			m.Entries = m.Entries[:base+full]
+			m.Entries = slices.Grow(m.Entries, full)[:base+full]
 			dst := unsafe.Slice((*byte)(unsafe.Pointer(&m.Entries[base])), full*recordSize)
 			copy(dst, block[:full*recordSize])
 			for k := 0; k < full; k++ {
@@ -431,12 +507,13 @@ func ReadBinary(r io.Reader) (*sparse.COO, error) {
 // ReadBinarySerial is the per-record reference reader, retained as the
 // equivalence oracle for ReadBinary and the ingest benchmark baseline.
 func ReadBinarySerial(r io.Reader) (*sparse.COO, error) {
+	rem, known := remainingBytes(r) // read before br buffers ahead
 	br := bufio.NewReaderSize(r, 1<<20)
 	rows, cols, nnz, err := readBinaryHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	m := sparse.NewCOO(rows, cols, int(nnz))
+	m := sparse.NewCOO(rows, cols, binaryCap(nnz, rem-binaryHeaderSize, known))
 	rec := make([]byte, recordSize)
 	for c := uint64(0); c < nnz; c++ {
 		if _, err := io.ReadFull(br, rec); err != nil {
@@ -450,6 +527,40 @@ func ReadBinarySerial(r io.Reader) (*sparse.COO, error) {
 		}
 	}
 	return m, nil
+}
+
+// binaryHeaderSize is the byte length of the binary header: magic,
+// version, rows, cols and nnz.
+const binaryHeaderSize = 4 + 4 + 8 + 8 + 8
+
+// binaryCap is the Entries capacity to preallocate for a binary body that
+// declares nnz records, where rem is the body's size in bytes if known:
+// nnz when the body holds that many records, else as many as it holds;
+// at most headerCapHint when the size is unknown. So a real file gets one
+// exact-size allocation, and a header that declares more records than
+// follow cannot force a huge one.
+func binaryCap(nnz uint64, rem int64, known bool) int {
+	if !known {
+		return int(min(nnz, headerCapHint))
+	}
+	if rem < 0 {
+		rem = 0
+	}
+	return int(min(nnz, uint64(rem)/recordSize))
+}
+
+// remainingBytes reports how many bytes r holds from its current offset
+// to its end, when r can tell: readers with a Len (bytes.Reader,
+// strings.Reader, bytes.Buffer) and regular files.
+func remainingBytes(r io.Reader) (int64, bool) {
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		return int64(v.Len()), true
+	case *os.File:
+		off, size, ok := fileRange(v)
+		return size - off, ok
+	}
+	return 0, false
 }
 
 // readBinaryHeader reads and validates the magic and fixed header.

@@ -2,6 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -171,6 +174,59 @@ func TestTextBinaryAgree(t *testing.T) {
 		// Text goes through %g so only ~7 significant digits survive.
 		if diff := a.V - b.V; diff > 1e-4 || diff < -1e-4 {
 			t.Fatalf("entry %d values differ: %v vs %v", i, a.V, b.V)
+		}
+	}
+}
+
+// binaryHeader returns a binary header, with no records after it, that
+// declares a 2×2 matrix of nnz entries.
+func binaryHeader(nnz uint64) []byte {
+	b := []byte(binaryMagic)
+	b = binary.LittleEndian.AppendUint32(b, binaryVersion)
+	b = binary.LittleEndian.AppendUint64(b, 2)
+	b = binary.LittleEndian.AppendUint64(b, 2)
+	return binary.LittleEndian.AppendUint64(b, nnz)
+}
+
+// allocated returns the bytes fn allocates on the heap.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// onlyReader hides every method of r but Read, so the readers cannot
+// learn its size.
+type onlyReader struct{ r io.Reader }
+
+func (o onlyReader) Read(p []byte) (int, error) { return o.r.Read(p) }
+
+func TestReadBinaryHeaderAllocBounded(t *testing.T) {
+	// A header that declares 2^34 records and ends there must fail on the
+	// first record without first allocating room for all of them.
+	in := binaryHeader(1 << 34)
+	const want = "dataset: record 0: EOF"
+	for _, tc := range []struct {
+		name  string
+		read  func(io.Reader) (*sparse.COO, error)
+		r     func() io.Reader
+		limit uint64
+	}{
+		{"block/sized", ReadBinary, func() io.Reader { return bytes.NewReader(in) }, 4 << 20},
+		{"serial/sized", ReadBinarySerial, func() io.Reader { return bytes.NewReader(in) }, 4 << 20},
+		// A source of unknown size gets at most headerCapHint entries.
+		{"block/unsized", ReadBinary, func() io.Reader { return onlyReader{bytes.NewReader(in)} }, headerCapHint*recordSize + 4<<20},
+		{"serial/unsized", ReadBinarySerial, func() io.Reader { return onlyReader{bytes.NewReader(in)} }, headerCapHint*recordSize + 4<<20},
+	} {
+		var err error
+		got := allocated(func() { _, err = tc.read(tc.r()) })
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s: err %v, want %q", tc.name, err, want)
+		}
+		if got > tc.limit {
+			t.Fatalf("%s: allocated %d bytes, want <= %d", tc.name, got, tc.limit)
 		}
 	}
 }

@@ -3,7 +3,11 @@ package dataset
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -17,6 +21,12 @@ import (
 // entry points with tiny chunk sizes so that multi-chunk splits, malformed
 // lines mid-chunk, and inputs smaller than one chunk are all exercised
 // even on small fixtures.
+
+// readTextChunked runs the chunked text pipeline over buf with the given
+// worker count and chunk size.
+func readTextChunked(buf []byte, workers, chunkSize int) (*sparse.COO, error) {
+	return readTextAt(bytes.NewReader(buf), 0, int64(len(buf)), workers, chunkSize)
+}
 
 func textFixture(t *testing.T) []byte {
 	t.Helper()
@@ -70,7 +80,7 @@ func TestReadTextParallelEquivalence(t *testing.T) {
 	// the whole input (single chunk).
 	for _, chunkSize := range []int{3, 64, 4096, len(text) + 1} {
 		for _, workers := range []int{2, 4, 8} {
-			got, err := parseTextParallel(text, workers, chunkSize)
+			got, err := readTextChunked(text, workers, chunkSize)
 			if err != nil {
 				t.Fatalf("chunk %d workers %d: %v", chunkSize, workers, err)
 			}
@@ -112,7 +122,7 @@ func TestReadTextParallelErrorsMatchSerial(t *testing.T) {
 	for _, in := range cases {
 		sm, serr := readTextSerial(strings.NewReader(in))
 		for _, chunkSize := range []int{2, 5, 1 << 20} {
-			pm, perr := parseTextParallel([]byte(in), 4, chunkSize)
+			pm, perr := readTextChunked([]byte(in), 4, chunkSize)
 			if (serr == nil) != (perr == nil) {
 				t.Fatalf("%q chunk %d: serial err %v, parallel err %v", in, chunkSize, serr, perr)
 			}
@@ -138,7 +148,7 @@ func TestReadTextValidatesHeaderNNZ(t *testing.T) {
 	if _, err := readTextSerial(strings.NewReader(in)); err == nil || err.Error() != want {
 		t.Fatalf("serial: err %v, want %q", err, want)
 	}
-	if _, err := parseTextParallel([]byte(in), 4, 4); err == nil || err.Error() != want {
+	if _, err := readTextChunked([]byte(in), 4, 4); err == nil || err.Error() != want {
 		t.Fatalf("parallel: err %v, want %q", err, want)
 	}
 	if _, err := ReadText(strings.NewReader(in)); err == nil || err.Error() != want {
@@ -318,5 +328,73 @@ func TestWriteBinaryBlockBoundary(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back.Entries, m.Entries) {
 		t.Fatal("multi-block round trip changed entries")
+	}
+}
+
+// TestReadTextSourcesAgree holds the three ways text reaches the chunked
+// pipeline to one result: a regular file and a bytes.Reader are read in
+// place from their current offset, any other reader is read into memory
+// first. Each gives the same COO, or the same error, as the serial
+// reader.
+func TestReadTextSourcesAgree(t *testing.T) {
+	inputs := []string{
+		string(textFixture(t)),
+		"2 2 1\n0 1 3.5",
+		"3 3 3\n0 0 1\n\n# c\n1 1 2\n%x\n\n2 2 3\n",
+		"2 2 1\n0 1\n",
+		"2 2 1\n5 0 1\n",
+		"2 2 2\n0 1 3\n",
+		"",
+	}
+	const prefix = "skipped\n" // read off every source before the parse
+	dir := t.TempDir()
+	for k, in := range inputs {
+		want, werr := readTextSerial(strings.NewReader(in))
+		path := filepath.Join(dir, fmt.Sprintf("in%d.txt", k))
+		if err := os.WriteFile(path, []byte(prefix+in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		sources := map[string]io.Reader{
+			"file":   f,
+			"bytes":  bytes.NewReader([]byte(prefix + in)),
+			"reader": onlyReader{strings.NewReader(prefix + in)},
+		}
+		for name, r := range sources {
+			if _, err := io.ReadFull(r, make([]byte, len(prefix))); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadTextWorkers(r, 4)
+			if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+				t.Fatalf("input %d, %s: err %v, want %v", k, name, err, werr)
+			}
+			if err == nil && (got.Rows != want.Rows || got.Cols != want.Cols || !reflect.DeepEqual(got.Entries, want.Entries)) {
+				t.Fatalf("input %d, %s: COO differs from the serial reader's", k, name)
+			}
+		}
+	}
+}
+
+// TestReadTextAllocBounded checks that a flood of blank lines, each of
+// which the count pass must give a slot until it knows better, costs at
+// most about twice the input: a slot is capped at what the chunk's bytes
+// can hold, (len+1)/6 entries of 12 bytes.
+func TestReadTextAllocBounded(t *testing.T) {
+	in := []byte("2 2 1\n0 1 3.5\n" + strings.Repeat("\n", 6<<20))
+	workers := runtime.GOMAXPROCS(0)
+	var m *sparse.COO
+	var err error
+	got := allocated(func() { m, err = ReadTextWorkers(bytes.NewReader(in), max(workers, 2)) })
+	if err != nil || m.NNZ() != 1 {
+		t.Fatalf("got %v, %v", m, err)
+	}
+	// Beyond the slots, each worker holds one buffer of at most two chunks.
+	limit := uint64(2*len(in) + (max(workers, 2)+1)*2*ioChunkSize)
+	if got > limit {
+		t.Fatalf("allocated %d bytes for %d bytes of input, want <= %d", got, len(in), limit)
 	}
 }

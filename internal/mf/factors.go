@@ -43,12 +43,8 @@ func NewFactorsInit(m, n, k int, meanRating float64, rng *sparse.Rand) *Factors 
 		meanRating = 1
 	}
 	base := float32(math.Sqrt(meanRating / float64(k)))
-	for i := range f.P {
-		f.P[i] = base * (0.5 + rng.Float32())
-	}
-	for i := range f.Q {
-		f.Q[i] = base * (0.5 + rng.Float32())
-	}
+	rng.FillFloat32(f.P, 0.5, base)
+	rng.FillFloat32(f.Q, 0.5, base)
 	return f
 }
 

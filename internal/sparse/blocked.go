@@ -68,7 +68,12 @@ func BlockOrder(entries []Rating, rows, cols Axis) []int {
 		return off
 	}
 	nch := chunkCount(n, nb)
-	cnt := make([]int, nch*nb)
+	// One chunk counts straight into the offsets, which the pass below
+	// then turns into prefix sums in place.
+	cnt := off[1:]
+	if nch > 1 {
+		cnt = make([]int, nch*nb)
+	}
 	// firstRow and lastRow are each chunk's first and last block row, or
 	// -1 in lastRow when the chunk's block rows ever decrease.
 	firstRow, lastRow := make([]int, nch), make([]int, nch)
@@ -105,7 +110,11 @@ func BlockOrder(entries []Rating, rows, cols Axis) []int {
 		})
 		return off
 	}
-	chunkCursors(cnt, nb, func(b int) int { return off[b] })
+	if nch == 1 {
+		cnt = append([]int(nil), off[:nb]...)
+	} else {
+		chunkCursors(cnt, nb, func(b int) int { return off[b] })
+	}
 	tmp := make([]Rating, n)
 	eachChunk(n, nch, func(c, lo, hi int) {
 		next := cnt[c*nb : (c+1)*nb]

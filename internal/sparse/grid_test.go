@@ -3,6 +3,7 @@ package sparse
 import (
 	"cmp"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -312,6 +313,44 @@ func TestBlockOrderMatchesStableSort(t *testing.T) {
 			}
 			checkBlockOrder(t, entries, tc.ra, tc.ca)
 		})
+	}
+}
+
+// TestBlockOrderAllocBounded bounds BlockOrder's scratch on a grid of a
+// million blocks, where the block count, not the entries, sets it. Such a
+// grid is one chunk at any GOMAXPROCS, and one chunk counts straight into
+// the offsets: the returned offsets are the only block-sized array of a
+// row-major input, and a shuffled one adds one array of block cursors.
+// Both also hold a scratch copy of at most the entries.
+func TestBlockOrderAllocBounded(t *testing.T) {
+	const side, n = 1000, 200_000
+	ra, ca := EvenAxis(0, 10*side, side), EvenAxis(0, 10*side, side)
+	nb := side * side
+	for _, tc := range []struct {
+		name     string
+		rowMajor bool
+		arrays   int
+	}{
+		{"row-major", true, 1},
+		{"shuffled", false, 2},
+	} {
+		rng := NewRand(5)
+		entries := make([]Rating, n)
+		for i := range entries {
+			entries[i] = Rating{U: int32(rng.Intn(10 * side)), I: int32(rng.Intn(10 * side))}
+		}
+		if tc.rowMajor {
+			slices.SortStableFunc(entries, func(x, y Rating) int { return cmp.Compare(x.U, y.U) })
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		BlockOrder(entries, ra, ca)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		limit := uint64(tc.arrays*8*(nb+1) + 12*n + 1<<20)
+		if got > limit {
+			t.Fatalf("%s: allocated %d bytes, want <= %d", tc.name, got, limit)
+		}
 	}
 }
 

@@ -96,6 +96,20 @@ func (r *Rand) Float32() float32 {
 	return float32(r.Uint64()>>40) * (1.0 / (1 << 24))
 }
 
+// FillFloat32 sets dst[i] = scale * (offset + r.Float32()) for each i in
+// order, with the same values and the same end state as that loop. The
+// generator state stays in local variables for the whole fill rather than
+// going through memory on every draw.
+func (r *Rand) FillFloat32(dst []float32, offset, scale float32) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var out uint64
+	for i := range dst {
+		out, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		dst[i] = scale * (offset + float32(out>>40)*(1.0/(1<<24)))
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Intn returns a uniform int in [0, n).
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {

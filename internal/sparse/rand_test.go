@@ -141,3 +141,25 @@ func TestMul64(t *testing.T) {
 		}
 	}
 }
+
+func TestFillFloat32MatchesFloat32Loop(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 1000} {
+		for _, c := range []struct{ offset, scale float32 }{{0.5, 0.35355338}, {0, 1}, {-1.25, 3}} {
+			want, got := NewRand(uint64(n)+9), NewRand(uint64(n)+9)
+			w := make([]float32, n)
+			for i := range w {
+				w[i] = c.scale * (c.offset + want.Float32())
+			}
+			g := make([]float32, n)
+			got.FillFloat32(g, c.offset, c.scale)
+			for i := range w {
+				if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
+					t.Fatalf("n=%d %+v: value %d is %v, want %v", n, c, i, g[i], w[i])
+				}
+			}
+			if *got != *want {
+				t.Fatalf("n=%d %+v: end state differs", n, c)
+			}
+		}
+	}
+}
