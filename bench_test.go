@@ -151,8 +151,7 @@ func BenchmarkDataPlane(b *testing.B) {
 				}
 			}
 		})
-		tc := mf.TileCols(k)
-		side := max(16, (train.Cols+tc-1)/tc)
+		side := walkSide(train.Cols, k)
 		counts := make([]int64, train.Cols)
 		for _, e := range train.Entries {
 			counts[e.I]++
@@ -166,11 +165,7 @@ func BenchmarkDataPlane(b *testing.B) {
 			name string
 			axes func(sh *sparse.COO) (rows, cols sparse.Axis)
 		}{
-			{"walk", func(sh *sparse.COO) (rows, cols sparse.Axis) {
-				lo, hi := int(sh.Entries[0].U), int(sh.Entries[len(sh.Entries)-1].U)+1
-				g := min(side, hi-lo)
-				return sparse.EvenAxis(lo, hi, g), sparse.EvenAxis(0, sh.Cols, g)
-			}},
+			{"walk", func(sh *sparse.COO) (rows, cols sparse.Axis) { return walkAxes(sh, side) }},
 			{"tiles", func(*sparse.COO) (rows, cols sparse.Axis) { return sparse.Axis{N: 1}, tiles }},
 		}
 		for _, l := range layouts {
@@ -190,6 +185,64 @@ func BenchmarkDataPlane(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// walkSide is the FPSGD/Batched block grid side mf.BlockWalk uses at k:
+// max(16, ⌈cols/TileCols(k)⌉).
+func walkSide(cols, k int) int {
+	tc := mf.TileCols(k)
+	return max(16, (cols+tc-1)/tc)
+}
+
+// walkAxes cuts a row shard's band and its columns into the walk's grid,
+// as mf.BlockWalk does.
+func walkAxes(sh *sparse.COO, side int) (rows, cols sparse.Axis) {
+	lo, hi := int(sh.Entries[0].U), int(sh.Entries[len(sh.Entries)-1].U)+1
+	g := min(side, hi-lo)
+	return sparse.EvenAxis(lo, hi, g), sparse.EvenAxis(0, sh.Cols, g)
+}
+
+// BenchmarkSweep times the rating sweep alone on the workloads' shapes:
+// one-thread mf.TrainEntries at k = 64 over the first worker shard of
+// dataset.Generate's Netflix@0.05 (cut in two, as train-cached does) and
+// of ML-20m@0.2 (one worker, as train-wide-tcp), laid out in the block
+// walk's order. Each op is one pass over the shard; ns/update is the
+// sweep's cost per rating on whichever tier mf.Kernel reports, which the
+// benchmark logs. EXPERIMENTS.md ("The VEX rating sweeps") has the table.
+func BenchmarkSweep(b *testing.B) {
+	const k = 64
+	b.Logf("rating sweeps: %s", mf.Kernel())
+	for _, in := range []struct {
+		name    string
+		spec    dataset.Spec
+		scale   float64
+		workers int
+	}{
+		{"netflix0.05", dataset.Netflix, 0.05, 2},
+		{"ml20m0.2", dataset.MovieLens20M, 0.2, 1},
+	} {
+		train := dataset.MustGenerate(in.spec.MustScaled(in.scale), 1).Train
+		weights := make([]float64, in.workers)
+		for i := range weights {
+			weights[i] = 1
+		}
+		_, shards, err := sparse.RowShards(train, weights)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sh := shards[0]
+		rows, cols := walkAxes(sh, walkSide(train.Cols, k))
+		sparse.BlockOrder(sh.Entries, rows, cols)
+		b.Run(in.name, func(b *testing.B) {
+			f := mf.NewFactorsInit(train.Rows, train.Cols, k, train.MeanRating(), sparse.NewRand(2))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mf.TrainEntries(f, sh.Entries, kernelbench.Hyper)
+			}
+			kernelbench.ReportUpdates(b, len(sh.Entries))
+		})
 	}
 }
 

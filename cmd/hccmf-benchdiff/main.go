@@ -57,11 +57,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("baseline : %s\ncandidate: %s\n\n", basePath, *candidate)
+		fmt.Printf("baseline : %s\ncandidate: %s\n", basePath, *candidate)
 	} else {
-		fmt.Printf("baseline : %s\ncandidate: fresh run (count=%d)\n\n", basePath, *count)
+		fmt.Printf("baseline : %s\ncandidate: fresh run (count=%d)\n", basePath, *count)
 		cand = kernelbench.Collect(*count)
 	}
+	fmt.Printf("  baseline host : %s\n  candidate host: %s\n\n", base.Stamp(), cand.Stamp())
 
 	deltas := kernelbench.Diff(base, cand, *threshold)
 	if *groups != "" {

@@ -168,7 +168,7 @@ func main() {
 	}
 
 	fmt.Printf("plan: %v\n", res.Plan)
-	fmt.Printf("contract (DESIGN.md §8): %s\n", core.ContractClass(res.Plan, schedCfg))
+	fmt.Printf("contract (DESIGN.md §8): %s; rating sweeps (DESIGN.md §16): %s\n", core.ContractClass(res.Plan, schedCfg), mf.Kernel())
 	fmt.Printf("real shards: %s\n", formatRealShards(res.Shards))
 	fmt.Printf("simulated full-size run: %.3fs for %d epochs (%.3g updates/s, %.0f%% of ideal)\n",
 		res.Sim.TotalTime, *epochs, res.Power, res.Utilization*100)

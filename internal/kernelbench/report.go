@@ -1,9 +1,13 @@
 package kernelbench
 
 import (
+	"fmt"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 
+	"hccmf/internal/mf"
 	"hccmf/internal/raceflag"
 )
 
@@ -45,13 +49,19 @@ type Result struct {
 
 // Report is the full document `hccmf-bench -json` writes.
 type Report struct {
-	Schema     string   `json:"schema"`
-	GoVersion  string   `json:"go_version"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Count      int      `json:"count"`
-	Race       bool     `json:"race,omitempty"`
-	Workload   Workload `json:"workload"`
-	Kernels    []Result `json:"kernels"`
+	Schema     string `json:"schema"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	// Kernel, NumCPU and CPUModel stamp the host the report was measured
+	// on: mf.Kernel()'s sweep tier, runtime.NumCPU() and /proc/cpuinfo's
+	// model name. Reports written before the stamps existed omit them.
+	Kernel   string   `json:"kernel,omitempty"`
+	NumCPU   int      `json:"num_cpu,omitempty"`
+	CPUModel string   `json:"cpu_model,omitempty"`
+	Count    int      `json:"count"`
+	Race     bool     `json:"race,omitempty"`
+	Workload Workload `json:"workload"`
+	Kernels  []Result `json:"kernels"`
 	// IngestSchema and Ingest carry the ingestion benchmark group
 	// (IngestSuite); both are omitted from kernel-only documents.
 	IngestSchema string   `json:"ingest_schema,omitempty"`
@@ -65,6 +75,39 @@ type Report struct {
 	// re-solve micro-benchmark.
 	ScheduleSchema string   `json:"schedule_schema,omitempty"`
 	Schedule       []Result `json:"schedule,omitempty"`
+}
+
+// Stamp is the one-line host description benchdiff prints for a report:
+// Go version, GOMAXPROCS, core count, sweep kernel and CPU model, with "?"
+// for a stamp the report predates.
+func (r Report) Stamp() string {
+	orUnknown := func(s string) string {
+		if s == "" {
+			return "?"
+		}
+		return s
+	}
+	cpus := "?"
+	if r.NumCPU > 0 {
+		cpus = fmt.Sprint(r.NumCPU)
+	}
+	return fmt.Sprintf("%s gomaxprocs=%d num_cpu=%s kernel=%s cpu=%q",
+		orUnknown(r.GoVersion), r.GOMAXPROCS, cpus, orUnknown(r.Kernel), orUnknown(r.CPUModel))
+}
+
+// cpuModel reads the first "model name" line of /proc/cpuinfo; it is
+// empty where that file does not exist.
+func cpuModel() string {
+	raw, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 // Bench is one named kernel micro-benchmark of the suite.
@@ -99,6 +142,9 @@ func Collect(count int) Report {
 		Schema:     Schema,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Kernel:     mf.Kernel(),
+		NumCPU:     runtime.NumCPU(),
+		CPUModel:   cpuModel(),
 		Count:      count,
 		Race:       raceflag.Enabled,
 		Workload:   Workload{Rows: Rows, Cols: Cols, NNZ: NNZ, K: K},

@@ -2,6 +2,7 @@ package kernelbench
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -157,5 +158,26 @@ func TestCollectOneAggregates(t *testing.T) {
 	skip := Bench{Name: "skipper", Fn: func(b *testing.B) { b.Skip("nope") }}
 	if res := collectOne(skip, 2); !res.Skipped {
 		t.Fatalf("skipping benchmark not marked Skipped: %+v", res)
+	}
+}
+
+// TestReportStamp pins the host stamp: Collect's fields appear in the
+// JSON under their names, and Stamp marks what an older report lacks.
+func TestReportStamp(t *testing.T) {
+	rep := Report{Schema: Schema, GoVersion: "go1.24.0", GOMAXPROCS: 2,
+		Kernel: "vex", NumCPU: 2, CPUModel: "Xeon"}
+	got, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(got), `"gomaxprocs":2,"kernel":"vex","num_cpu":2,"cpu_model":"Xeon",`) {
+		t.Fatalf("stamp fields missing: %s", got)
+	}
+	if s := rep.Stamp(); s != `go1.24.0 gomaxprocs=2 num_cpu=2 kernel=vex cpu="Xeon"` {
+		t.Fatalf("Stamp() = %s", s)
+	}
+	old := Report{Schema: Schema, GoVersion: "go1.24.0", GOMAXPROCS: 1}
+	if s := old.Stamp(); s != `go1.24.0 gomaxprocs=1 num_cpu=? kernel=? cpu="?"` {
+		t.Fatalf("Stamp() of an unstamped report = %s", s)
 	}
 }

@@ -92,81 +92,88 @@ func repeatedEntries(m *sparse.COO) []sparse.Rating {
 }
 
 // TestKernelVariantsMatchReference sweeps every kernel entry point — the
-// exported UpdateOne (the build's sweep kernel on one entry) and the
+// exported UpdateOne (the process's sweep kernel on one entry) and the
 // portable kernel — across k = 1..160 (every remainder shape, including
 // non-multiples of 4 and 8) and pins each bit-for-bit to its reference
-// accumulation order. The sumSqErr subtest pins the build's evaluation
-// loop (the SSE sqErrSweep on amd64) to the Go loop at the same k, over
-// entries with repeated users and items.
+// accumulation order. The sumSqErr subtest pins the evaluation loop (the
+// VEX sqErrSweep where the gate is on) to the Go loop at the same k, over
+// entries with repeated users and items. UpdateOne and sumSqErr run once
+// per tier this host can run (forEachTier).
 func TestKernelVariantsMatchReference(t *testing.T) {
 	h := HyperParams{Gamma: 0.01, Lambda1: 0.02, Lambda2: 0.03}
 	for _, v := range kernelVariants() {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			rng := sparse.NewRand(99)
-			for k := 1; k <= 160; k++ {
-				if !v.supports(k) {
-					continue
-				}
-				for trial := 0; trial < 8; trial++ {
-					p1, q1 := randVec(rng, k), randVec(rng, k)
-					p2 := append([]float32(nil), p1...)
-					q2 := append([]float32(nil), q1...)
-					r := rng.Float32() * 5
-					e1 := v.fn(p1, q1, r, h)
-					e2 := v.ref(p2, q2, r, h)
-					if e1 != e2 {
-						t.Fatalf("k=%d trial %d: error %v != reference %v", k, trial, e1, e2)
+			forEachTier(t, func(t *testing.T) {
+				rng := sparse.NewRand(99)
+				for k := 1; k <= 160; k++ {
+					if !v.supports(k) {
+						continue
 					}
-					for i := range p1 {
-						if p1[i] != p2[i] || q1[i] != q2[i] {
-							t.Fatalf("k=%d trial %d: factor %d diverged: p %v/%v q %v/%v",
-								k, trial, i, p1[i], p2[i], q1[i], q2[i])
+					for trial := 0; trial < 8; trial++ {
+						p1, q1 := randVec(rng, k), randVec(rng, k)
+						p2 := append([]float32(nil), p1...)
+						q2 := append([]float32(nil), q1...)
+						r := rng.Float32() * 5
+						e1 := v.fn(p1, q1, r, h)
+						e2 := v.ref(p2, q2, r, h)
+						if e1 != e2 {
+							t.Fatalf("k=%d trial %d: error %v != reference %v", k, trial, e1, e2)
+						}
+						for i := range p1 {
+							if p1[i] != p2[i] || q1[i] != q2[i] {
+								t.Fatalf("k=%d trial %d: factor %d diverged: p %v/%v q %v/%v",
+									k, trial, i, p1[i], p2[i], q1[i], q2[i])
+							}
 						}
 					}
 				}
-			}
+			})
 		})
 	}
 	t.Run("sumSqErr", func(t *testing.T) {
 		m := trainSet(t, 9, 7, 60, 5)
 		entries := repeatedEntries(m)
-		for k := 1; k <= 160; k++ {
-			f := NewFactorsInit(m.Rows, m.Cols, k, m.MeanRating(), sparse.NewRand(uint64(k)))
-			got, want := sumSqErr(f, entries), sumSqErrGeneric(f, entries)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("k=%d: sumSqErr %v != Go loop %v", k, got, want)
+		forEachTier(t, func(t *testing.T) {
+			for k := 1; k <= 160; k++ {
+				f := NewFactorsInit(m.Rows, m.Cols, k, m.MeanRating(), sparse.NewRand(uint64(k)))
+				got, want := sumSqErr(f, entries), sumSqErrGeneric(f, entries)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("k=%d: sumSqErr %v != Go loop %v", k, got, want)
+				}
 			}
-		}
+		})
 	})
 }
 
-// TestTrainEntriesMatchesRowViews pins TrainEntries — the build's sweep
-// kernel — to a per-entry referenceUpdateOne sweep over PRow/QRow views at
-// k = 1..160, so every tail shape is covered, over entries that revisit
-// users and items back to back.
+// TestTrainEntriesMatchesRowViews pins TrainEntries — on every sweep tier
+// this host can run — to a per-entry referenceUpdateOne sweep over
+// PRow/QRow views at k = 1..160, so every tail shape is covered, over
+// entries that revisit users and items back to back.
 func TestTrainEntriesMatchesRowViews(t *testing.T) {
 	h := HyperParams{Gamma: 0.01, Lambda1: 0.005, Lambda2: 0.005}
 	m := trainSet(t, 40, 30, 2000, 21)
 	entries := repeatedEntries(m)
 	for k := 1; k <= 160; k++ {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
-			f1 := NewFactorsInit(m.Rows, m.Cols, k, m.MeanRating(), sparse.NewRand(4))
-			f2 := f1.Clone()
-			TrainEntries(f1, entries, h)
-			for _, e := range entries {
-				referenceUpdateOne(f2.PRow(e.U), f2.QRow(e.I), e.V, h)
-			}
-			for i := range f1.P {
-				if f1.P[i] != f2.P[i] {
-					t.Fatalf("P[%d] diverged: %v != %v", i, f1.P[i], f2.P[i])
+			forEachTier(t, func(t *testing.T) {
+				f1 := NewFactorsInit(m.Rows, m.Cols, k, m.MeanRating(), sparse.NewRand(4))
+				f2 := f1.Clone()
+				TrainEntries(f1, entries, h)
+				for _, e := range entries {
+					referenceUpdateOne(f2.PRow(e.U), f2.QRow(e.I), e.V, h)
 				}
-			}
-			for i := range f1.Q {
-				if f1.Q[i] != f2.Q[i] {
-					t.Fatalf("Q[%d] diverged: %v != %v", i, f1.Q[i], f2.Q[i])
+				for i := range f1.P {
+					if f1.P[i] != f2.P[i] {
+						t.Fatalf("P[%d] diverged: %v != %v", i, f1.P[i], f2.P[i])
+					}
 				}
-			}
+				for i := range f1.Q {
+					if f1.Q[i] != f2.Q[i] {
+						t.Fatalf("Q[%d] diverged: %v != %v", i, f1.Q[i], f2.Q[i])
+					}
+				}
+			})
 		})
 	}
 }

@@ -19,8 +19,8 @@ func RMSE(f *Factors, entries []sparse.Rating) float64 {
 
 // sumSqErrGeneric accumulates Σ(r − p·q)² over entries. Through the
 // build's sumSqErr it is the shared inner loop of RMSE and the parallel
-// evaluator workers — in Go under !amd64 || noasm, as the SSE sqErrSweep
-// on amd64, which matches it bit for bit. Row slicing is inlined (as in
+// evaluator workers — in Go wherever Kernel reports "go", as the VEX
+// sqErrSweep where it reports "vex", which matches it bit for bit. Row slicing is inlined (as in
 // TrainEntries) so the flat P/Q base pointers and K stay in registers, and
 // the dot product uses Dot's exact partial-sum order so the result is
 // bit-identical to calling f.Predict per entry.

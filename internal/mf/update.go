@@ -21,11 +21,12 @@ type HyperParams struct {
 // using the pre-update value of p in q's gradient (the standard
 // simultaneous update). It returns the signed prediction error e.
 //
-// UpdateOne is the one-entry case of the build's one update kernel: the
-// SSE rating sweep on amd64, updateOneGeneric under !amd64 || noasm
-// (DESIGN.md §16). Both are pinned bit-identical to referenceUpdateOne —
-// the memory-layout pass is not allowed to move the convergence
-// trajectory — by the kernel-equivalence sweep in kernel_equiv_test.go.
+// UpdateOne is the one-entry case of the process's update kernel: the
+// VEX rating sweep on amd64 hosts that pass the CPUID gate,
+// updateOneGeneric everywhere else (DESIGN.md §16). Both are pinned
+// bit-identical to referenceUpdateOne — the memory-layout pass is not
+// allowed to move the convergence trajectory — by the kernel-equivalence
+// sweep in kernel_equiv_test.go.
 //
 // lint:hotpath
 func UpdateOne(p, q []float32, r float32, h HyperParams) float32 {
@@ -115,6 +116,35 @@ func updateOneGeneric(p, q []float32, r float32, h HyperParams) float32 {
 	return e
 }
 
+// trainEntriesGeneric is the portable TrainEntries loop: one
+// updateOneGeneric per entry. It inlines the row slicing (rather than
+// going through PRow/QRow) so the flat P/Q base pointers and K stay in
+// registers across the sweep; the three-index q slice caps the view so
+// the kernel's q[:len(p)] guard is free.
+//
+// lint:hotpath
+func trainEntriesGeneric(f *Factors, entries []sparse.Rating, h HyperParams) {
+	p, q, k := f.P, f.Q, f.K
+	for idx := range entries {
+		e := entries[idx]
+		po := int(e.U) * k
+		qo := int(e.I) * k
+		updateOneGeneric(p[po:po+k], q[qo:qo+k:qo+k], e.V, h)
+	}
+}
+
+// Kernel reports which rating sweeps this process runs: "vex", the
+// 8-lane AVX assembly on amd64 hosts that pass the CPUID gate, or "go",
+// the portable loops (pre-AVX amd64 hosts, -tags noasm, other
+// architectures). On amd64 both compute the same bits; only the speed
+// differs.
+func Kernel() string {
+	if useVEX {
+		return "vex"
+	}
+	return "go"
+}
+
 // UpdatesPerEntryFLOPs reports the floating-point operations one UpdateOne
 // performs for dimension k: 2k for the dot product, ~5k for the two factor
 // updates. Used by the cost model's "7k/Pi" term.
@@ -131,11 +161,11 @@ func UpdateBytes(k int) int { return 16*k + 4 }
 // It is the one sweep loop of the build: the serial engine, every pool
 // task (FPSGD block, Hogwild chunk, Batched group) and the parameter
 // server's async streams all train through it; callers own any required
-// synchronisation. On amd64 the whole loop is the SSE sweep in
-// update_amd64.s, which reads the rating records itself; elsewhere it is a
-// Go loop over updateOneGeneric. An entry whose U or I lies outside f
-// panics, after every earlier entry has been applied and before anything
-// is written for it.
+// synchronisation. Where Kernel reports "vex" the whole loop is the VEX
+// sweep in update_amd64.s, which reads the rating records itself;
+// elsewhere it is trainEntriesGeneric. An entry whose U or I lies outside
+// f panics, after every earlier entry has been applied and before
+// anything is written for it.
 //
 // lint:hotpath
 func TrainEntries(f *Factors, entries []sparse.Rating, h HyperParams) {

@@ -8,21 +8,51 @@ import (
 	"hccmf/internal/sparse"
 )
 
-// sgdSweep is the build's one SGD kernel on amd64 (update_amd64.s): it
-// applies one update per entry, in order, to the k-wide rows U of p and
-// I of q, bit-identical to a per-entry updateOneGeneric/referenceUpdateOne
-// sweep for every k. It stops at the first entry whose U is not in
-// [0, pRows) or whose I is not in [0, qRows), before touching any memory
-// for it, and returns the number of entries applied and the last one's
-// error. Callers guarantee pRows·k <= len(p) and qRows·k <= len(q).
+// useVEX is the CPUID gate, decided once at package init: the VEX sweeps
+// in update_amd64.s run only on a host whose CPU has AVX and whose OS
+// saves the YMM registers. Every other amd64 host runs the portable Go
+// loops, which compute the same bits (DESIGN.md §16).
+var useVEX = vexSupported()
+
+// vexSupported checks what the sweeps' instructions need: CPUID.1:ECX
+// AVX (bit 28) and OSXSAVE (bit 27), then XCR0 bits 1–2 (the OS saves
+// XMM and YMM state). The sweeps use no AVX2 instruction, so CPUID.7 is
+// not consulted.
+func vexSupported() bool {
+	const avx, osxsave = 1 << 28, 1 << 27
+	if maxID, _, _, _ := cpuid(0, 0); maxID < 1 {
+		return false
+	}
+	_, _, ecx, _ := cpuid(1, 0)
+	if ecx&(avx|osxsave) != avx|osxsave {
+		return false
+	}
+	xcr0, _ := xgetbv()
+	return xcr0&6 == 6
+}
+
+// cpuid executes CPUID for leaf eaxArg, subleaf ecxArg (update_amd64.s).
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv reads XCR0, the OS-enabled register state (update_amd64.s). Only
+// call it once CPUID reports OSXSAVE.
+func xgetbv() (eax, edx uint32)
+
+// sgdSweep is the VEX SGD kernel (update_amd64.s): it applies one update
+// per entry, in order, to the k-wide rows U of p and I of q, bit-identical
+// to a per-entry updateOneGeneric/referenceUpdateOne sweep for every k. It
+// stops at the first entry whose U is not in [0, pRows) or whose I is not
+// in [0, qRows), before touching any memory for it, and returns the number
+// of entries applied and the last one's error. Callers guarantee
+// pRows·k <= len(p) and qRows·k <= len(q), and that useVEX is set.
 //
 //go:noescape
 func sgdSweep(p, q []float32, k, pRows, qRows int, entries []sparse.Rating, h HyperParams) (n int, e float32)
 
-// sqErrSweep is sumSqErrGeneric in assembly: Σ(V − p_U·q_I)² over entries
-// in input order, bit-identical for every k, with sgdSweep's row checks.
-// It returns the sum over the first n entries, stopping at the first
-// out-of-range row.
+// sqErrSweep is sumSqErrGeneric in VEX assembly: Σ(V − p_U·q_I)² over
+// entries in input order, bit-identical for every k, with sgdSweep's row
+// checks. It returns the sum over the first n entries, stopping at the
+// first out-of-range row.
 //
 //go:noescape
 func sqErrSweep(p, q []float32, k, pRows, qRows int, entries []sparse.Rating) (sum float64, n int)
@@ -32,6 +62,9 @@ func sqErrSweep(p, q []float32, k, pRows, qRows int, entries []sparse.Rating) (s
 //
 // lint:hotpath
 func updateOne(p, q []float32, r float32, h HyperParams) float32 {
+	if !useVEX {
+		return updateOneGeneric(p, q, r, h)
+	}
 	one := [1]sparse.Rating{{V: r}}
 	_, e := sgdSweep(p, q, len(p), 1, 1, one[:], h)
 	return e
@@ -39,6 +72,10 @@ func updateOne(p, q []float32, r float32, h HyperParams) float32 {
 
 // lint:hotpath
 func trainEntries(f *Factors, entries []sparse.Rating, h HyperParams) {
+	if !useVEX {
+		trainEntriesGeneric(f, entries, h)
+		return
+	}
 	pRows, qRows := sweepRows(f)
 	if n, _ := sgdSweep(f.P, f.Q, f.K, pRows, qRows, entries, h); n < len(entries) {
 		panicRow(f, entries[n])
@@ -47,6 +84,9 @@ func trainEntries(f *Factors, entries []sparse.Rating, h HyperParams) {
 
 // lint:hotpath
 func sumSqErr(f *Factors, entries []sparse.Rating) float64 {
+	if !useVEX {
+		return sumSqErrGeneric(f, entries)
+	}
 	pRows, qRows := sweepRows(f)
 	sum, n := sqErrSweep(f.P, f.Q, f.K, pRows, qRows, entries)
 	if n < len(entries) {

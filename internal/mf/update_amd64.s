@@ -1,13 +1,15 @@
 //go:build !noasm
 
-// SSE rating sweeps (DESIGN.md §16). Go has no float32 auto-vectorizer,
+// VEX rating sweeps (DESIGN.md §16). Go has no float32 auto-vectorizer,
 // so the amd64 build hand-vectorizes its two per-rating loops with
-// baseline SSE/SSE2 (MOVUPS / MULPS / ADDPS / PSHUFD — no CPUID gate
-// needed, SSE2 is architectural on amd64):
+// 8-lane AVX (VMOVUPS / VMULPS / VADDPS / VEXTRACTF128 on YMM registers).
+// They use no AVX2, FMA or AVX-512 instruction, so the CPUID gate in
+// update_amd64.go checks for AVX and OS-enabled YMM state only; a host
+// that fails it runs the portable Go loops instead:
 //
-//   - sgdSweep is the build's one SGD kernel: the TrainEntries loop,
-//     walking []sparse.Rating itself instead of taking one Go call per
-//     rating. UpdateOne is its one-entry case.
+//   - sgdSweep is the SGD kernel: the TrainEntries loop, walking
+//     []sparse.Rating itself instead of taking one Go call per rating.
+//     UpdateOne is its one-entry case.
 //   - sqErrSweep is the sumSqErr loop behind RMSE and RMSEParallel.
 //
 // Both read each 12-byte record as U int32 at +0, I int32 at +4 and
@@ -19,26 +21,31 @@
 // Both are bit-identical to the Go loops (updateOneGeneric /
 // referenceUpdateOne, sumSqErrGeneric) for EVERY k:
 //
-//   - The packed dot accumulates into one XMM register whose four lanes
-//     are exactly the scalar kernel's four partial sums (lane j gets
-//     elements j, j+4, j+8, …); the scalar tail adds into lane 0, which is
-//     where the scalar kernel's tail goes (s0).
+//   - The dot accumulates into one XMM register whose four lanes are
+//     exactly the scalar kernel's four partial sums (lane j gets
+//     elements j, j+4, j+8, …). Each 8-float step multiplies into a YMM
+//     register and adds its LOW half into the accumulator, then its HIGH
+//     half, so elements i..i+3 land before i+4..i+7 in every lane. A
+//     leftover 4-float group adds as one XMM step, and the scalar tail
+//     adds into lane 0, which is where the scalar kernel's tail goes (s0).
 //   - The horizontal reduction is the ordered fold ((s0+s1)+s2)+s3 via
-//     PSHUFD lane extracts + ADDSS — NOT HADDPS, whose pairing would
-//     change the summation order. ADDSS writes lane 0 only, so lanes 1–3
-//     still hold s1..s3 for the next extract.
-//   - The update pass is element-independent, and every multiply and add
-//     keeps its two operands; only which one is the destination register
-//     changes (ADDPS(ge*q, p) rather than p + ge*q). IEEE-754 add and
-//     multiply are commutative on the bit level, so the rounded results
-//     are the same. That lets the last use of p and q overwrite them and
-//     saves two of the four register copies per group.
+//     VPSHUFD lane extracts + VADDSS — NOT VHADDPS, whose pairing would
+//     change the summation order. VADDSS takes lanes 1–3 from its first
+//     source, so they still hold s1..s3 for the next extract.
+//   - No FMA: every product is rounded before its add, as in Go.
+//   - The update pass is element-independent, so it runs 8 lanes wide,
+//     then one 4-lane group, then scalars. Every multiply and add keeps
+//     its two operands; only their order may differ (ge·q + p rather
+//     than p + ge·q). IEEE-754 add and multiply are commutative on the
+//     bit level, so the rounded results are the same.
 //   - sqErrSweep forms d = V − dot in float32, converts it exactly with
-//     CVTSS2SD and accumulates sum += d·d in float64 in input order.
+//     VCVTSS2SD and accumulates sum += d·d in float64 in input order.
 //
-// Every loop advances one index register: the 4-lane loops run a negative
-// byte index up to zero against row pointers that point past the packed
-// part, and the 1–3-element tails run it on from zero.
+// Every loop advances one index register CX: the 8-lane loops run a
+// negative byte index up to zero against row pointers that point past
+// the 8-lane part, and the 4-lane group and 1–3-element tail run it on
+// from zero to R13, the bytes after that part. Both sweeps end with
+// VZEROUPPER so no dirty upper YMM state reaches SSE code.
 
 #include "textflag.h"
 
@@ -52,25 +59,23 @@ TEXT ·sgdSweep(SB), NOSPLIT, $0-124
 	MOVQ k+48(FP), R12
 	SHLQ $2, R12
 	MOVQ R12, DX
-	ANDQ $-16, DX
+	ANDQ $-32, DX
 	MOVQ R12, R13
 	SUBQ DX, R13
 	MOVQ entries_base+72(FP), R10
 	XORQ R11, R11
-	// Broadcast γ, γλ1 and γλ2 once per sweep (X12, X10, X11).
-	MOVSS  h_Gamma+96(FP), X12
-	MOVAPS X12, X10
-	MULSS  h_Lambda1+100(FP), X10
-	MOVAPS X12, X11
-	MULSS  h_Lambda2+104(FP), X11
-	SHUFPS $0x0, X12, X12
-	SHUFPS $0x0, X10, X10
-	SHUFPS $0x0, X11, X11
-	XORPS  X3, X3
+	// γ, γλ1 and γλ2 in every lane once per sweep (Y12, Y10, Y11): each
+	// lane's product is the scalar γ·λ, rounded once.
+	VBROADCASTSS h_Gamma+96(FP), Y12
+	VBROADCASTSS h_Lambda1+100(FP), Y10
+	VMULPS       Y12, Y10, Y10
+	VBROADCASTSS h_Lambda2+104(FP), Y11
+	VMULPS       Y12, Y11, Y11
+	VXORPS       X3, X3, X3
 
 entry:
 	// Record R11: bounds-check U and I (an out-of-range row ends the
-	// sweep before any store), X3 = V, SI/DI = p/q rows past their packed
+	// sweep before any store), X3 = V, SI/DI = p/q rows past their 8-lane
 	// part, X0 = the dot product's four lanes.
 	CMPQ R11, entries_len+80(FP)
 	JEQ  done
@@ -82,104 +87,128 @@ entry:
 	MOVLQSX 4(BX), CX
 	CMPQ    CX, qRows+64(FP)
 	JAE     done
-	MOVSS   8(BX), X3
+	VMOVSS  8(BX), X3
 	IMULQ   R12, AX
 	IMULQ   R12, CX
 	LEAQ    (R8)(AX*1), SI
 	ADDQ    DX, SI
 	LEAQ    (R9)(CX*1), DI
 	ADDQ    DX, DI
-	XORPS   X0, X0
+	VXORPS  X0, X0, X0
 	MOVQ    DX, CX
 	NEGQ    CX
-	JZ      dottail
+	JZ      dot4
 
 dotloop:
-	MOVUPS (SI)(CX*1), X1
-	MOVUPS (DI)(CX*1), X2
-	MULPS  X2, X1
-	ADDPS  X1, X0
-	ADDQ   $16, CX
-	JNZ    dotloop
+	VMOVUPS      (SI)(CX*1), Y1
+	VMULPS       (DI)(CX*1), Y1, Y1
+	VADDPS       X1, X0, X0
+	VEXTRACTF128 $1, Y1, X1
+	VADDPS       X1, X0, X0
+	ADDQ         $32, CX
+	JNZ          dotloop
+
+dot4:
+	CMPQ R13, $16
+	JLT  dottail
+	VMOVUPS (SI), X1
+	VMULPS  (DI), X1, X1
+	VADDPS  X1, X0, X0
+	MOVQ    $16, CX
 
 dottail:
-	TESTQ R13, R13
-	JZ    reduce
+	CMPQ CX, R13
+	JEQ  reduce
 
 dottailloop:
-	MOVSS (SI)(CX*1), X1
-	MULSS (DI)(CX*1), X1
-	ADDSS X1, X0
-	ADDQ  $4, CX
-	CMPQ  CX, R13
-	JNE   dottailloop
+	VMOVSS (SI)(CX*1), X1
+	VMULSS (DI)(CX*1), X1, X1
+	VADDSS X1, X0, X0
+	ADDQ   $4, CX
+	CMPQ   CX, R13
+	JNE    dottailloop
 
 reduce:
 	// Ordered fold ((s0+s1)+s2)+s3 into lane 0, then V − dot.
-	PSHUFD $0x55, X0, X1
-	ADDSS  X1, X0
-	PSHUFD $0xaa, X0, X1
-	ADDSS  X1, X0
-	PSHUFD $0xff, X0, X1
-	ADDSS  X1, X0
-	SUBSS  X0, X3
-	// X3 = e = r − dot; X5 = ge = e·γ in every lane.
-	PSHUFD $0x0, X3, X5
-	MULPS  X12, X5
-	MOVQ   DX, CX
-	NEGQ   CX
-	JZ     updtail
+	VPSHUFD $0x55, X0, X1
+	VADDSS  X1, X0, X0
+	VPSHUFD $0xaa, X0, X1
+	VADDSS  X1, X0, X0
+	VPSHUFD $0xff, X0, X1
+	VADDSS  X1, X0, X0
+	VSUBSS  X0, X3, X3
+	// X3 = e = r − dot; Y5 = ge = e·γ in every lane.
+	VSHUFPS     $0x0, X3, X3, X5
+	VINSERTF128 $1, X5, Y5, Y5
+	VMULPS      Y12, Y5, Y5
+	MOVQ        DX, CX
+	NEGQ        CX
+	JZ          upd4
 
 updloop:
-	// p' = (p + ge·q) − gl1·p ; q' = (q + ge·p) − gl2·q, four lanes at a
-	// time with the pre-update p in q's gradient.
-	MOVUPS (SI)(CX*1), X1
-	MOVUPS (DI)(CX*1), X2
-	MOVAPS X1, X6
-	MULPS  X10, X6
-	MOVAPS X2, X7
-	MULPS  X5, X7
-	ADDPS  X1, X7
-	SUBPS  X6, X7
-	MULPS  X5, X1
-	ADDPS  X2, X1
-	MULPS  X11, X2
-	SUBPS  X2, X1
-	MOVUPS X7, (SI)(CX*1)
-	MOVUPS X1, (DI)(CX*1)
-	ADDQ   $16, CX
-	JNZ    updloop
+	// p' = (p + ge·q) − gl1·p ; q' = (q + ge·p) − gl2·q, eight lanes at
+	// a time with the pre-update p in q's gradient.
+	VMOVUPS (SI)(CX*1), Y1
+	VMOVUPS (DI)(CX*1), Y2
+	VMULPS  Y5, Y2, Y7
+	VADDPS  Y1, Y7, Y7
+	VMULPS  Y10, Y1, Y6
+	VSUBPS  Y6, Y7, Y7
+	VMULPS  Y5, Y1, Y1
+	VADDPS  Y2, Y1, Y1
+	VMULPS  Y11, Y2, Y2
+	VSUBPS  Y2, Y1, Y1
+	VMOVUPS Y7, (SI)(CX*1)
+	VMOVUPS Y1, (DI)(CX*1)
+	ADDQ    $32, CX
+	JNZ     updloop
+
+upd4:
+	CMPQ R13, $16
+	JLT  updtail
+	VMOVUPS (SI), X1
+	VMOVUPS (DI), X2
+	VMULPS  X5, X2, X7
+	VADDPS  X1, X7, X7
+	VMULPS  X10, X1, X6
+	VSUBPS  X6, X7, X7
+	VMULPS  X5, X1, X1
+	VADDPS  X2, X1, X1
+	VMULPS  X11, X2, X2
+	VSUBPS  X2, X1, X1
+	VMOVUPS X7, (SI)
+	VMOVUPS X1, (DI)
+	MOVQ    $16, CX
 
 updtail:
-	TESTQ R13, R13
-	JZ    next
+	CMPQ CX, R13
+	JEQ  next
 
 updtailloop:
-	MOVSS (SI)(CX*1), X1
-	MOVSS (DI)(CX*1), X2
-	MOVAPS X1, X6
-	MULSS X10, X6
-	MOVAPS X2, X7
-	MULSS X5, X7
-	ADDSS X1, X7
-	SUBSS X6, X7
-	MULSS X5, X1
-	ADDSS X2, X1
-	MULSS X11, X2
-	SUBSS X2, X1
-	MOVSS X7, (SI)(CX*1)
-	MOVSS X1, (DI)(CX*1)
-	ADDQ  $4, CX
-	CMPQ  CX, R13
-	JNE   updtailloop
+	VMOVSS (SI)(CX*1), X1
+	VMOVSS (DI)(CX*1), X2
+	VMULSS X5, X2, X7
+	VADDSS X1, X7, X7
+	VMULSS X10, X1, X6
+	VSUBSS X6, X7, X7
+	VMULSS X5, X1, X1
+	VADDSS X2, X1, X1
+	VMULSS X11, X2, X2
+	VSUBSS X2, X1, X1
+	VMOVSS X7, (SI)(CX*1)
+	VMOVSS X1, (DI)(CX*1)
+	ADDQ   $4, CX
+	CMPQ   CX, R13
+	JNE    updtailloop
 
 next:
 	INCQ R11
 	JMP  entry
 
 done:
-	MOVQ  R11, n+112(FP)
-	MOVSS X3, e+120(FP)
+	MOVQ   R11, n+112(FP)
+	VMOVSS X3, e+120(FP)
+	VZEROUPPER
 	RET
 
 // func sqErrSweep(p, q []float32, k, pRows, qRows int, entries []sparse.Rating) (sum float64, n int)
@@ -192,12 +221,12 @@ TEXT ·sqErrSweep(SB), NOSPLIT, $0-112
 	MOVQ k+48(FP), R12
 	SHLQ $2, R12
 	MOVQ R12, DX
-	ANDQ $-16, DX
+	ANDQ $-32, DX
 	MOVQ R12, R13
 	SUBQ DX, R13
 	MOVQ entries_base+72(FP), R10
 	XORQ R11, R11
-	XORPS X8, X8
+	VXORPD X8, X8, X8
 
 entry:
 	CMPQ R11, entries_len+80(FP)
@@ -210,55 +239,84 @@ entry:
 	MOVLQSX 4(BX), CX
 	CMPQ    CX, qRows+64(FP)
 	JAE     done
-	MOVSS   8(BX), X3
+	VMOVSS  8(BX), X3
 	IMULQ   R12, AX
 	IMULQ   R12, CX
 	LEAQ    (R8)(AX*1), SI
 	ADDQ    DX, SI
 	LEAQ    (R9)(CX*1), DI
 	ADDQ    DX, DI
-	XORPS   X0, X0
+	VXORPS  X0, X0, X0
 	MOVQ    DX, CX
 	NEGQ    CX
-	JZ      dottail
+	JZ      dot4
 
 dotloop:
-	MOVUPS (SI)(CX*1), X1
-	MOVUPS (DI)(CX*1), X2
-	MULPS  X2, X1
-	ADDPS  X1, X0
-	ADDQ   $16, CX
-	JNZ    dotloop
+	VMOVUPS      (SI)(CX*1), Y1
+	VMULPS       (DI)(CX*1), Y1, Y1
+	VADDPS       X1, X0, X0
+	VEXTRACTF128 $1, Y1, X1
+	VADDPS       X1, X0, X0
+	ADDQ         $32, CX
+	JNZ          dotloop
+
+dot4:
+	CMPQ R13, $16
+	JLT  dottail
+	VMOVUPS (SI), X1
+	VMULPS  (DI), X1, X1
+	VADDPS  X1, X0, X0
+	MOVQ    $16, CX
 
 dottail:
-	TESTQ R13, R13
-	JZ    reduce
+	CMPQ CX, R13
+	JEQ  reduce
 
 dottailloop:
-	MOVSS (SI)(CX*1), X1
-	MULSS (DI)(CX*1), X1
-	ADDSS X1, X0
-	ADDQ  $4, CX
-	CMPQ  CX, R13
-	JNE   dottailloop
+	VMOVSS (SI)(CX*1), X1
+	VMULSS (DI)(CX*1), X1, X1
+	VADDSS X1, X0, X0
+	ADDQ   $4, CX
+	CMPQ   CX, R13
+	JNE    dottailloop
 
 reduce:
 	// Ordered fold ((s0+s1)+s2)+s3 into lane 0, then V − dot.
-	PSHUFD $0x55, X0, X1
-	ADDSS  X1, X0
-	PSHUFD $0xaa, X0, X1
-	ADDSS  X1, X0
-	PSHUFD $0xff, X0, X1
-	ADDSS  X1, X0
-	SUBSS  X0, X3
+	VPSHUFD $0x55, X0, X1
+	VADDSS  X1, X0, X0
+	VPSHUFD $0xaa, X0, X1
+	VADDSS  X1, X0, X0
+	VPSHUFD $0xff, X0, X1
+	VADDSS  X1, X0, X0
+	VSUBSS  X0, X3, X3
 	// d = float64(V − dot); sum += d·d.
-	CVTSS2SD X3, X3
-	MULSD    X3, X3
-	ADDSD    X3, X8
-	INCQ     R11
-	JMP      entry
+	VCVTSS2SD X3, X3, X3
+	VMULSD    X3, X3, X3
+	VADDSD    X3, X8, X8
+	INCQ      R11
+	JMP       entry
 
 done:
-	MOVSD X8, sum+96(FP)
-	MOVQ  R11, n+104(FP)
+	VMOVSD X8, sum+96(FP)
+	MOVQ   R11, n+104(FP)
+	VZEROUPPER
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
 	RET

@@ -4,32 +4,25 @@ package mf
 
 import "hccmf/internal/sparse"
 
-// On builds without the SSE assembly (another architecture, or amd64 with
-// -tags noasm) the build's one update kernel is the portable
-// updateOneGeneric, and both rating loops stay in Go: bit-identical to the
-// amd64 sweeps (all match referenceUpdateOne / sumSqErrGeneric). CI
-// exercises this file on amd64 via the noasm matrix leg, so the portable
-// path cannot rot between architecture ports.
+// On builds without the VEX assembly (another architecture, or amd64 with
+// -tags noasm) both rating loops are the portable Go loops. Under noasm
+// they give the VEX sweeps' bits; on an architecture whose compiler fuses
+// multiply-adds (arm64) they match referenceUpdateOne / sumSqErrGeneric
+// compiled the same way, not amd64 (DESIGN.md §16). CI exercises this
+// file on amd64 via the noasm matrix leg, so the portable path cannot rot
+// between architecture ports.
+
+// useVEX is always false here: there is no VEX sweep to select.
+var useVEX = false
 
 // lint:hotpath
 func updateOne(p, q []float32, r float32, h HyperParams) float32 {
 	return updateOneGeneric(p, q, r, h)
 }
 
-// trainEntries inlines the row slicing (rather than going through
-// PRow/QRow) so the flat P/Q base pointers and K stay in registers across
-// the sweep; the three-index q slice caps the view so the kernel's
-// q[:len(p)] guard is free.
-//
 // lint:hotpath
 func trainEntries(f *Factors, entries []sparse.Rating, h HyperParams) {
-	p, q, k := f.P, f.Q, f.K
-	for idx := range entries {
-		e := entries[idx]
-		po := int(e.U) * k
-		qo := int(e.I) * k
-		updateOneGeneric(p[po:po+k], q[qo:qo+k:qo+k], e.V, h)
-	}
+	trainEntriesGeneric(f, entries, h)
 }
 
 // lint:hotpath

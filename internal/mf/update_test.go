@@ -151,60 +151,63 @@ func TestRatingLayout(t *testing.T) {
 // whose U or I is negative or past the last row. Both must panic; the
 // training sweep must have applied every earlier entry and nothing else,
 // and no float next to P or Q may change. P and Q sit between guard
-// regions of one backing array, capped at their length.
+// regions of one backing array, capped at their length. It runs on every
+// sweep tier this host can run.
 func TestSweepsRejectOutOfRangeRows(t *testing.T) {
-	const m, n, k, guard = 5, 4, 7, 64
-	const sentinel = float32(-123.25)
-	h := HyperParams{Gamma: 0.01, Lambda1: 0.02, Lambda2: 0.03}
-	good := []sparse.Rating{{U: 1, I: 2, V: 3}, {U: m - 1, I: n - 1, V: 1}, {U: 1, I: 0, V: 2}}
-	bads := []sparse.Rating{
-		{U: m, V: 3}, {U: -1, V: 3}, {I: n, V: 3}, {I: -1, V: 3},
-		{U: math.MaxInt32, I: 1, V: 3}, {U: 2, I: math.MinInt32, V: 3},
-	}
-	mustPanic := func(t *testing.T, what string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s accepted an out-of-range rating", what)
+	forEachTier(t, func(t *testing.T) {
+		const m, n, k, guard = 5, 4, 7, 64
+		const sentinel = float32(-123.25)
+		h := HyperParams{Gamma: 0.01, Lambda1: 0.02, Lambda2: 0.03}
+		good := []sparse.Rating{{U: 1, I: 2, V: 3}, {U: m - 1, I: n - 1, V: 1}, {U: 1, I: 0, V: 2}}
+		bads := []sparse.Rating{
+			{U: m, V: 3}, {U: -1, V: 3}, {I: n, V: 3}, {I: -1, V: 3},
+			{U: math.MaxInt32, I: 1, V: 3}, {U: 2, I: math.MinInt32, V: 3},
+		}
+		mustPanic := func(t *testing.T, what string, fn func()) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s accepted an out-of-range rating", what)
+				}
+			}()
+			fn()
+		}
+		for _, bad := range bads {
+			back := make([]float32, guard+m*k+guard+n*k+guard)
+			for i := range back {
+				back[i] = sentinel
 			}
-		}()
-		fn()
-	}
-	for _, bad := range bads {
-		back := make([]float32, guard+m*k+guard+n*k+guard)
-		for i := range back {
-			back[i] = sentinel
-		}
-		po, qo := guard, guard+m*k+guard
-		f := &Factors{M: m, N: n, K: k, P: back[po : po+m*k : po+m*k], Q: back[qo : qo+n*k : qo+n*k]}
-		rng := sparse.NewRand(3)
-		copy(f.P, randVec(rng, m*k))
-		copy(f.Q, randVec(rng, n*k))
-		ref := f.Clone()
-		for _, e := range good {
-			referenceUpdateOne(ref.PRow(e.U), ref.QRow(e.I), e.V, h)
-		}
-		entries := append(append(append([]sparse.Rating(nil), good...), bad), good...)
+			po, qo := guard, guard+m*k+guard
+			f := &Factors{M: m, N: n, K: k, P: back[po : po+m*k : po+m*k], Q: back[qo : qo+n*k : qo+n*k]}
+			rng := sparse.NewRand(3)
+			copy(f.P, randVec(rng, m*k))
+			copy(f.Q, randVec(rng, n*k))
+			ref := f.Clone()
+			for _, e := range good {
+				referenceUpdateOne(ref.PRow(e.U), ref.QRow(e.I), e.V, h)
+			}
+			entries := append(append(append([]sparse.Rating(nil), good...), bad), good...)
 
-		mustPanic(t, fmt.Sprintf("TrainEntries(%+v)", bad), func() { TrainEntries(f, entries, h) })
-		for i := range f.P {
-			if math.Float32bits(f.P[i]) != math.Float32bits(ref.P[i]) {
-				t.Fatalf("%+v: P[%d] = %v, want %v (only the entries before it applied)", bad, i, f.P[i], ref.P[i])
+			mustPanic(t, fmt.Sprintf("TrainEntries(%+v)", bad), func() { TrainEntries(f, entries, h) })
+			for i := range f.P {
+				if math.Float32bits(f.P[i]) != math.Float32bits(ref.P[i]) {
+					t.Fatalf("%+v: P[%d] = %v, want %v (only the entries before it applied)", bad, i, f.P[i], ref.P[i])
+				}
 			}
-		}
-		for i := range f.Q {
-			if math.Float32bits(f.Q[i]) != math.Float32bits(ref.Q[i]) {
-				t.Fatalf("%+v: Q[%d] = %v, want %v (only the entries before it applied)", bad, i, f.Q[i], ref.Q[i])
+			for i := range f.Q {
+				if math.Float32bits(f.Q[i]) != math.Float32bits(ref.Q[i]) {
+					t.Fatalf("%+v: Q[%d] = %v, want %v (only the entries before it applied)", bad, i, f.Q[i], ref.Q[i])
+				}
 			}
-		}
-		mustPanic(t, fmt.Sprintf("RMSE(%+v)", bad), func() { RMSE(f, entries) })
-		mustPanic(t, fmt.Sprintf("RMSEParallel(%+v)", bad), func() { RMSEParallel(f, entries, 2) })
-		for _, r := range [][2]int{{0, po}, {po + m*k, qo}, {qo + n*k, len(back)}} {
-			for i := r[0]; i < r[1]; i++ {
-				if back[i] != sentinel {
-					t.Fatalf("%+v: float %d outside P and Q overwritten: %v", bad, i, back[i])
+			mustPanic(t, fmt.Sprintf("RMSE(%+v)", bad), func() { RMSE(f, entries) })
+			mustPanic(t, fmt.Sprintf("RMSEParallel(%+v)", bad), func() { RMSEParallel(f, entries, 2) })
+			for _, r := range [][2]int{{0, po}, {po + m*k, qo}, {qo + n*k, len(back)}} {
+				for i := r[0]; i < r[1]; i++ {
+					if back[i] != sentinel {
+						t.Fatalf("%+v: float %d outside P and Q overwritten: %v", bad, i, back[i])
+					}
 				}
 			}
 		}
-	}
+	})
 }

@@ -223,8 +223,11 @@ func New(cfg Config, workers []WorkerConf) (*Cluster, error) {
 	}
 	// A remote transport serves pulls from its own store, not this
 	// process's memory: seed it with the initial factors so epoch 0 pulls
-	// the same model an in-process run starts from.
-	if err := c.publishGlobal(true); err != nil {
+	// the same model an in-process run starts from. Under Q-only no worker
+	// ever pulls the global P (each got its rows above, and eviction and
+	// rebalance move P in-process), so only Q is seeded; the final epoch
+	// publishes the trained P.
+	if err := c.publishGlobal(!cfg.Strategy.QOnly); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -236,8 +239,9 @@ func New(cfg Config, workers []WorkerConf) (*Cluster, error) {
 // applied per-pull on the wire, so a remote pull delivers exactly
 // roundtrip(global), bit-identical to the in-process transports. On
 // in-process transports (no Remote capability) this is a no-op: the
-// cluster's memory IS the store. withP skips the user matrix on the
-// epochs it cannot have changed (Q-only middle epochs).
+// cluster's memory IS the store. withP skips the user matrix where no
+// worker pulls it and the final publish overwrites it: at construction
+// and on the middle epochs under Q-only.
 func (c *Cluster) publishGlobal(withP bool) error {
 	rem, ok := comm.AsRemote(c.cfg.Transport)
 	if !ok {
