@@ -265,20 +265,12 @@ func writeTextFile(path string, m *sparse.COO) error {
 
 // --- Ingestion micro-benchmarks (the ingest/v1 group of -json reports) ---
 //
-// Each parallel parser is paired with its serial reference so the
-// allocation-elimination speedup is measurable from one run; reported
-// metrics are input MB/s and parsed entries/s.
+// Reported metrics are input MB/s and parsed entries/s.
 
-func BenchmarkIngestReadText(b *testing.B)         { kernelbench.IngestReadText(b) }
-func BenchmarkIngestReadTextSerial(b *testing.B)   { kernelbench.IngestReadTextSerial(b) }
-func BenchmarkIngestReadMovieLensCSV(b *testing.B) { kernelbench.IngestReadMovieLensCSV(b) }
-func BenchmarkIngestReadMovieLensCSVSerial(b *testing.B) {
-	kernelbench.IngestReadMovieLensCSVSerial(b)
-}
-func BenchmarkIngestReadBinary(b *testing.B)       { kernelbench.IngestReadBinary(b) }
-func BenchmarkIngestReadBinarySerial(b *testing.B) { kernelbench.IngestReadBinarySerial(b) }
-func BenchmarkIngestSortByRow(b *testing.B)        { kernelbench.IngestSortByRow(b) }
-func BenchmarkIngestWriteBinary(b *testing.B)      { kernelbench.IngestWriteBinary(b) }
+func BenchmarkIngestReadText(b *testing.B)    { kernelbench.IngestReadText(b) }
+func BenchmarkIngestReadBinary(b *testing.B)  { kernelbench.IngestReadBinary(b) }
+func BenchmarkIngestSortByRow(b *testing.B)   { kernelbench.IngestSortByRow(b) }
+func BenchmarkIngestWriteBinary(b *testing.B) { kernelbench.IngestWriteBinary(b) }
 
 // --- Adaptive scheduling (the schedule/v1 group of -json reports) ---
 //

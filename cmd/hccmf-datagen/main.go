@@ -30,7 +30,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "generation seed")
 	convert := flag.String("convert", "", "convert this ratings file instead of generating")
 	split := flag.Bool("split", false, "write separate .train/.test files (90/10)")
-	ioWorkers := flag.Int("io-workers", runtime.GOMAXPROCS(0), "parser workers for -convert loading; 1 selects the serial reference parser")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 
@@ -45,7 +44,8 @@ func main() {
 
 	var m *sparse.COO
 	if *convert != "" {
-		loaded, err := readAny(*convert, *ioWorkers)
+		// The magic, not the extension, decides the input's format.
+		loaded, err := dataset.ReadRatingsFile(*convert, runtime.GOMAXPROCS(0))
 		if err != nil {
 			fatal(err)
 		}
@@ -94,18 +94,6 @@ func isText(path, format string) bool {
 	}
 	ext := strings.ToLower(filepath.Ext(path))
 	return ext == ".txt" || ext == ".tsv" || ext == ".dat"
-}
-
-func readAny(path string, workers int) (*sparse.COO, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if isText(path, "") {
-		return dataset.ReadTextWorkers(f, workers)
-	}
-	return dataset.ReadBinary(f)
 }
 
 func writeAny(path string, m *sparse.COO, format string) error {

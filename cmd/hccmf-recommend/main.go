@@ -28,7 +28,6 @@ func main() {
 	user := flag.Int("user", 0, "user to recommend for")
 	n := flag.Int("n", 10, "number of recommendations")
 	evalHitRate := flag.Bool("eval", false, "also report hit-rate@N on a 10% held-out split of the ratings")
-	ioWorkers := flag.Int("io-workers", runtime.GOMAXPROCS(0), "parser workers for -ratings loading; 1 selects the serial reference parser")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 
@@ -53,7 +52,9 @@ func main() {
 
 	var ratings *sparse.COO
 	if *ratingsPath != "" {
-		ratings, err = loadRatings(*ratingsPath, *ioWorkers)
+		// The magic decides the format: binary decode errors (truncation,
+		// corruption) propagate instead of being masked by a text re-parse.
+		ratings, err = dataset.ReadRatingsFile(*ratingsPath, runtime.GOMAXPROCS(0))
 		if err != nil {
 			fatal(err)
 		}
@@ -96,12 +97,6 @@ func loadModel(path string) (*mf.Factors, error) {
 	}
 	defer f.Close()
 	return mf.ReadFactors(f)
-}
-
-func loadRatings(path string, workers int) (*sparse.COO, error) {
-	// The magic decides the format: binary decode errors (truncation,
-	// corruption) propagate instead of being masked by a text re-parse.
-	return dataset.ReadRatingsFile(path, workers)
 }
 
 func fatal(err error) {

@@ -56,7 +56,6 @@ func main() {
 	readyFile := flag.String("ready-file", "", "write the actual listen address to this file once serving")
 	metricsOut := flag.String("metrics-out", "", "write an hccmf-obs/v1 metrics JSON document here on shutdown")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON document here on shutdown")
-	ioWorkers := flag.Int("io-workers", runtime.GOMAXPROCS(0), "parser workers for -ratings loading")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 
@@ -76,7 +75,7 @@ func main() {
 		fatal(err)
 	}
 	if *ratingsPath != "" {
-		ratings, err := dataset.ReadRatingsFile(*ratingsPath, *ioWorkers)
+		ratings, err := dataset.ReadRatingsFile(*ratingsPath, runtime.GOMAXPROCS(0))
 		if err != nil {
 			fatal(err)
 		}

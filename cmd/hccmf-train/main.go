@@ -45,7 +45,6 @@ func main() {
 	decay := flag.Float64("decay", 0, "learning-rate decay β for γ_t = γ0/(1+β·t^1.5); 0 keeps the paper's constant rate")
 	save := flag.String("save", "", "write the trained factor model to this file")
 	recN := flag.Int("recommend", 0, "print top-N recommendations for a few sample users")
-	ioWorkers := flag.Int("io-workers", runtime.GOMAXPROCS(0), "parser workers for -input loading; 1 selects the serial reference parser")
 	faultRate := flag.Float64("fault-rate", 0, "inject transient transport failures with this per-transfer probability (chaos testing)")
 	faultTrunc := flag.Float64("fault-trunc", 0, "inject payload truncation with this per-transfer probability")
 	faultSeed := flag.Uint64("fault-seed", 42, "seed of the injected fault schedule")
@@ -99,7 +98,9 @@ func main() {
 	var spec dataset.Spec
 	var data *dataset.Dataset
 	if *input != "" {
-		m, err := loadFile(*input, *ioWorkers)
+		// The magic decides the format: binary decode errors (truncation,
+		// corruption) propagate instead of being masked by a text re-parse.
+		m, err := dataset.ReadRatingsFile(*input, runtime.GOMAXPROCS(0))
 		if err != nil {
 			fatal(err)
 		}
@@ -277,12 +278,6 @@ func formatRealShards(shards []core.RealShard) string {
 		parts[i] = s.String()
 	}
 	return strings.Join(parts, ", ")
-}
-
-func loadFile(path string, workers int) (*sparse.COO, error) {
-	// The magic decides the format: binary decode errors (truncation,
-	// corruption) propagate instead of being masked by a text re-parse.
-	return dataset.ReadRatingsFile(path, workers)
 }
 
 func fatal(err error) {

@@ -1,8 +1,9 @@
-package mf
+package main
 
 import (
 	"math"
 
+	"hccmf/internal/mf"
 	"hccmf/internal/sparse"
 )
 
@@ -17,7 +18,7 @@ import (
 // the latent factors model only interactions — typically worth a few
 // percent of RMSE on skewed rating data.
 type BiasedFactors struct {
-	*Factors
+	*mf.Factors
 	// Mu is the global rating mean.
 	Mu float32
 	// BU and BI are per-user and per-item bias terms.
@@ -29,7 +30,7 @@ type BiasedFactors struct {
 // interaction factors small (most of the initial prediction comes from μ).
 func NewBiasedFactorsInit(m, n, k int, meanRating float64, rng *sparse.Rand) *BiasedFactors {
 	b := &BiasedFactors{
-		Factors: NewFactors(m, n, k),
+		Factors: mf.NewFactors(m, n, k),
 		Mu:      float32(meanRating),
 		BU:      make([]float32, m),
 		BI:      make([]float32, n),
@@ -47,7 +48,7 @@ func NewBiasedFactorsInit(m, n, k int, meanRating float64, rng *sparse.Rand) *Bi
 
 // Predict computes μ + b_u + b_i + p·q.
 func (b *BiasedFactors) Predict(u, i int32) float32 {
-	return b.Mu + b.BU[u] + b.BI[i] + Dot(b.PRow(u), b.QRow(i))
+	return b.Mu + b.BU[u] + b.BI[i] + mf.Dot(b.PRow(u), b.QRow(i))
 }
 
 // UpdateOne applies one biased SGD step: with e = r − r̂,
@@ -56,7 +57,7 @@ func (b *BiasedFactors) Predict(u, i int32) float32 {
 //	p   += γ(e·q − λ1·p)    q   += γ(e·p − λ2·q)
 //
 // and returns e.
-func (b *BiasedFactors) UpdateOne(u, i int32, r float32, h HyperParams) float32 {
+func (b *BiasedFactors) UpdateOne(u, i int32, r float32, h mf.HyperParams) float32 {
 	e := r - b.Predict(u, i)
 	b.BU[u] += h.Gamma * (e - h.Lambda1*b.BU[u])
 	b.BI[i] += h.Gamma * (e - h.Lambda2*b.BI[i])
@@ -73,7 +74,7 @@ func (b *BiasedFactors) UpdateOne(u, i int32, r float32, h HyperParams) float32 
 }
 
 // Epoch runs one in-order SGD pass over the entries.
-func (b *BiasedFactors) Epoch(entries []sparse.Rating, h HyperParams) {
+func (b *BiasedFactors) Epoch(entries []sparse.Rating, h mf.HyperParams) {
 	for _, e := range entries {
 		b.UpdateOne(e.U, e.I, e.V, h)
 	}
@@ -115,5 +116,5 @@ type biasedErr string
 func (e biasedErr) Error() string { return string(e) }
 
 func errNonFinite(field string) error {
-	return biasedErr("mf: non-finite value in " + field)
+	return biasedErr("movielens: non-finite value in " + field)
 }

@@ -1,9 +1,10 @@
-package mf
+package main
 
 import (
 	"math"
 	"testing"
 
+	"hccmf/internal/mf"
 	"hccmf/internal/sparse"
 )
 
@@ -32,7 +33,7 @@ func biasedSet(t testing.TB, rows, cols, nnz int, seed uint64) *sparse.COO {
 
 func TestBiasedPredictComposition(t *testing.T) {
 	b := &BiasedFactors{
-		Factors: NewFactors(2, 2, 2),
+		Factors: mf.NewFactors(2, 2, 2),
 		Mu:      3,
 		BU:      []float32{0.5, 0},
 		BI:      []float32{0, -0.25},
@@ -48,7 +49,7 @@ func TestBiasedPredictComposition(t *testing.T) {
 func TestBiasedUpdateReducesError(t *testing.T) {
 	rng := sparse.NewRand(3)
 	b := NewBiasedFactorsInit(4, 4, 4, 3, rng)
-	h := HyperParams{Gamma: 0.1, Lambda1: 0.01, Lambda2: 0.01}
+	h := mf.HyperParams{Gamma: 0.1, Lambda1: 0.01, Lambda2: 0.01}
 	const r = 4.5
 	before := math.Abs(float64(r - b.Predict(1, 2)))
 	for i := 0; i < 60; i++ {
@@ -63,18 +64,18 @@ func TestBiasedUpdateReducesError(t *testing.T) {
 func TestBiasedBeatsPlainOnBiasDominatedData(t *testing.T) {
 	m := biasedSet(t, 150, 100, 6000, 7)
 	rng1, rng2 := sparse.NewRand(1), sparse.NewRand(1)
-	h := HyperParams{Gamma: 0.02, Lambda1: 0.02, Lambda2: 0.02}
+	h := mf.HyperParams{Gamma: 0.02, Lambda1: 0.02, Lambda2: 0.02}
 	const k, epochs = 4, 30
 
-	plain := NewFactorsInit(m.Rows, m.Cols, k, m.MeanRating(), rng1)
+	plain := mf.NewFactorsInit(m.Rows, m.Cols, k, m.MeanRating(), rng1)
 	for e := 0; e < epochs; e++ {
-		TrainEntries(plain, m.Entries, h)
+		mf.TrainEntries(plain, m.Entries, h)
 	}
 	biased := NewBiasedFactorsInit(m.Rows, m.Cols, k, m.MeanRating(), rng2)
 	for e := 0; e < epochs; e++ {
 		biased.Epoch(m.Entries, h)
 	}
-	plainRMSE := RMSE(plain, m.Entries)
+	plainRMSE := mf.RMSE(plain, m.Entries)
 	biasedRMSE := biased.RMSE(m.Entries)
 	if biasedRMSE >= plainRMSE {
 		t.Fatalf("biased (%v) not better than plain (%v) on bias-dominated data",
@@ -88,7 +89,7 @@ func TestBiasedBeatsPlainOnBiasDominatedData(t *testing.T) {
 func TestBiasedEpochAndValidate(t *testing.T) {
 	m := biasedSet(t, 50, 40, 1000, 9)
 	b := NewBiasedFactorsInit(m.Rows, m.Cols, 4, m.MeanRating(), sparse.NewRand(2))
-	h := HyperParams{Gamma: 0.02, Lambda1: 0.01, Lambda2: 0.01}
+	h := mf.HyperParams{Gamma: 0.02, Lambda1: 0.01, Lambda2: 0.01}
 	before := b.RMSE(m.Entries)
 	for e := 0; e < 10; e++ {
 		b.Epoch(m.Entries, h)

@@ -69,7 +69,7 @@ func main() {
 	// 2) The bias-augmented model, trained serially for comparison.
 	h := mf.HyperParams{Gamma: spec.Params.Gamma,
 		Lambda1: spec.Params.Lambda1, Lambda2: spec.Params.Lambda2}
-	biased := mf.NewBiasedFactorsInit(train.Rows, train.Cols, 16,
+	biased := NewBiasedFactorsInit(train.Rows, train.Cols, 16,
 		train.MeanRating(), sparse.NewRand(12))
 	for e := 0; e < 20; e++ {
 		biased.Epoch(train.Entries, h)

@@ -13,53 +13,24 @@ import (
 	"unsafe"
 )
 
-// Chunked zero-copy scanning primitives shared by the parallel text and
-// MovieLens parsers. Both cut their input into ~ioChunkSize pieces at
-// newline boundaries and parse each chunk on a worker with byte-slice
-// field scanning — no bufio.Scanner tokens, no strings.Fields
-// allocations. Fields are handed to strconv through an unsafe zero-copy
-// string view, so the steady-state parse loop does not allocate at all.
-// The MovieLens loader holds its input as one byte buffer; the text
-// reader reads each chunk through io.ReaderAt into a reused buffer
-// instead (textSource, cutChunks), so the text is never held whole.
+// Chunked zero-copy scanning primitives of the text reader. It cuts its
+// input into ~ioChunkSize pieces at newline boundaries, reads each chunk
+// through io.ReaderAt into a reused buffer (textSource, cutChunks), and
+// parses it on a worker with byte-slice field scanning — no
+// bufio.Scanner tokens, no strings.Fields allocations. Fields are handed
+// to strconv through an unsafe zero-copy string view, so the steady-state
+// parse loop does not allocate at all, and the text is never held whole.
 
 // ioChunkSize is the target byte size of one parser chunk. ~1 MiB keeps
 // per-chunk bookkeeping negligible while giving even modest files enough
 // chunks to spread across workers.
 const ioChunkSize = 1 << 20
 
-// maxLineBytes mirrors the 1 MiB bufio.Scanner buffer of the serial
-// parsers: lines at or beyond this length are rejected with the scanner's
-// own bufio.ErrTooLong, keeping the parallel paths' accept/reject behaviour
-// identical to the serial reference.
+// maxLineBytes mirrors the 1 MiB bufio.Scanner buffer of the serial test
+// oracle: lines at or beyond this length are rejected with the scanner's
+// own bufio.ErrTooLong, keeping the chunked reader's accept/reject
+// behaviour identical to the oracle's.
 const maxLineBytes = 1 << 20
-
-// splitChunks cuts buf into chunks of roughly target bytes, extending each
-// chunk to the next newline so no line is ever split across chunks. The
-// concatenation of the returned chunks is exactly buf, chunks are never
-// empty, and every chunk except possibly the last ends with '\n'.
-func splitChunks(buf []byte, target int) [][]byte {
-	if target < 1 {
-		target = 1
-	}
-	chunks := make([][]byte, 0, len(buf)/target+1)
-	for len(buf) > 0 {
-		if len(buf) <= target {
-			chunks = append(chunks, buf)
-			break
-		}
-		cut := target
-		nl := bytes.IndexByte(buf[cut:], '\n')
-		if nl < 0 {
-			chunks = append(chunks, buf)
-			break
-		}
-		cut += nl + 1
-		chunks = append(chunks, buf[:cut])
-		buf = buf[cut:]
-	}
-	return chunks
-}
 
 // nextLine splits buf into its first line (without the trailing '\n') and
 // the remainder after the newline. The final line of a buffer may lack a
@@ -196,22 +167,6 @@ func parseDigits32(b []byte) (int32, bool) {
 	return v, true
 }
 
-// parseDigits64 is parseDigits32 for int64 fields (≤ 18 digits).
-func parseDigits64(b []byte) (int64, bool) {
-	if len(b) == 0 || len(b) > 18 {
-		return 0, false
-	}
-	var v int64
-	for _, c := range b {
-		d := c - '0'
-		if d > 9 {
-			return 0, false
-		}
-		v = v*10 + int64(d)
-	}
-	return v, true
-}
-
 // parseI32 parses a base-10 int32 field: digit fast path first, strconv
 // for everything else, so results and errors match ParseInt exactly.
 func parseI32(b []byte) (int32, error) {
@@ -220,14 +175,6 @@ func parseI32(b []byte) (int32, error) {
 	}
 	v, err := strconv.ParseInt(bstr(b), 10, 32)
 	return int32(v), err
-}
-
-// parseI64 is parseI32 for 64-bit ids.
-func parseI64(b []byte) (int64, error) {
-	if v, ok := parseDigits64(b); ok {
-		return v, nil
-	}
-	return strconv.ParseInt(bstr(b), 10, 64)
 }
 
 // pow10f64 holds the exactly-representable float64 powers of ten.
@@ -309,145 +256,6 @@ func parseFloat32Fast(b []byte) (float32, bool) {
 	return foldDecimal(mant, digits, frac)
 }
 
-// parseWS3Fast is the fused scanner+parser for MovieLens u.data lines:
-// `d+[ \t]+d+[ \t]+d+(.d+)?` with int64 ids, in one flat pass with no
-// field slicing. Anything after the rating is ignored as long as it is
-// separated by whitespace (the timestamp column). ok=false sends the line
-// to the general field-scanner path, so anything irregular is parsed with
-// byte-exact strings.Fields/strconv semantics instead.
-func parseWS3Fast(s []byte) (a, b int64, v float32, ok bool) {
-	n := len(s)
-	pos, start := 0, 0
-	for pos < n {
-		d := s[pos] - '0'
-		if d > 9 {
-			break
-		}
-		a = a*10 + int64(d)
-		pos++
-	}
-	if pos == start || pos-start > 18 || pos >= n || (s[pos] != ' ' && s[pos] != '\t') {
-		return 0, 0, 0, false
-	}
-	for pos < n && (s[pos] == ' ' || s[pos] == '\t') {
-		pos++
-	}
-	start = pos
-	for pos < n {
-		d := s[pos] - '0'
-		if d > 9 {
-			break
-		}
-		b = b*10 + int64(d)
-		pos++
-	}
-	if pos == start || pos-start > 18 || pos >= n || (s[pos] != ' ' && s[pos] != '\t') {
-		return 0, 0, 0, false
-	}
-	for pos < n && (s[pos] == ' ' || s[pos] == '\t') {
-		pos++
-	}
-	var mant uint64
-	digits, frac := 0, -1
-	for pos < n {
-		c := s[pos]
-		if c == '.' {
-			if frac >= 0 {
-				return 0, 0, 0, false
-			}
-			frac = 0
-			pos++
-			continue
-		}
-		d := c - '0'
-		if d > 9 {
-			break
-		}
-		mant = mant*10 + uint64(d)
-		digits++
-		if frac >= 0 {
-			frac++
-		}
-		pos++
-	}
-	// The rating must end the line or be followed by whitespace (extra
-	// fields are ignored by the u.data format).
-	if pos < n && s[pos] != ' ' && s[pos] != '\t' {
-		return 0, 0, 0, false
-	}
-	v, ok = foldDecimal(mant, digits, frac)
-	if !ok {
-		return 0, 0, 0, false
-	}
-	return a, b, v, true
-}
-
-// parseCSV3Fast is the fused parser for ratings.csv lines: three
-// comma-separated fields (int64, int64, plain decimal), any further
-// comma-separated columns ignored.
-func parseCSV3Fast(s []byte) (a, b int64, v float32, ok bool) {
-	n := len(s)
-	pos, start := 0, 0
-	for pos < n {
-		d := s[pos] - '0'
-		if d > 9 {
-			break
-		}
-		a = a*10 + int64(d)
-		pos++
-	}
-	if pos == start || pos-start > 18 || pos >= n || s[pos] != ',' {
-		return 0, 0, 0, false
-	}
-	pos++
-	start = pos
-	for pos < n {
-		d := s[pos] - '0'
-		if d > 9 {
-			break
-		}
-		b = b*10 + int64(d)
-		pos++
-	}
-	if pos == start || pos-start > 18 || pos >= n || s[pos] != ',' {
-		return 0, 0, 0, false
-	}
-	pos++
-	var mant uint64
-	digits, frac := 0, -1
-	for pos < n {
-		c := s[pos]
-		if c == '.' {
-			if frac >= 0 {
-				return 0, 0, 0, false
-			}
-			frac = 0
-			pos++
-			continue
-		}
-		d := c - '0'
-		if d > 9 {
-			break
-		}
-		mant = mant*10 + uint64(d)
-		digits++
-		if frac >= 0 {
-			frac++
-		}
-		pos++
-	}
-	// The rating field must run to the end of the line or to the comma
-	// starting the ignored remainder (e.g. the timestamp column).
-	if pos < n && s[pos] != ',' {
-		return 0, 0, 0, false
-	}
-	v, ok = foldDecimal(mant, digits, frac)
-	if !ok {
-		return 0, 0, 0, false
-	}
-	return a, b, v, true
-}
-
 // parseF32 parses a float32 rating field: plain-decimal fast path first,
 // strconv for everything else, so results and errors match ParseFloat
 // exactly.
@@ -459,11 +267,9 @@ func parseF32(b []byte) (float32, error) {
 	return float32(v), err
 }
 
-// readAllBytes slurps r. The MovieLens loader parses from one contiguous
-// buffer so chunk boundaries can be cut without copying, and the text
-// reader falls back to it for sources it cannot ReadAt. When the source
-// exposes its size (bytes.Reader/Buffer, regular files) the buffer is
-// allocated once instead of doubling through io.ReadAll.
+// readAllBytes slurps r, for the sources the text reader cannot ReadAt.
+// When the source exposes its size (bytes.Buffer, regular files) the
+// buffer is allocated once instead of doubling through io.ReadAll.
 func readAllBytes(r io.Reader) ([]byte, error) {
 	hint := 0
 	switch v := r.(type) {
@@ -562,8 +368,9 @@ type textChunk struct {
 func (c textChunk) len() int { return int(c.end - c.off) }
 
 // cutChunks cuts [off, end) of ra into chunks of about target bytes with
-// cutAt. The chunks are the ones splitChunks cuts from the same bytes,
-// except where a line of maxLineBytes or more crosses a cut.
+// cutAt. The chunks concatenate to [off, end), none is empty, and every
+// chunk but the last ends with '\n' unless a line of maxLineBytes or more
+// crosses its cut.
 func cutChunks(ra io.ReaderAt, off, end int64, target int) ([]textChunk, error) {
 	var chunks []textChunk
 	for off < end {
@@ -581,14 +388,14 @@ func cutChunks(ra io.ReaderAt, off, end int64, target int) ([]textChunk, error) 
 const cutProbe = 4 << 10
 
 // cutAt returns the end of the chunk of [start, end) that starts at start:
-// like splitChunks, the whole remainder when it is at most target bytes,
-// else just past the first newline at or after start+target, else end.
-// The search stops maxLineBytes past start+target: no newline there means
-// the line crossing start+target is too long for either parser, so the
-// chunk is cut mid-line. Its last line then holds at least maxLineBytes
-// bytes, so its parse stops with bufio.ErrTooLong (or at an earlier
-// error) and the next chunk, which starts mid-line, is never reported.
-// Chunks are thus at most target+maxLineBytes bytes.
+// the whole remainder when it is at most target bytes, else just past the
+// first newline at or after start+target, else end. The search stops
+// maxLineBytes past start+target: no newline there means the line
+// crossing start+target is too long to parse, so the chunk is cut
+// mid-line. Its last line then holds at least maxLineBytes bytes, so its
+// parse stops with bufio.ErrTooLong (or at an earlier error) and the next
+// chunk, which starts mid-line, is never reported. Chunks are thus at
+// most target+maxLineBytes bytes.
 func cutAt(ra io.ReaderAt, start, end int64, target int) (int64, error) {
 	cut := start + int64(max(target, 1))
 	if cut >= end {

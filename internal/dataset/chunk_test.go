@@ -75,11 +75,6 @@ func TestParseDigitsMatchesStrconv(t *testing.T) {
 		if (werr == nil) != (gerr == nil) || (werr == nil && got32 != int32(want32)) {
 			t.Fatalf("parseI32(%q) = %d,%v; strconv = %d,%v", s, got32, gerr, want32, werr)
 		}
-		want64, werr := strconv.ParseInt(s, 10, 64)
-		got64, gerr := parseI64(b)
-		if (werr == nil) != (gerr == nil) || (werr == nil && got64 != want64) {
-			t.Fatalf("parseI64(%q) = %d,%v; strconv = %d,%v", s, got64, gerr, want64, werr)
-		}
 	}
 }
 

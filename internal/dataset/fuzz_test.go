@@ -2,8 +2,12 @@ package dataset
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"hccmf/internal/sparse"
 )
 
 // Fuzz targets double as robustness tests: `go test` runs the seed corpus,
@@ -60,8 +64,19 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(binaryHeader(1 << 34)) // header only, declaring the most entries it may
 	f.Fuzz(func(t *testing.T, input []byte) {
 		m, err := ReadBinary(bytes.NewReader(input))
+		want, werr := ReadBinarySerial(bytes.NewReader(input))
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Fatalf("block err %v, per-record err %v", err, werr)
+		}
 		if err != nil {
 			return
+		}
+		// Records carry any float bits, NaNs included, so compare bits.
+		same := func(a, b sparse.Rating) bool {
+			return a.U == b.U && a.I == b.I && math.Float32bits(a.V) == math.Float32bits(b.V)
+		}
+		if m.Rows != want.Rows || m.Cols != want.Cols || !slices.EqualFunc(m.Entries, want.Entries, same) {
+			t.Fatalf("block reader disagrees with the per-record reader")
 		}
 		if err := m.Validate(); err != nil {
 			t.Fatalf("accepted invalid matrix: %v", err)
@@ -69,10 +84,11 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
-// FuzzSplitChunks checks the chunk splitter's three invariants for
-// arbitrary inputs and chunk targets: chunks concatenate back to the
-// input, no chunk is empty, and every chunk except the last ends at a
-// newline (so no line is ever split across workers).
+// FuzzSplitChunks checks the text reader's chunk cutter, cutChunks over
+// a bytes.Reader, for arbitrary inputs and chunk targets: chunks
+// concatenate back to the input, no chunk is empty, and every chunk
+// except the last ends at a newline (so no line is ever split across
+// workers).
 func FuzzSplitChunks(f *testing.F) {
 	f.Add([]byte("a\nb\nc\n"), 2)
 	f.Add([]byte("no newline"), 3)
@@ -83,25 +99,12 @@ func FuzzSplitChunks(f *testing.F) {
 		if target > 1<<24 {
 			target = 1 << 24
 		}
-		chunks := splitChunks(input, target)
-		var cat []byte
-		for k, c := range chunks {
-			if len(c) == 0 {
-				t.Fatalf("empty chunk %d", k)
-			}
-			if k < len(chunks)-1 && c[len(c)-1] != '\n' {
-				t.Fatalf("chunk %d does not end at a newline", k)
-			}
-			cat = append(cat, c...)
-		}
-		if !bytes.Equal(cat, input) {
-			t.Fatalf("chunks do not concatenate to the input")
-		}
+		checkChunks(t, input, target, cutBytes(t, input, target))
 	})
 }
 
-// FuzzReadTextEquivalence holds the parallel parser to the serial
-// reference on arbitrary inputs: same accept/reject decision, same error
+// FuzzReadTextEquivalence holds the chunked parser to the serial oracle
+// on arbitrary inputs: same accept/reject decision, same error
 // text, same entries. It compares twice: with a tiny chunk size, so even
 // short fuzz inputs span multiple chunks, and at the production chunk
 // size with the lines after the first repeated past scanTriple's 16-byte
@@ -142,7 +145,7 @@ func FuzzReadTextEquivalence(f *testing.F) {
 }
 
 // equivalent fails t unless the chunked reader at chunkSize and the serial
-// reader agree on input.
+// oracle agree on input.
 func equivalent(t *testing.T, input string, chunkSize int) {
 	t.Helper()
 	sm, serr := readTextSerial(strings.NewReader(input))

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"unsafe"
 
@@ -24,13 +23,12 @@ import (
 // comments. This is compatible with the common MF benchmark layout and a
 // strict subset of MatrixMarket coordinate bodies.
 //
-// Readers come in two flavours: a serial reference implementation
-// (bufio.Scanner, one line at a time) and a parallel pipeline that cuts
-// the input into ~1 MiB chunks at newline boundaries, counts each chunk's
-// lines to give it a slot in the entries array, and parses each chunk
-// straight into its slot on a worker. The two are byte-identical in
-// accepted entries, entry order, and error messages (enforced by
-// equivalence tests and fuzz targets); the parallel path is the default.
+// The reader is a chunked pipeline: it cuts the input into ~1 MiB chunks
+// at newline boundaries, counts each chunk's lines to give it a slot in
+// the entries array, and parses each chunk straight into its slot on a
+// worker. A serial bufio.Scanner reader in the tests defines the format:
+// equivalence tests and fuzz targets hold the pipeline to its accepted
+// entries, entry order and error messages byte for byte.
 
 // WriteText writes the matrix in the text triple format. Lines are
 // rendered with strconv.Append* into a reused block buffer — the output is
@@ -72,18 +70,13 @@ func ReadText(r io.Reader) (*sparse.COO, error) {
 }
 
 // ReadTextWorkers parses the text triple format with the given number of
-// parse workers. workers <= 1 runs the serial reference parser; any other
-// count runs the chunked parallel pipeline, whose output — entries, entry
-// order, and error messages — is byte-identical to the serial path.
+// parse workers; workers <= 1 runs the same chunked pipeline on one.
 //
-// The chunked pipeline reads from the current offset of r to its end
-// through ReadAt when r is a regular *os.File, a *bytes.Reader or a
-// *strings.Reader, and leaves r's offset where it was; any other reader
-// is read whole into memory first.
+// It reads from the current offset of r to its end through ReadAt when r
+// is a regular *os.File, a *bytes.Reader or a *strings.Reader, and leaves
+// r's offset where it was; any other reader is read whole into memory
+// first.
 func ReadTextWorkers(r io.Reader, workers int) (*sparse.COO, error) {
-	if workers <= 1 {
-		return readTextSerial(r)
-	}
 	ra, off, end, err := textSource(r)
 	if err != nil {
 		return nil, err
@@ -91,66 +84,7 @@ func ReadTextWorkers(r io.Reader, workers int) (*sparse.COO, error) {
 	return readTextAt(ra, off, end, workers, ioChunkSize)
 }
 
-// headerCapHint bounds the Entries capacity pre-allocated from an
-// untrusted header, so a file declaring an absurd nnz cannot force a huge
-// allocation before a single triple is parsed.
-const headerCapHint = 1 << 20
-
-// readTextSerial is the serial reference parser. Its behaviour defines the
-// format; the parallel pipeline must match it bit for bit.
-func readTextSerial(r io.Reader) (*sparse.COO, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var m *sparse.COO
-	declaredNNZ := 0
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '%' || line[0] == '#' {
-			continue
-		}
-		fields := strings.Fields(line)
-		if m == nil {
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("dataset: line %d: header wants 'm n nnz', got %q", lineNo, line)
-			}
-			rows, err1 := strconv.Atoi(fields[0])
-			cols, err2 := strconv.Atoi(fields[1])
-			nnz, err3 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil || err3 != nil {
-				return nil, fmt.Errorf("dataset: line %d: bad header %q", lineNo, line)
-			}
-			declaredNNZ = nnz
-			m = sparse.NewCOO(rows, cols, min(max(nnz, 0), headerCapHint))
-			continue
-		}
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("dataset: line %d: want 'u i r', got %q", lineNo, line)
-		}
-		u, err1 := strconv.ParseInt(fields[0], 10, 32)
-		i, err2 := strconv.ParseInt(fields[1], 10, 32)
-		v, err3 := strconv.ParseFloat(fields[2], 32)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("dataset: line %d: bad triple %q", lineNo, line)
-		}
-		if err := m.Append(int32(u), int32(i), float32(v)); err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %v", lineNo, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if m == nil {
-		return nil, fmt.Errorf("dataset: empty input")
-	}
-	if m.NNZ() != declaredNNZ {
-		return nil, errNNZMismatch(declaredNNZ, m.NNZ())
-	}
-	return m, nil
-}
-
-// errNNZMismatch is the error both text readers return when the header's
+// errNNZMismatch is the error the text reader returns when the header's
 // declared entry count disagrees with the triples actually present (the
 // binary reader enforces its count by construction).
 func errNNZMismatch(declared, got int) error {
@@ -172,10 +106,10 @@ func errNNZMismatch(declared, got int) error {
 //   - compact: slots that comment or blank lines left part empty are
 //     closed up in chunk order.
 //
-// Entry order and errors match the serial parser exactly: the first
+// Entry order and errors match the serial test oracle exactly: the first
 // error in chunk order is the first error in input order, and it carries
-// the line number the serial parser would report. chunkSize is a
-// parameter so tests can force many tiny chunks.
+// the line number the oracle reports. chunkSize is a parameter so tests
+// can force many tiny chunks.
 func readTextAt(ra io.ReaderAt, off, end int64, workers, chunkSize int) (*sparse.COO, error) {
 	h, body, line, err := readTextHeader(ra, off, end)
 	if err != nil {
@@ -318,7 +252,7 @@ func parseTextHeader(buf []byte, line0 int) (h textHeader, used, lines int, foun
 		h.rows, e1 = strconv.Atoi(bstr(f0))
 		h.cols, e2 = strconv.Atoi(bstr(f1))
 		h.nnz, e3 = strconv.Atoi(bstr(f2))
-		if e1 != nil || e2 != nil || e3 != nil {
+		if e1 != nil || e2 != nil || e3 != nil || h.rows < 0 || h.cols < 0 {
 			return h, 0, lines, false, fmt.Errorf("dataset: line %d: bad header %q", line0+lines, trimmed)
 		}
 		return h, len(buf) - len(rest), lines, true, nil
@@ -330,9 +264,9 @@ func parseTextHeader(buf []byte, line0 int) (h textHeader, used, lines int, foun
 // number of entries written. b holds the chunk followed by chunkPad zero
 // bytes, and line is the number of lines before the chunk. Lines of the
 // dominant shape go through the fused scanTriple; every other line takes
-// the general path, whose field splitting and number parsing match the
-// serial parser's strings.Fields and strconv exactly. The chunk stops at
-// its first bad line, with the error the serial parser reports there.
+// the general path, whose field splitting and number parsing match
+// strings.Fields and strconv exactly. The chunk stops at its first bad
+// line, with the error the serial test oracle reports there.
 func parseChunk(b []byte, dst []sparse.Rating, h textHeader, line int) (int, error) {
 	n := 0
 	end := len(b) - chunkPad
@@ -371,7 +305,7 @@ func parseChunk(b []byte, dst []sparse.Rating, h textHeader, line int) (int, err
 		u, e1 := parseI32(f0)
 		i, e2 := parseI32(f1)
 		v, e3 := parseF32(f2)
-		if e1 != nil || e2 != nil || e3 != nil {
+		if e1 != nil || e2 != nil || e3 != nil || !finite(v) {
 			return n, fmt.Errorf("dataset: line %d: bad triple %q", line, trimmed)
 		}
 		if err := sparse.CheckRange(u, i, h.rows, h.cols); err != nil {
@@ -446,7 +380,8 @@ func WriteBinary(w io.Writer, m *sparse.COO) error {
 
 // ReadBinary parses the compact binary format, pulling records through a
 // 64 KiB block buffer instead of one 12-byte read per record. Accepted
-// inputs and error messages are identical to ReadBinarySerial.
+// inputs and error messages are identical to a per-record reader's (the
+// tests' oracle).
 func ReadBinary(r io.Reader) (*sparse.COO, error) {
 	rows, cols, nnz, err := readBinaryHeader(r)
 	if err != nil {
@@ -463,27 +398,28 @@ func ReadBinary(r io.Reader) (*sparse.COO, error) {
 		if ratingWireLayout && full > 0 {
 			// The record bytes are exactly the in-memory layout of
 			// sparse.Rating on little-endian hosts: bulk-copy the block into
-			// the entries array, then range-check the decoded coordinates.
+			// the entries array, then check each decoded record.
 			base := len(m.Entries)
 			m.Entries = slices.Grow(m.Entries, full)[:base+full]
 			dst := unsafe.Slice((*byte)(unsafe.Pointer(&m.Entries[base])), full*recordSize)
 			copy(dst, block[:full*recordSize])
-			for k := 0; k < full; k++ {
-				e := m.Entries[base+k]
-				if rerr := sparse.CheckRange(e.U, e.I, rows, cols); rerr != nil {
-					return nil, fmt.Errorf("dataset: record %d: %v", done+uint64(k), rerr)
+			for k, e := range m.Entries[base:] {
+				if !recordOK(e, rows, cols) {
+					return nil, fmt.Errorf("dataset: record %d: %v", done+uint64(k), recordError(e, rows, cols))
 				}
 			}
 		} else {
 			for k := 0; k < full; k++ {
 				rec := block[k*recordSize : k*recordSize+recordSize]
-				u := int32(binary.LittleEndian.Uint32(rec[0:]))
-				i := int32(binary.LittleEndian.Uint32(rec[4:]))
-				v := math.Float32frombits(binary.LittleEndian.Uint32(rec[8:]))
-				if rerr := sparse.CheckRange(u, i, rows, cols); rerr != nil {
-					return nil, fmt.Errorf("dataset: record %d: %v", done+uint64(k), rerr)
+				e := sparse.Rating{
+					U: int32(binary.LittleEndian.Uint32(rec[0:])),
+					I: int32(binary.LittleEndian.Uint32(rec[4:])),
+					V: math.Float32frombits(binary.LittleEndian.Uint32(rec[8:])),
 				}
-				m.Entries = append(m.Entries, sparse.Rating{U: u, I: i, V: v})
+				if !recordOK(e, rows, cols) {
+					return nil, fmt.Errorf("dataset: record %d: %v", done+uint64(k), recordError(e, rows, cols))
+				}
+				m.Entries = append(m.Entries, e)
 			}
 		}
 		if err != nil {
@@ -504,34 +440,31 @@ func ReadBinary(r io.Reader) (*sparse.COO, error) {
 	return m, nil
 }
 
-// ReadBinarySerial is the per-record reference reader, retained as the
-// equivalence oracle for ReadBinary and the ingest benchmark baseline.
-func ReadBinarySerial(r io.Reader) (*sparse.COO, error) {
-	rem, known := remainingBytes(r) // read before br buffers ahead
-	br := bufio.NewReaderSize(r, 1<<20)
-	rows, cols, nnz, err := readBinaryHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	m := sparse.NewCOO(rows, cols, binaryCap(nnz, rem-binaryHeaderSize, known))
-	rec := make([]byte, recordSize)
-	for c := uint64(0); c < nnz; c++ {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, fmt.Errorf("dataset: record %d: %w", c, err)
-		}
-		u := int32(binary.LittleEndian.Uint32(rec[0:]))
-		i := int32(binary.LittleEndian.Uint32(rec[4:]))
-		v := math.Float32frombits(binary.LittleEndian.Uint32(rec[8:]))
-		if err := m.Append(u, i, v); err != nil {
-			return nil, fmt.Errorf("dataset: record %d: %v", c, err)
-		}
-	}
-	return m, nil
+// headerCapHint bounds the Entries capacity pre-allocated from an
+// untrusted header, so a file declaring an absurd nnz cannot force a huge
+// allocation before a single record is read.
+const headerCapHint = 1 << 20
+
+// recordOK is the check every binary record passes, COO.Validate's two
+// conditions: coordinates inside the matrix and a finite rating. It
+// inlines into the decode loops; recordError builds the error for a
+// record that fails it.
+func recordOK(e sparse.Rating, rows, cols int) bool {
+	return uint(e.U) < uint(rows) && uint(e.I) < uint(cols) && finite(e.V)
 }
 
-// binaryHeaderSize is the byte length of the binary header: magic,
-// version, rows, cols and nnz.
-const binaryHeaderSize = 4 + 4 + 8 + 8 + 8
+func recordError(e sparse.Rating, rows, cols int) error {
+	if err := sparse.CheckRange(e.U, e.I, rows, cols); err != nil {
+		return err
+	}
+	return fmt.Errorf("non-finite rating %v", e.V)
+}
+
+// finite reports whether v is neither NaN nor infinite: v−v is 0 for
+// every finite v and NaN otherwise. strconv parses "NaN" and "Inf", and a
+// binary record can hold any bits, so the readers reject what
+// COO.Validate would.
+func finite(v float32) bool { return v-v == 0 }
 
 // binaryCap is the Entries capacity to preallocate for a binary body that
 // declares nnz records, where rem is the body's size in bytes if known:

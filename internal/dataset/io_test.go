@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -65,6 +66,9 @@ func TestReadTextErrors(t *testing.T) {
 		"% only a comment\n", // no header
 		"2 2 2\n0 1 3\n",     // header declares more entries than present
 		"2 2 0\n0 1 3\n",     // header declares fewer entries than present
+		"2 2 1\n0 1 NaN\n",   // non-finite rating
+		"2 2 1\n0 1 -Inf\n",  // non-finite rating
+		"0 -1 0\n",           // negative dimension
 	}
 	for _, in := range cases {
 		if _, err := ReadText(strings.NewReader(in)); err == nil {
@@ -129,6 +133,18 @@ func TestReadBinaryErrors(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-5]
 	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated records accepted")
+	}
+	// A record whose rating is NaN: the records' bits are not checked by
+	// the decode, so the reader must reject it itself.
+	nan := sparse.NewCOO(2, 2, 1)
+	nan.Add(0, 1, float32(math.NaN()))
+	buf.Reset()
+	if err := WriteBinary(&buf, nan); err != nil {
+		t.Fatal(err)
+	}
+	const want = "dataset: record 0: non-finite rating NaN"
+	if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err == nil || err.Error() != want {
+		t.Fatalf("NaN rating: err %v, want %q", err, want)
 	}
 }
 
@@ -210,18 +226,15 @@ func TestReadBinaryHeaderAllocBounded(t *testing.T) {
 	const want = "dataset: record 0: EOF"
 	for _, tc := range []struct {
 		name  string
-		read  func(io.Reader) (*sparse.COO, error)
 		r     func() io.Reader
 		limit uint64
 	}{
-		{"block/sized", ReadBinary, func() io.Reader { return bytes.NewReader(in) }, 4 << 20},
-		{"serial/sized", ReadBinarySerial, func() io.Reader { return bytes.NewReader(in) }, 4 << 20},
+		{"sized", func() io.Reader { return bytes.NewReader(in) }, 4 << 20},
 		// A source of unknown size gets at most headerCapHint entries.
-		{"block/unsized", ReadBinary, func() io.Reader { return onlyReader{bytes.NewReader(in)} }, headerCapHint*recordSize + 4<<20},
-		{"serial/unsized", ReadBinarySerial, func() io.Reader { return onlyReader{bytes.NewReader(in)} }, headerCapHint*recordSize + 4<<20},
+		{"unsized", func() io.Reader { return onlyReader{bytes.NewReader(in)} }, headerCapHint*recordSize + 4<<20},
 	} {
 		var err error
-		got := allocated(func() { _, err = tc.read(tc.r()) })
+		got := allocated(func() { _, err = ReadBinary(tc.r()) })
 		if err == nil || err.Error() != want {
 			t.Fatalf("%s: err %v, want %q", tc.name, err, want)
 		}

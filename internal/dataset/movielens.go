@@ -2,14 +2,11 @@ package dataset
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"strings"
 
-	"hccmf/internal/parallel"
 	"hccmf/internal/sparse"
 )
 
@@ -24,13 +21,9 @@ import (
 // MovieLens ids are sparse and 1-based; the loader densifies them and
 // returns the id maps so predictions can be translated back.
 //
-// Like the text reader, each loader has a serial reference path and a
-// chunked parallel path. Densification is deterministic in both: dense
-// indexes are assigned in first-appearance input order, so the parallel
-// loader runs in two phases — workers emit original ids plus triples
-// indexed by chunk-local id tables, then a sequential merge walks chunks
-// in input order and assigns global dense indexes. The resulting COO and
-// IDMaps are identical to the serial loader's.
+// Each loader reads its input once, one line at a time, and assigns dense
+// indexes in first-appearance input order. No benchmark workload reads
+// MovieLens, so the loaders stay serial.
 
 // IDMaps records the original-id ↔ dense-index correspondence of a loaded
 // dataset.
@@ -44,40 +37,18 @@ type IDMaps struct {
 	Items []int64
 }
 
-// ReadMovieLensCSV parses a ratings.csv stream with GOMAXPROCS workers.
+// ReadMovieLensCSV parses a ratings.csv stream.
 func ReadMovieLensCSV(r io.Reader) (*sparse.COO, *IDMaps, error) {
-	return ReadMovieLensCSVWorkers(r, runtime.GOMAXPROCS(0))
+	return readMovieLensSerial(r, ',', true)
 }
 
-// ReadMovieLensCSVWorkers parses a ratings.csv stream with the given
-// worker count; workers <= 1 runs the serial reference path.
-func ReadMovieLensCSVWorkers(r io.Reader, workers int) (*sparse.COO, *IDMaps, error) {
-	return readMovieLens(r, ',', true, workers)
-}
-
-// ReadMovieLensUData parses a u.data stream with GOMAXPROCS workers.
+// ReadMovieLensUData parses a u.data stream.
 func ReadMovieLensUData(r io.Reader) (*sparse.COO, *IDMaps, error) {
-	return ReadMovieLensUDataWorkers(r, runtime.GOMAXPROCS(0))
+	return readMovieLensSerial(r, '\t', false)
 }
 
-// ReadMovieLensUDataWorkers parses a u.data stream with the given worker
-// count; workers <= 1 runs the serial reference path.
-func ReadMovieLensUDataWorkers(r io.Reader, workers int) (*sparse.COO, *IDMaps, error) {
-	return readMovieLens(r, '\t', false, workers)
-}
-
-func readMovieLens(r io.Reader, sep rune, hasHeader bool, workers int) (*sparse.COO, *IDMaps, error) {
-	if workers <= 1 {
-		return readMovieLensSerial(r, sep, hasHeader)
-	}
-	buf, err := readAllBytes(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return parseMovieLensParallel(buf, sep, hasHeader, workers, ioChunkSize)
-}
-
-// readMovieLensSerial is the serial reference loader.
+// readMovieLensSerial is the one MovieLens loader: a bufio.Scanner walk
+// whose 1 MiB line limit and error text the tests pin.
 func readMovieLensSerial(r io.Reader, sep rune, hasHeader bool) (*sparse.COO, *IDMaps, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -110,7 +81,7 @@ func readMovieLensSerial(r io.Reader, sep rune, hasHeader bool) (*sparse.COO, *I
 		uid, err1 := strconv.ParseInt(fields[0], 10, 64)
 		iid, err2 := strconv.ParseInt(fields[1], 10, 64)
 		rating, err3 := strconv.ParseFloat(fields[2], 32)
-		if err1 != nil || err2 != nil || err3 != nil {
+		if err1 != nil || err2 != nil || err3 != nil || !finite(float32(rating)) {
 			return nil, nil, fmt.Errorf("dataset: line %d: bad record %q", lineNo, line)
 		}
 		triples = append(triples, triple{
@@ -137,280 +108,6 @@ func splitSep(line string, sep rune) []string {
 		return strings.Fields(line) // u.data sometimes uses spaces
 	}
 	return strings.Split(line, string(sep))
-}
-
-// mlTriple is one parsed rating whose ids point into the chunk-local id
-// tables (phase one of the deterministic densification).
-type mlTriple struct {
-	u, i int32
-	v    float32
-}
-
-// mlChunkResult is one chunk's phase-one output: triples over chunk-local
-// dense ids, the original ids in chunk-local first-appearance order, and
-// the same deferred error bookkeeping as the text parser.
-type mlChunkResult struct {
-	triples []mlTriple
-	users   []int64 // original user ids, local first-appearance order
-	items   []int64
-	lines   int
-	errLine int
-	mkErr   func(line int) error
-	rawErr  error
-}
-
-// parseMovieLensParallel is the chunked two-phase loader. Phase one parses
-// chunks concurrently with chunk-local id tables; phase two walks chunks
-// in input order, folds each local table into the global IDMaps (assigning
-// dense indexes in global first-appearance order — chunk order preserves
-// input order, and local first-appearance order preserves in-chunk order),
-// and remaps triples through a local→global index array. Per-rating map
-// lookups happen only in phase one, on the workers.
-func parseMovieLensParallel(buf []byte, sep rune, hasHeader bool, workers, chunkSize int) (*sparse.COO, *IDMaps, error) {
-	prologueLines := 0
-	if hasHeader && len(buf) > 0 {
-		var line []byte
-		line, buf = nextLine(buf)
-		prologueLines = 1
-		if len(line) >= maxLineBytes {
-			return nil, nil, bufio.ErrTooLong
-		}
-		trimmed := bytes.TrimSpace(line)
-		// A blank first line is not a header — it is just skipped, exactly
-		// like the serial loop's empty-line continue.
-		if len(trimmed) > 0 && !bytes.Contains(bytes.ToLower(trimmed), []byte("userid")) {
-			return nil, nil, fmt.Errorf("dataset: line 1: expected ratings.csv header, got %q", trimmed)
-		}
-	}
-
-	chunks := splitChunks(buf, chunkSize)
-	results := make([]mlChunkResult, len(chunks))
-	parallel.Chunks(len(chunks), 1, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			results[j] = parseMovieLensChunk(chunks[j], sep)
-		}
-	})
-
-	line := prologueLines
-	total := 0
-	for j := range results {
-		res := &results[j]
-		if res.errLine > 0 {
-			return nil, nil, res.mkErr(line + res.errLine)
-		}
-		if res.rawErr != nil {
-			return nil, nil, res.rawErr
-		}
-		line += res.lines
-		total += len(res.triples)
-	}
-	if total == 0 {
-		return nil, nil, fmt.Errorf("dataset: no ratings found")
-	}
-
-	maps := &IDMaps{
-		UserIndex: make(map[int64]int32),
-		ItemIndex: make(map[int64]int32),
-	}
-	for j := range results {
-		res := &results[j]
-		localU := make([]int32, len(res.users))
-		for k, id := range res.users {
-			localU[k] = maps.denseUser(id)
-		}
-		localI := make([]int32, len(res.items))
-		for k, id := range res.items {
-			localI[k] = maps.denseItem(id)
-		}
-		// Stash the translations for the final build pass.
-		res.users = nil
-		res.items = nil
-		for k := range res.triples {
-			res.triples[k].u = localU[res.triples[k].u]
-			res.triples[k].i = localI[res.triples[k].i]
-		}
-	}
-	m := sparse.NewCOO(len(maps.Users), len(maps.Items), total)
-	for j := range results {
-		for _, t := range results[j].triples {
-			m.Add(t.u, t.i, t.v)
-		}
-	}
-	return m, maps, nil
-}
-
-// idTable is an open-addressing int64→int32 table for chunk-local id
-// densification. It replaces map[int64]int32 on the per-rating hot path:
-// no hash interface, no bucket indirection, no per-insert allocation —
-// one multiply, one probe chain over flat arrays.
-type idTable struct {
-	keys    []int64 // power-of-two length; 0 marks an empty slot
-	vals    []int32
-	n       int
-	hasZero bool // id 0 cannot use the empty-slot sentinel, so it lives here
-	zeroVal int32
-}
-
-func newIDTable(capHint int) *idTable {
-	size := 1 << 10
-	for size < capHint*2 {
-		size <<= 1
-	}
-	return &idTable{keys: make([]int64, size), vals: make([]int32, size)}
-}
-
-func idHash(id int64) uint64 {
-	h := uint64(id) * 0x9E3779B97F4A7C15
-	return h ^ h>>32
-}
-
-// lookupOrAdd returns the value stored for id; when absent it stores next
-// and reports added=true.
-func (t *idTable) lookupOrAdd(id int64, next int32) (val int32, added bool) {
-	if id == 0 {
-		if t.hasZero {
-			return t.zeroVal, false
-		}
-		t.hasZero = true
-		t.zeroVal = next
-		return next, true
-	}
-	mask := uint64(len(t.keys) - 1)
-	for i := idHash(id) & mask; ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case id:
-			return t.vals[i], false
-		case 0:
-			t.keys[i] = id
-			t.vals[i] = next
-			t.n++
-			if t.n*4 > len(t.keys)*3 {
-				t.grow()
-			}
-			return next, true
-		}
-	}
-}
-
-func (t *idTable) grow() {
-	oldK, oldV := t.keys, t.vals
-	t.keys = make([]int64, len(oldK)*2)
-	t.vals = make([]int32, len(oldK)*2)
-	mask := uint64(len(t.keys) - 1)
-	for j, k := range oldK {
-		if k == 0 {
-			continue
-		}
-		i := idHash(k) & mask
-		for t.keys[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.keys[i] = k
-		t.vals[i] = oldV[j]
-	}
-}
-
-// parseMovieLensChunk is the phase-one worker: zero-copy field extraction
-// plus chunk-local densification.
-func parseMovieLensChunk(chunk []byte, sep rune) mlChunkResult {
-	var res mlChunkResult
-	res.triples = make([]mlTriple, 0, len(chunk)/12)
-	uIndex := newIDTable(len(chunk) / 256)
-	iIndex := newIDTable(len(chunk) / 256)
-	for len(chunk) > 0 {
-		var line []byte
-		line, chunk = nextLine(chunk)
-		res.lines++
-		if len(line) >= maxLineBytes {
-			res.rawErr = bufio.ErrTooLong
-			return res
-		}
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) == 0 {
-			continue
-		}
-		var uid, iid int64
-		var rating float32
-		var fast bool
-		if sep == ',' {
-			uid, iid, rating, fast = parseCSV3Fast(trimmed)
-		} else {
-			uid, iid, rating, fast = parseWS3Fast(trimmed)
-		}
-		if fast {
-			u, added := uIndex.lookupOrAdd(uid, int32(len(res.users)))
-			if added {
-				res.users = append(res.users, uid)
-			}
-			i, added := iIndex.lookupOrAdd(iid, int32(len(res.items)))
-			if added {
-				res.items = append(res.items, iid)
-			}
-			res.triples = append(res.triples, mlTriple{u: u, i: i, v: rating})
-			continue
-		}
-		f0, f1, f2, ok := splitSepBytes(trimmed, sep)
-		if !ok {
-			res.errLine = res.lines
-			res.mkErr = func(line int) error {
-				return fmt.Errorf("dataset: line %d: want ≥3 fields, got %q", line, trimmed)
-			}
-			return res
-		}
-		uid, e1 := parseI64(f0)
-		iid, e2 := parseI64(f1)
-		rating, e3 := parseF32(f2)
-		if e1 != nil || e2 != nil || e3 != nil {
-			res.errLine = res.lines
-			res.mkErr = func(line int) error {
-				return fmt.Errorf("dataset: line %d: bad record %q", line, trimmed)
-			}
-			return res
-		}
-		u, added := uIndex.lookupOrAdd(uid, int32(len(res.users)))
-		if added {
-			res.users = append(res.users, uid)
-		}
-		i, added := iIndex.lookupOrAdd(iid, int32(len(res.items)))
-		if added {
-			res.items = append(res.items, iid)
-		}
-		res.triples = append(res.triples, mlTriple{u: u, i: i, v: rating})
-	}
-	return res
-}
-
-// splitSepBytes extracts the first three fields of a record line, matching
-// splitSep's behaviour: comma records are strings.Split fields (empty
-// fields preserved, extras ignored), tab records are whitespace fields.
-// ok is false when fewer than three fields are present.
-func splitSepBytes(trimmed []byte, sep rune) (f0, f1, f2 []byte, ok bool) {
-	if sep == '\t' {
-		if a0, a1, a2, _, ascii := asciiFields3(trimmed); ascii {
-			return a0, a1, a2, a2 != nil
-		}
-		var rest []byte
-		f0, rest = nextField(trimmed)
-		f1, rest = nextField(rest)
-		f2, _ = nextField(rest)
-		return f0, f1, f2, f2 != nil
-	}
-	c1 := bytes.IndexByte(trimmed, ',')
-	if c1 < 0 {
-		return nil, nil, nil, false
-	}
-	f0 = trimmed[:c1]
-	rest := trimmed[c1+1:]
-	c2 := bytes.IndexByte(rest, ',')
-	if c2 < 0 {
-		return nil, nil, nil, false
-	}
-	f1 = rest[:c2]
-	f2 = rest[c2+1:]
-	if c3 := bytes.IndexByte(f2, ','); c3 >= 0 {
-		f2 = f2[:c3]
-	}
-	return f0, f1, f2, true
 }
 
 func (m *IDMaps) denseUser(id int64) int32 {

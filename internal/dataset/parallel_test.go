@@ -14,13 +14,12 @@ import (
 	"hccmf/internal/sparse"
 )
 
-// The parallel ingestion pipeline's contract is byte-identical behaviour
-// with the serial reference paths: same entries in the same order, same
-// IDMaps, and the same error text at the same line numbers, regardless of
-// where chunk boundaries fall. These tests drive the internal parallel
-// entry points with tiny chunk sizes so that multi-chunk splits, malformed
-// lines mid-chunk, and inputs smaller than one chunk are all exercised
-// even on small fixtures.
+// The chunked text pipeline's contract is byte-identical behaviour with
+// the serial oracle (oracle_test.go): same entries in the same order and
+// the same error text at the same line numbers, regardless of where chunk
+// boundaries fall. These tests drive readTextAt with tiny chunk sizes so
+// that multi-chunk splits, malformed lines mid-chunk, and inputs smaller
+// than one chunk are all exercised even on small fixtures.
 
 // readTextChunked runs the chunked text pipeline over buf with the given
 // worker count and chunk size.
@@ -39,6 +38,43 @@ func textFixture(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// cutBytes cuts in with cutChunks over a bytes.Reader and returns the
+// chunks' bytes.
+func cutBytes(t testing.TB, in []byte, target int) [][]byte {
+	t.Helper()
+	chunks, err := cutChunks(bytes.NewReader(in), 0, int64(len(in)), target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]byte, len(chunks))
+	for k, c := range chunks {
+		out[k] = in[c.off:c.end]
+	}
+	return out
+}
+
+// checkChunks fails t unless chunks, cut from in at target, keep the
+// three invariants of the text reader's split: they concatenate to the
+// input, no chunk is empty, and every chunk but the last ends at '\n' —
+// unless a line of maxLineBytes or more crosses the cut, which cutAt
+// cuts at exactly target+maxLineBytes bytes.
+func checkChunks(t testing.TB, in []byte, target int, chunks [][]byte) {
+	t.Helper()
+	var cat []byte
+	for k, c := range chunks {
+		if len(c) == 0 {
+			t.Fatalf("target %d: empty chunk %d of %q", target, k, in)
+		}
+		if k < len(chunks)-1 && c[len(c)-1] != '\n' && len(c) != max(target, 1)+maxLineBytes {
+			t.Fatalf("target %d: chunk %d of %q does not end at a newline: %q", target, k, in, c)
+		}
+		cat = append(cat, c...)
+	}
+	if !bytes.Equal(cat, in) {
+		t.Fatalf("target %d: concatenation mismatch: %q != %q", target, cat, in)
+	}
+}
+
 func TestSplitChunksProperties(t *testing.T) {
 	inputs := [][]byte{
 		nil,
@@ -52,20 +88,7 @@ func TestSplitChunksProperties(t *testing.T) {
 	}
 	for _, in := range inputs {
 		for _, target := range []int{1, 2, 7, 16, 1 << 20} {
-			chunks := splitChunks(in, target)
-			var cat []byte
-			for k, c := range chunks {
-				if len(c) == 0 {
-					t.Fatalf("target %d: empty chunk %d of %q", target, k, in)
-				}
-				if k < len(chunks)-1 && c[len(c)-1] != '\n' {
-					t.Fatalf("target %d: chunk %d of %q does not end at a newline: %q", target, k, in, c)
-				}
-				cat = append(cat, c...)
-			}
-			if !bytes.Equal(cat, in) {
-				t.Fatalf("target %d: concatenation mismatch: %q != %q", target, cat, in)
-			}
+			checkChunks(t, in, target, cutBytes(t, in, target))
 		}
 	}
 }
@@ -79,7 +102,7 @@ func TestReadTextParallelEquivalence(t *testing.T) {
 	// Chunk sizes: smaller than a line, a handful of lines, larger than
 	// the whole input (single chunk).
 	for _, chunkSize := range []int{3, 64, 4096, len(text) + 1} {
-		for _, workers := range []int{2, 4, 8} {
+		for _, workers := range []int{1, 2, 4, 8} {
 			got, err := readTextChunked(text, workers, chunkSize)
 			if err != nil {
 				t.Fatalf("chunk %d workers %d: %v", chunkSize, workers, err)
@@ -92,13 +115,15 @@ func TestReadTextParallelEquivalence(t *testing.T) {
 			}
 		}
 	}
-	// The public entry point agrees too.
-	got, err := ReadTextWorkers(bytes.NewReader(text), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Entries, want.Entries) {
-		t.Fatal("ReadTextWorkers(4) disagrees with serial")
+	// The public entry point agrees too, on one worker as on several.
+	for _, workers := range []int{1, 4} {
+		got, err := ReadTextWorkers(bytes.NewReader(text), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Entries, want.Entries) {
+			t.Fatalf("ReadTextWorkers(%d) disagrees with serial", workers)
+		}
 	}
 }
 
@@ -118,6 +143,7 @@ func TestReadTextParallelErrorsMatchSerial(t *testing.T) {
 		"% c\n\n2 2 3\n0 0 1\n0 1 bad\n1 1 2\n", // malformed mid-stream
 		"3 3 4\n0 0 1\n1 1 1\n2 2 1\n9 9 9\n",   // range error on last line
 		"2 2 1\n\n\n# c\n0 1 3.5\n",             // accepted: blank/comment noise
+		"2 2 1\n0 1 NaN\n",                      // non-finite rating
 	}
 	for _, in := range cases {
 		sm, serr := readTextSerial(strings.NewReader(in))
@@ -153,103 +179,6 @@ func TestReadTextValidatesHeaderNNZ(t *testing.T) {
 	}
 	if _, err := ReadText(strings.NewReader(in)); err == nil || err.Error() != want {
 		t.Fatalf("ReadText: err %v, want %q", err, want)
-	}
-}
-
-func mlCSVFixture() []byte {
-	// Sparse, shuffled, repeating ids exercise the densification order.
-	var buf bytes.Buffer
-	buf.WriteString("userId,movieId,rating,timestamp\n")
-	rng := sparse.NewRand(13)
-	for i := 0; i < 4000; i++ {
-		u := 1000 + rng.Intn(200)*7
-		it := 50 + rng.Intn(300)*3
-		fmt.Fprintf(&buf, "%d,%d,%.1f,%d\n", u, it, 0.5+float64(rng.Intn(9))*0.5, i)
-	}
-	return buf.Bytes()
-}
-
-func TestMovieLensCSVParallelEquivalence(t *testing.T) {
-	csv := mlCSVFixture()
-	wantM, wantMaps, err := readMovieLensSerial(bytes.NewReader(csv), ',', true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunkSize := range []int{16, 512, len(csv) + 1} {
-		gotM, gotMaps, err := parseMovieLensParallel(csv, ',', true, 4, chunkSize)
-		if err != nil {
-			t.Fatalf("chunk %d: %v", chunkSize, err)
-		}
-		if gotM.Rows != wantM.Rows || gotM.Cols != wantM.Cols {
-			t.Fatalf("chunk %d: shape %dx%d, want %dx%d", chunkSize, gotM.Rows, gotM.Cols, wantM.Rows, wantM.Cols)
-		}
-		if !reflect.DeepEqual(gotM.Entries, wantM.Entries) {
-			t.Fatalf("chunk %d: entries differ", chunkSize)
-		}
-		if !reflect.DeepEqual(gotMaps, wantMaps) {
-			t.Fatalf("chunk %d: IDMaps differ", chunkSize)
-		}
-	}
-	gotM, gotMaps, err := ReadMovieLensCSVWorkers(bytes.NewReader(csv), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotM.Entries, wantM.Entries) || !reflect.DeepEqual(gotMaps, wantMaps) {
-		t.Fatal("ReadMovieLensCSVWorkers(4) disagrees with serial")
-	}
-}
-
-func TestMovieLensUDataParallelEquivalence(t *testing.T) {
-	var buf bytes.Buffer
-	rng := sparse.NewRand(17)
-	for i := 0; i < 1000; i++ {
-		fmt.Fprintf(&buf, "%d\t%d\t%d\t%d\n", 1+rng.Intn(50), 1+rng.Intn(80), 1+rng.Intn(5), i)
-	}
-	udata := buf.Bytes()
-	wantM, wantMaps, err := readMovieLensSerial(bytes.NewReader(udata), '\t', false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunkSize := range []int{8, 256, len(udata) + 1} {
-		gotM, gotMaps, err := parseMovieLensParallel(udata, '\t', false, 3, chunkSize)
-		if err != nil {
-			t.Fatalf("chunk %d: %v", chunkSize, err)
-		}
-		if !reflect.DeepEqual(gotM.Entries, wantM.Entries) || !reflect.DeepEqual(gotMaps, wantMaps) {
-			t.Fatalf("chunk %d: parallel u.data load disagrees with serial", chunkSize)
-		}
-	}
-}
-
-func TestMovieLensParallelErrorsMatchSerial(t *testing.T) {
-	cases := []struct {
-		in        string
-		sep       rune
-		hasHeader bool
-	}{
-		{"", ',', true},
-		{"not a header\n1,2,3\n", ',', true},
-		{"userId,movieId,rating\n", ',', true},                        // header only: no ratings
-		{"userId,movieId,rating\n1,2\n", ',', true},                   // short record
-		{"userId,movieId,rating\nx,y,z\n", ',', true},                 // non-numeric
-		{"userId,movieId,rating\n1,2,3\n4,5,bad\n6,7,1\n", ',', true}, // mid-stream
-		{"\nuserId,movieId,rating\n1,2,3\n", ',', true},               // blank line 1: no header skip
-		{"1\t2\n", '\t', false},
-		{"1\t2\t3\n4\tbad\t5\n", '\t', false},
-		{"", '\t', false},
-	}
-	for _, tc := range cases {
-		_, _, serr := readMovieLensSerial(strings.NewReader(tc.in), tc.sep, tc.hasHeader)
-		for _, chunkSize := range []int{3, 1 << 20} {
-			_, _, perr := parseMovieLensParallel([]byte(tc.in), tc.sep, tc.hasHeader, 4, chunkSize)
-			if (serr == nil) != (perr == nil) {
-				t.Fatalf("%q chunk %d: serial err %v, parallel err %v", tc.in, chunkSize, serr, perr)
-			}
-			if serr != nil && serr.Error() != perr.Error() {
-				t.Fatalf("%q chunk %d: error text differs:\n serial:   %q\n parallel: %q",
-					tc.in, chunkSize, serr, perr)
-			}
-		}
 	}
 }
 

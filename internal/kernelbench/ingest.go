@@ -11,14 +11,12 @@ import (
 	"hccmf/internal/sparse"
 )
 
-// Ingestion micro-benchmarks: the parallel zero-copy pipeline of
-// internal/dataset and the grid sort of internal/sparse, measured on the
-// same 2000×1000/200k matrix as the kernel suite rendered as a text file,
-// a MovieLens-style ratings.csv, and the binary format. Each parallel
-// path is paired with its serial reference benchmark so a single report
-// carries both sides of the comparison recorded in BENCH_*.json.
+// Ingestion micro-benchmarks: the chunked text reader and block binary
+// reader of internal/dataset, the binary writer, and the grid sort of
+// internal/sparse, measured on the same 2000×1000/200k matrix as the
+// kernel suite rendered as a text file and in the binary format.
 
-// IngestWorkers is the worker count the parallel read benchmarks run
+// IngestWorkers is the worker count the text read benchmark runs
 // with. Fixed (rather than GOMAXPROCS) so reports from different hosts
 // measure the same configuration.
 const IngestWorkers = 8
@@ -26,7 +24,6 @@ const IngestWorkers = 8
 var (
 	ingestOnce sync.Once
 	ingestText []byte // WriteText rendering of Matrix()
-	ingestCSV  []byte // ratings.csv rendering of Matrix()
 	ingestBin  []byte // WriteBinary rendering of Matrix()
 )
 
@@ -43,12 +40,6 @@ func ingestInit() {
 			panic(fmt.Sprint("kernelbench: rendering ingest fixtures: ", err1, err2))
 		}
 		ingestText, ingestBin = tb.Bytes(), bb.Bytes()
-		var cb bytes.Buffer
-		cb.WriteString("userId,movieId,rating,timestamp\n")
-		for i, e := range m.Entries {
-			fmt.Fprintf(&cb, "%d,%d,%g,%d\n", e.U+1, e.I+1, e.V, i)
-		}
-		ingestCSV = cb.Bytes()
 	})
 }
 
@@ -64,41 +55,18 @@ func ReportIngest(b *testing.B, inputBytes, entries int) {
 	b.ReportMetric(float64(entries)*n/sec, "entries/s")
 }
 
-func benchReadText(b *testing.B, workers int) {
+// IngestReadText benchmarks the chunked text reader.
+func IngestReadText(b *testing.B) {
 	ingestInit()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dataset.ReadTextWorkers(bytes.NewReader(ingestText), workers); err != nil {
+		if _, err := dataset.ReadTextWorkers(bytes.NewReader(ingestText), IngestWorkers); err != nil {
 			b.Fatal(err)
 		}
 	}
 	ReportIngest(b, len(ingestText), NNZ)
 }
-
-// IngestReadText benchmarks the chunked parallel text parser.
-func IngestReadText(b *testing.B) { benchReadText(b, IngestWorkers) }
-
-// IngestReadTextSerial benchmarks the bufio.Scanner reference parser.
-func IngestReadTextSerial(b *testing.B) { benchReadText(b, 1) }
-
-func benchReadCSV(b *testing.B, workers int) {
-	ingestInit()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := dataset.ReadMovieLensCSVWorkers(bytes.NewReader(ingestCSV), workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ReportIngest(b, len(ingestCSV), NNZ)
-}
-
-// IngestReadMovieLensCSV benchmarks the two-phase parallel CSV loader.
-func IngestReadMovieLensCSV(b *testing.B) { benchReadCSV(b, IngestWorkers) }
-
-// IngestReadMovieLensCSVSerial benchmarks the serial reference loader.
-func IngestReadMovieLensCSVSerial(b *testing.B) { benchReadCSV(b, 1) }
 
 // IngestReadBinary benchmarks the 64 KiB block binary reader.
 func IngestReadBinary(b *testing.B) {
@@ -107,19 +75,6 @@ func IngestReadBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := dataset.ReadBinary(bytes.NewReader(ingestBin)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ReportIngest(b, len(ingestBin), NNZ)
-}
-
-// IngestReadBinarySerial benchmarks the per-record reference reader.
-func IngestReadBinarySerial(b *testing.B) {
-	ingestInit()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dataset.ReadBinarySerial(bytes.NewReader(ingestBin)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,11 +116,7 @@ func IngestWriteBinary(b *testing.B) {
 func IngestSuite() []Bench {
 	return []Bench{
 		{"ReadText", IngestReadText},
-		{"ReadTextSerial", IngestReadTextSerial},
-		{"ReadMovieLensCSV", IngestReadMovieLensCSV},
-		{"ReadMovieLensCSVSerial", IngestReadMovieLensCSVSerial},
 		{"ReadBinary", IngestReadBinary},
-		{"ReadBinarySerial", IngestReadBinarySerial},
 		{"SortByRow", IngestSortByRow},
 		{"WriteBinary", IngestWriteBinary},
 	}

@@ -106,15 +106,15 @@ func Dot(a, b []float32) float32 {
 	// compiler prove the constant indices in bounds and drop every
 	// per-element bounds check; the accumulator order is unchanged.
 	for len(a) >= 4 && len(b) >= 4 {
-		s0 += a[0] * b[0]
-		s1 += a[1] * b[1]
-		s2 += a[2] * b[2]
-		s3 += a[3] * b[3]
+		s0 += float32(a[0] * b[0])
+		s1 += float32(a[1] * b[1])
+		s2 += float32(a[2] * b[2])
+		s3 += float32(a[3] * b[3])
 		a = a[4:]
 		b = b[4:]
 	}
 	for i := 0; i < len(a) && i < len(b); i++ {
-		s0 += a[i] * b[i]
+		s0 += float32(a[i] * b[i])
 	}
 	return s0 + s1 + s2 + s3
 }

@@ -19,8 +19,8 @@ func referenceUpdateOne(p, q []float32, r float32, h HyperParams) float32 {
 	gl2 := h.Gamma * h.Lambda2
 	for i := range p {
 		p0, q0 := p[i], q[i]
-		p[i] = p0 + ge*q0 - gl1*p0
-		q[i] = q0 + ge*p0 - gl2*q0
+		p[i] = p0 + float32(ge*q0) - float32(gl1*p0)
+		q[i] = q0 + float32(ge*p0) - float32(gl2*q0)
 	}
 	return e
 }

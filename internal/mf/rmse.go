@@ -38,18 +38,18 @@ func sumSqErrGeneric(f *Factors, entries []sparse.Rating) float64 {
 		q := fq[qo : qo+k : qo+k]
 		var s0, s1, s2, s3 float32
 		for len(p) >= 4 && len(q) >= 4 {
-			s0 += p[0] * q[0]
-			s1 += p[1] * q[1]
-			s2 += p[2] * q[2]
-			s3 += p[3] * q[3]
+			s0 += float32(p[0] * q[0])
+			s1 += float32(p[1] * q[1])
+			s2 += float32(p[2] * q[2])
+			s3 += float32(p[3] * q[3])
 			p = p[4:]
 			q = q[4:]
 		}
 		for i := 0; i < len(p) && i < len(q); i++ {
-			s0 += p[i] * q[i]
+			s0 += float32(p[i] * q[i])
 		}
 		d := float64(e.V - (s0 + s1 + s2 + s3))
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum
 }
@@ -163,14 +163,14 @@ func Loss(f *Factors, entries []sparse.Rating, h HyperParams) float64 {
 	var sum float64
 	for _, e := range entries {
 		d := float64(e.V - f.Predict(e.U, e.I))
-		sum += d * d
+		sum += float64(d * d)
 	}
 	var pn, qn float64
 	for _, v := range f.P {
-		pn += float64(v) * float64(v)
+		pn += float64(float64(v) * float64(v))
 	}
 	for _, v := range f.Q {
-		qn += float64(v) * float64(v)
+		qn += float64(float64(v) * float64(v))
 	}
-	return sum + float64(h.Lambda1)*pn + float64(h.Lambda2)*qn
+	return sum + float64(float64(h.Lambda1)*pn) + float64(float64(h.Lambda2)*qn)
 }

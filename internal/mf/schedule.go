@@ -39,7 +39,7 @@ func (d InverseDecay) Gamma(epoch int) float32 {
 		epoch = 0
 	}
 	t := float64(epoch)
-	return d.Gamma0 / float32(1+float64(d.Beta)*math.Pow(t, 1.5))
+	return d.Gamma0 / float32(1+float64(float64(d.Beta)*math.Pow(t, 1.5)))
 }
 
 // Name implements Schedule.

@@ -33,12 +33,12 @@ func UpdateOne(p, q []float32, r float32, h HyperParams) float32 {
 	return updateOne(p, q[:len(p)], r, h)
 }
 
-// updateOneGeneric is the portable fused kernel (PR 3): dot product fused
-// with the update sweep, both passes advancing the slice headers eight
-// elements at a time so the constant indices 0..7 are trivially in bounds
-// and the compiler emits no per-element bounds checks (verified with
-// -d=ssa/check_bce).
-//
+// updateOneGeneric is the portable fused kernel: dot product fused with
+// the update sweep, both passes advancing the slice headers eight elements
+// at a time so the constant indices 0..7 are trivially in bounds and the
+// compiler emits no per-element bounds checks (-d=ssa/check_bce). Each
+// product is wrapped in float32(...), which rounds it, so no port fuses
+// it with its add (DESIGN.md §16).
 // The floating-point evaluation order is identical to Dot followed by the
 // rolled update loop: the dot folds elements into the same four partial
 // sums in the same sequence (s0 gets elements 0,4,8,…; s1 gets 1,5,9,…;
@@ -53,27 +53,27 @@ func updateOneGeneric(p, q []float32, r float32, h HyperParams) float32 {
 	var s0, s1, s2, s3 float32
 	pp, qq := p, q
 	for len(pp) >= 8 && len(qq) >= 8 {
-		s0 += pp[0] * qq[0]
-		s1 += pp[1] * qq[1]
-		s2 += pp[2] * qq[2]
-		s3 += pp[3] * qq[3]
-		s0 += pp[4] * qq[4]
-		s1 += pp[5] * qq[5]
-		s2 += pp[6] * qq[6]
-		s3 += pp[7] * qq[7]
+		s0 += float32(pp[0] * qq[0])
+		s1 += float32(pp[1] * qq[1])
+		s2 += float32(pp[2] * qq[2])
+		s3 += float32(pp[3] * qq[3])
+		s0 += float32(pp[4] * qq[4])
+		s1 += float32(pp[5] * qq[5])
+		s2 += float32(pp[6] * qq[6])
+		s3 += float32(pp[7] * qq[7])
 		pp = pp[8:]
 		qq = qq[8:]
 	}
 	for len(pp) >= 4 && len(qq) >= 4 {
-		s0 += pp[0] * qq[0]
-		s1 += pp[1] * qq[1]
-		s2 += pp[2] * qq[2]
-		s3 += pp[3] * qq[3]
+		s0 += float32(pp[0] * qq[0])
+		s1 += float32(pp[1] * qq[1])
+		s2 += float32(pp[2] * qq[2])
+		s3 += float32(pp[3] * qq[3])
 		pp = pp[4:]
 		qq = qq[4:]
 	}
 	for i := 0; i < len(pp) && i < len(qq); i++ {
-		s0 += pp[i] * qq[i]
+		s0 += float32(pp[i] * qq[i])
 	}
 	e := r - (s0 + s1 + s2 + s3)
 	ge := h.Gamma * e
@@ -85,33 +85,33 @@ func updateOneGeneric(p, q []float32, r float32, h HyperParams) float32 {
 		p1, q1 := pp[1], qq[1]
 		p2, q2 := pp[2], qq[2]
 		p3, q3 := pp[3], qq[3]
-		pp[0] = p0 + ge*q0 - gl1*p0
-		qq[0] = q0 + ge*p0 - gl2*q0
-		pp[1] = p1 + ge*q1 - gl1*p1
-		qq[1] = q1 + ge*p1 - gl2*q1
-		pp[2] = p2 + ge*q2 - gl1*p2
-		qq[2] = q2 + ge*p2 - gl2*q2
-		pp[3] = p3 + ge*q3 - gl1*p3
-		qq[3] = q3 + ge*p3 - gl2*q3
+		pp[0] = p0 + float32(ge*q0) - float32(gl1*p0)
+		qq[0] = q0 + float32(ge*p0) - float32(gl2*q0)
+		pp[1] = p1 + float32(ge*q1) - float32(gl1*p1)
+		qq[1] = q1 + float32(ge*p1) - float32(gl2*q1)
+		pp[2] = p2 + float32(ge*q2) - float32(gl1*p2)
+		qq[2] = q2 + float32(ge*p2) - float32(gl2*q2)
+		pp[3] = p3 + float32(ge*q3) - float32(gl1*p3)
+		qq[3] = q3 + float32(ge*p3) - float32(gl2*q3)
 		p4, q4 := pp[4], qq[4]
 		p5, q5 := pp[5], qq[5]
 		p6, q6 := pp[6], qq[6]
 		p7, q7 := pp[7], qq[7]
-		pp[4] = p4 + ge*q4 - gl1*p4
-		qq[4] = q4 + ge*p4 - gl2*q4
-		pp[5] = p5 + ge*q5 - gl1*p5
-		qq[5] = q5 + ge*p5 - gl2*q5
-		pp[6] = p6 + ge*q6 - gl1*p6
-		qq[6] = q6 + ge*p6 - gl2*q6
-		pp[7] = p7 + ge*q7 - gl1*p7
-		qq[7] = q7 + ge*p7 - gl2*q7
+		pp[4] = p4 + float32(ge*q4) - float32(gl1*p4)
+		qq[4] = q4 + float32(ge*p4) - float32(gl2*q4)
+		pp[5] = p5 + float32(ge*q5) - float32(gl1*p5)
+		qq[5] = q5 + float32(ge*p5) - float32(gl2*q5)
+		pp[6] = p6 + float32(ge*q6) - float32(gl1*p6)
+		qq[6] = q6 + float32(ge*p6) - float32(gl2*q6)
+		pp[7] = p7 + float32(ge*q7) - float32(gl1*p7)
+		qq[7] = q7 + float32(ge*p7) - float32(gl2*q7)
 		pp = pp[8:]
 		qq = qq[8:]
 	}
 	for i := 0; i < len(pp) && i < len(qq); i++ {
 		p0, q0 := pp[i], qq[i]
-		pp[i] = p0 + ge*q0 - gl1*p0
-		qq[i] = q0 + ge*p0 - gl2*q0
+		pp[i] = p0 + float32(ge*q0) - float32(gl1*p0)
+		qq[i] = q0 + float32(ge*p0) - float32(gl2*q0)
 	}
 	return e
 }

@@ -5,12 +5,11 @@ package mf
 import "hccmf/internal/sparse"
 
 // On builds without the VEX assembly (another architecture, or amd64 with
-// -tags noasm) both rating loops are the portable Go loops. Under noasm
-// they give the VEX sweeps' bits; on an architecture whose compiler fuses
-// multiply-adds (arm64) they match referenceUpdateOne / sumSqErrGeneric
-// compiled the same way, not amd64 (DESIGN.md §16). CI exercises this
-// file on amd64 via the noasm matrix leg, so the portable path cannot rot
-// between architecture ports.
+// -tags noasm) both rating loops are the portable Go loops. They give the
+// VEX sweeps' bits there and on arm64: every product is wrapped in an
+// explicit conversion, which forbids a fused multiply-add (DESIGN.md §16).
+// CI exercises this file on amd64 via the noasm matrix leg, so the
+// portable path cannot rot between architecture ports.
 
 // useVEX is always false here: there is no VEX sweep to select.
 var useVEX = false

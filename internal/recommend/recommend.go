@@ -20,8 +20,8 @@ import (
 	"hccmf/internal/sparse"
 )
 
-// Scorer predicts a rating for a (user, item) pair. *mf.Factors and
-// *mf.BiasedFactors both satisfy it.
+// Scorer predicts a rating for a (user, item) pair. *mf.Factors
+// satisfies it.
 type Scorer interface {
 	Predict(u, i int32) float32
 }
