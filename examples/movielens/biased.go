@@ -38,10 +38,10 @@ func NewBiasedFactorsInit(m, n, k int, meanRating float64, rng *sparse.Rand) *Bi
 	// Small symmetric init: interactions start near zero.
 	scale := float32(0.1 / math.Sqrt(float64(k)))
 	for i := range b.P {
-		b.P[i] = scale * (rng.Float32() - 0.5)
+		b.P[i] = scale * (float32(rng.Float32()) - 0.5)
 	}
 	for i := range b.Q {
-		b.Q[i] = scale * (rng.Float32() - 0.5)
+		b.Q[i] = scale * (float32(rng.Float32()) - 0.5)
 	}
 	return b
 }
@@ -56,19 +56,21 @@ func (b *BiasedFactors) Predict(u, i int32) float32 {
 //	b_u += γ(e − λ1·b_u)    b_i += γ(e − λ2·b_i)
 //	p   += γ(e·q − λ1·p)    q   += γ(e·p − λ2·q)
 //
-// and returns e.
+// and returns e. Each product is wrapped in float32(...), which rounds it,
+// so arm64 does not fuse it with its add and the example's RMSEs are the
+// same on every port (DESIGN.md §16).
 func (b *BiasedFactors) UpdateOne(u, i int32, r float32, h mf.HyperParams) float32 {
 	e := r - b.Predict(u, i)
-	b.BU[u] += h.Gamma * (e - h.Lambda1*b.BU[u])
-	b.BI[i] += h.Gamma * (e - h.Lambda2*b.BI[i])
+	b.BU[u] += float32(h.Gamma * (e - float32(h.Lambda1*b.BU[u])))
+	b.BI[i] += float32(h.Gamma * (e - float32(h.Lambda2*b.BI[i])))
 	p, q := b.PRow(u), b.QRow(i)
 	ge := h.Gamma * e
 	gl1 := h.Gamma * h.Lambda1
 	gl2 := h.Gamma * h.Lambda2
 	for f := range p {
 		p0, q0 := p[f], q[f]
-		p[f] = p0 + ge*q0 - gl1*p0
-		q[f] = q0 + ge*p0 - gl2*q0
+		p[f] = p0 + float32(ge*q0) - float32(gl1*p0)
+		q[f] = q0 + float32(ge*p0) - float32(gl2*q0)
 	}
 	return e
 }
@@ -88,7 +90,7 @@ func (b *BiasedFactors) RMSE(entries []sparse.Rating) float64 {
 	var sum float64
 	for _, e := range entries {
 		d := float64(e.V - b.Predict(e.U, e.I))
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum / float64(len(entries)))
 }

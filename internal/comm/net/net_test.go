@@ -2,6 +2,7 @@ package commnet
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -384,6 +385,98 @@ func TestConcurrentTransfers(t *testing.T) {
 			t.Fatalf("worker %d shard missing", w)
 		}
 		bitsEqual(t, "concurrent store", stored, seq(128, float32(w+1)))
+	}
+}
+
+// TestConcurrentPullsPushesAndStats runs pulls, worker pushes, syncs of
+// the global Q and Stats calls against each other (run it under -race).
+// Every pull of the global Q must see one whole published version, never
+// a mix of two, and the request counters must come out exact.
+func TestConcurrentPullsPushesAndStats(t *testing.T) {
+	s, err := Listen("127.0.0.1:0", ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	d := &Dialer{Addr: s.Addr(), M: 32, N: 64, K: 4, OpTimeout: 10 * time.Second}
+	t.Cleanup(func() { _ = d.Close() })
+	qShard := comm.GlobalShard(comm.MatrixQ, 0, 256)
+	versions := [][]float32{seq(256, 0.5), seq(256, -0.25)}
+	if _, err := d.SyncShard(versions[0], comm.Xfer{Shard: qShard, Enc: comm.FP32}); err != nil {
+		t.Fatal(err)
+	}
+	const pullers, pushers, syncs, ops = 4, 2, 20, 30
+	var wg sync.WaitGroup
+	errs := make(chan error, pullers+pushers+2)
+	for w := 0; w < pullers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]float32, 256)
+			for i := 0; i < ops; i++ {
+				if _, err := d.Pull(got, nil, comm.Xfer{Shard: qShard, Enc: comm.FP32}); err != nil {
+					errs <- err
+					return
+				}
+				whole := false
+				for _, v := range versions {
+					same := true
+					for j := range got {
+						same = same && math.Float32bits(got[j]) == math.Float32bits(v[j])
+					}
+					whole = whole || same
+				}
+				if !whole {
+					errs <- fmt.Errorf("pull %d saw a mix of two published versions", i)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < pushers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			src, dst := seq(128, float32(w+1)), make([]float32, 128)
+			for i := 0; i < ops; i++ {
+				if _, err := d.Push(dst, src, comm.Xfer{Shard: comm.WorkerShard(comm.MatrixP, w, 0, 128), Enc: comm.FP32}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= syncs; i++ {
+			if _, err := d.SyncShard(versions[i%2], comm.Xfer{Shard: qShard, Enc: comm.FP32}); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		var last ServerStats
+		for i := 0; i < 200; i++ {
+			st := s.Stats()
+			if st.Pulls < last.Pulls || st.Pushes < last.Pushes || st.Syncs < last.Syncs || st.Frames < last.Frames {
+				errs <- fmt.Errorf("stats went backwards: %+v after %+v", st, last)
+				return
+			}
+			last = st
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	want := ServerStats{Pulls: pullers * ops, Pushes: pushers * ops, Syncs: syncs + 1}
+	if st.Pulls != want.Pulls || st.Pushes != want.Pushes || st.Syncs != want.Syncs || st.Errors != 0 {
+		t.Fatalf("stats %+v, want pulls %d, pushes %d, syncs %d, no errors", st, want.Pulls, want.Pushes, want.Syncs)
 	}
 }
 

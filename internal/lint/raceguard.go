@@ -12,13 +12,14 @@ import (
 var sharedUpdaters = map[string]bool{
 	"TrainEntries": true,
 	"TrainEntry":   true,
+	"trainPair":    true,
 }
 
 // RaceGuard keeps Hogwild's intentional data races quarantined — now
 // across the whole module, not just package mf. A goroutine that calls a
-// shared-factor updater (TrainEntries/TrainEntry, unqualified inside mf
-// or as mf.TrainEntries from any other package, resolved through the
-// module's import index) is flagged unless something marks the race as
+// shared-factor updater (TrainEntries/TrainEntry/trainPair, unqualified
+// inside mf or as mf.TrainEntries from any other package, resolved
+// through the module's import index) is flagged unless something marks the race as
 // intentional: the file or enclosing function references raceflag — the
 // package that gates those paths under the race detector — or a per-site
 // "lint:allow raceguard <reason>" covers a write that is disjoint by
@@ -147,7 +148,7 @@ func workerLabel(pass *Pass, ref *FuncRef) string {
 }
 
 // updaterCallIn reports the shared-factor updater a call invokes, as seen
-// from file f of package pkg: an unqualified TrainEntries/TrainEntry
+// from file f of package pkg: an unqualified TrainEntries/TrainEntry/trainPair
 // inside package mf itself, or a selector that resolves through f's
 // imports to a loaded package named mf declaring the function. Returns ""
 // for anything else (including locally shadowed names).

@@ -62,13 +62,17 @@ func TestUpdateOneZeroAllocs(t *testing.T) {
 	})
 }
 
+// FPSGD is checked inline (the two lanes swept together, in the walk's
+// reused lane scratch) and on a pool (one block per task).
 func TestFPSGDEpochZeroAllocs(t *testing.T) {
 	skipAllocGuardUnderRace(t)
-	f, m, h := allocModel(t, 1<<14)
-	e := &FPSGD{Threads: 4}
-	assertZeroAllocs(t, "FPSGD.Epoch", func() {
-		e.Epoch(f, m, h)
-	})
+	for _, threads := range []int{1, 4} {
+		f, m, h := allocModel(t, 1<<14)
+		e := &FPSGD{Threads: threads}
+		assertZeroAllocs(t, e.Name()+".Epoch", func() {
+			e.Epoch(f, m, h)
+		})
+	}
 }
 
 func TestBatchedEpochZeroAllocs(t *testing.T) {

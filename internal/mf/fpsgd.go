@@ -2,6 +2,7 @@ package mf
 
 import (
 	"fmt"
+	"slices"
 
 	"hccmf/internal/sparse"
 )
@@ -96,9 +97,12 @@ func gridSide(cols, k int) int {
 // strata: stratum s is the blocks (b, (b+s) mod G), b = 0..G-1. The
 // blocks of one stratum share no block-row and no block-column, so they
 // touch disjoint rows of P and of Q: any pool thread may take any of
-// them, and the result does not depend on which thread ran which block.
-// The engine's wg barrier separates strata. At one thread the walk is the
-// same loop run inline, so an epoch's bits depend only on the shard's
+// them, any two may be swept together (trainPair), and the result does
+// not depend on which thread ran which block or on how they were paired.
+// At one thread each stratum's non-empty blocks are dealt into two lanes
+// of about equal entry count (deal) and the two lanes are swept together,
+// inline; with a pool each block is a task of its own. The engine's wg
+// barrier separates strata. An epoch's bits depend only on the shard's
 // entries and G, never on the thread count or on timing.
 //
 // The zero value is ready to use. A BlockWalk must not run concurrent
@@ -111,6 +115,11 @@ type BlockWalk struct {
 	grid *sparse.BlockGridded
 	laid []sparse.Rating
 	side int
+	// blocks and lanes are the scratch deal sorts and splits one
+	// stratum's blocks in, reused every stratum so an epoch allocates
+	// nothing.
+	blocks [][]sparse.Rating
+	lanes  [2][][]sparse.Rating
 }
 
 // Walk runs one epoch over train on a side×side block grid with threads
@@ -129,9 +138,8 @@ func (w *BlockWalk) Walk(f *Factors, train *sparse.COO, h HyperParams, side, thr
 	side = g.NBR
 	if threads <= 1 {
 		for s := 0; s < side; s++ {
-			for b := 0; b < side; b++ {
-				TrainEntries(f, g.Block(b, (b+s)%side), h)
-			}
+			a, b := w.deal(g, s)
+			sweepLanes(f, a, b, h)
 		}
 		return
 	}
@@ -149,6 +157,65 @@ func (w *BlockWalk) Walk(f *Factors, train *sparse.COO, h HyperParams, side, thr
 			pool.tasks <- sweepTask{f: f, h: h, entries: blk, wg: &w.wg}
 		}
 		w.wg.Wait()
+	}
+}
+
+// deal splits stratum s's non-empty blocks into two lanes by a greedy
+// pass, largest block first (ties in block-row order): each block joins
+// the lane with fewer entries so far, the first on a tie. Any split gives
+// the same bits, since the blocks are disjoint; this one keeps the lanes
+// about equal so they run out together. On skewed shards a stratum's
+// largest block can outweigh the rest, and then what it holds past the
+// other lane's total is swept alone whatever the split.
+func (w *BlockWalk) deal(g *sparse.BlockGridded, s int) (a, b [][]sparse.Rating) {
+	blocks := w.blocks[:0]
+	for r := 0; r < g.NBR; r++ {
+		if blk := g.Block(r, (r+s)%g.NBR); len(blk) > 0 {
+			blocks = append(blocks, blk)
+		}
+	}
+	slices.SortStableFunc(blocks, func(x, y []sparse.Rating) int { return len(y) - len(x) })
+	a, b = w.lanes[0][:0], w.lanes[1][:0]
+	na, nb := 0, 0
+	for _, blk := range blocks {
+		if na <= nb {
+			a, na = append(a, blk), na+len(blk)
+		} else {
+			b, nb = append(b, blk), nb+len(blk)
+		}
+	}
+	w.blocks, w.lanes[0], w.lanes[1] = blocks, a, b
+	return a, b
+}
+
+// sweepLanes sweeps two lanes of one stratum's blocks together: the head
+// of each lane goes through trainPair with an equally long head of the
+// other, a lane moving to its next block when its current one is used
+// up; once one lane is empty the rest of the other is swept alone.
+//
+// lint:hotpath
+func sweepLanes(f *Factors, a, b [][]sparse.Rating, h HyperParams) {
+	var ra, rb []sparse.Rating
+	for {
+		for len(ra) == 0 && len(a) > 0 {
+			ra, a = a[0], a[1:]
+		}
+		for len(rb) == 0 && len(b) > 0 {
+			rb, b = b[0], b[1:]
+		}
+		n := min(len(ra), len(rb))
+		if n == 0 {
+			break
+		}
+		trainPair(f, ra[:n], rb[:n], h)
+		ra, rb = ra[n:], rb[n:]
+	}
+	trainPair(f, ra, rb, h)
+	for _, blk := range a {
+		TrainEntries(f, blk, h)
+	}
+	for _, blk := range b {
+		TrainEntries(f, blk, h)
 	}
 }
 

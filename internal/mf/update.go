@@ -158,16 +158,17 @@ func UpdatesPerEntryFLOPs(k int) int { return 7 * k }
 func UpdateBytes(k int) int { return 16*k + 4 }
 
 // TrainEntries runs one in-order SGD pass over entries against f.
-// It is the one sweep loop of the build: the serial engine, every pool
-// task (FPSGD block, Hogwild chunk, Batched group) and the parameter
-// server's async streams all train through it; callers own any required
-// synchronisation. Where Kernel reports "vex" the whole loop is the VEX
-// sweep in update_amd64.s, which reads the rating records itself;
-// elsewhere it is trainEntriesGeneric. An entry whose U or I lies outside
-// f panics, after every earlier entry has been applied and before
+// It is the one-slice case of trainPair, the build's one sweep loop: the
+// serial engine, every pool task (Hogwild chunk, BlockWalk block) and
+// the parameter server's async streams all train through it, and only
+// the one-thread BlockWalk calls trainPair with two slices; callers own
+// any required synchronisation. Where Kernel reports "vex" the whole loop
+// is the VEX sweep in update_amd64.s, which reads the rating records
+// itself; elsewhere it is trainEntriesGeneric. An entry whose U or I lies
+// outside f panics, after every earlier entry has been applied and before
 // anything is written for it.
 //
 // lint:hotpath
 func TrainEntries(f *Factors, entries []sparse.Rating, h HyperParams) {
-	trainEntries(f, entries, h)
+	trainPair(f, entries, nil, h)
 }

@@ -41,13 +41,19 @@ func xgetbv() (eax, edx uint32)
 // sgdSweep is the VEX SGD kernel (update_amd64.s): it applies one update
 // per entry, in order, to the k-wide rows U of p and I of q, bit-identical
 // to a per-entry updateOneGeneric/referenceUpdateOne sweep for every k. It
-// stops at the first entry whose U is not in [0, pRows) or whose I is not
-// in [0, qRows), before touching any memory for it, and returns the number
-// of entries applied and the last one's error. Callers guarantee
-// pRows·k <= len(p) and qRows·k <= len(q), and that useVEX is set.
+// walks two slices: a[i] and b[i] go together, their dot products and
+// updates interleaved, until the shorter runs out, and the longer one is
+// finished alone. Callers guarantee that no row of p or q is touched by
+// both a and b, so the result is that of sweeping a and then b. It stops
+// at the first index i whose a[i] or b[i] (or, past the shorter slice,
+// whose remaining entry) has a U not in [0, pRows) or an I not in
+// [0, qRows), before touching any memory for that index, and returns i
+// and the last applied entry's error: the sweep completed when n is
+// max(len(a), len(b)). Callers guarantee pRows·k <= len(p) and
+// qRows·k <= len(q), and that useVEX is set.
 //
 //go:noescape
-func sgdSweep(p, q []float32, k, pRows, qRows int, entries []sparse.Rating, h HyperParams) (n int, e float32)
+func sgdSweep(p, q []float32, k, pRows, qRows int, a, b []sparse.Rating, h HyperParams) (n int, e float32)
 
 // sqErrSweep is sumSqErrGeneric in VEX assembly: Σ(V − p_U·q_I)² over
 // entries in input order, bit-identical for every k, with sgdSweep's row
@@ -66,19 +72,34 @@ func updateOne(p, q []float32, r float32, h HyperParams) float32 {
 		return updateOneGeneric(p, q, r, h)
 	}
 	one := [1]sparse.Rating{{V: r}}
-	_, e := sgdSweep(p, q, len(p), 1, 1, one[:], h)
+	_, e := sgdSweep(p, q, len(p), 1, 1, one[:], nil, h)
 	return e
 }
 
+// trainPair sweeps two slices of ratings that share no P row and no Q row,
+// such as two blocks of one BlockWalk stratum, with the bits of
+// TrainEntries over a and then over b. The VEX sweep takes a[i] and b[i]
+// together, so two independent dot-product chains are in flight at once
+// (DESIGN.md §16, "Two disjoint blocks per sweep"); the portable tier
+// sweeps a and then b. An out-of-range rating panics before anything is
+// written for it; which earlier ratings were applied differs by tier: the
+// VEX sweep stops at the first index i where a[i] or b[i] is out of range,
+// with a[:i] and b[:i] applied, the portable tier at the first bad entry
+// of a followed by b.
+//
 // lint:hotpath
-func trainEntries(f *Factors, entries []sparse.Rating, h HyperParams) {
+func trainPair(f *Factors, a, b []sparse.Rating, h HyperParams) {
 	if !useVEX {
-		trainEntriesGeneric(f, entries, h)
+		trainEntriesGeneric(f, a, h)
+		trainEntriesGeneric(f, b, h)
 		return
 	}
 	pRows, qRows := sweepRows(f)
-	if n, _ := sgdSweep(f.P, f.Q, f.K, pRows, qRows, entries, h); n < len(entries) {
-		panicRow(f, entries[n])
+	if n, _ := sgdSweep(f.P, f.Q, f.K, pRows, qRows, a, b, h); n < max(len(a), len(b)) {
+		if n < len(a) && (uint(a[n].U) >= uint(pRows) || uint(a[n].I) >= uint(qRows)) {
+			panicRow(f, a[n])
+		}
+		panicRow(f, b[n])
 	}
 }
 

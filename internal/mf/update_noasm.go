@@ -19,9 +19,13 @@ func updateOne(p, q []float32, r float32, h HyperParams) float32 {
 	return updateOneGeneric(p, q, r, h)
 }
 
+// trainPair sweeps a and then b: with no VEX sweep to pair them, the
+// portable loop runs each slice alone.
+//
 // lint:hotpath
-func trainEntries(f *Factors, entries []sparse.Rating, h HyperParams) {
-	trainEntriesGeneric(f, entries, h)
+func trainPair(f *Factors, a, b []sparse.Rating, h HyperParams) {
+	trainEntriesGeneric(f, a, h)
+	trainEntriesGeneric(f, b, h)
 }
 
 // lint:hotpath

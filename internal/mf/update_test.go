@@ -151,8 +151,9 @@ func TestRatingLayout(t *testing.T) {
 // whose U or I is negative or past the last row. Both must panic; the
 // training sweep must have applied every earlier entry and nothing else,
 // and no float next to P or Q may change. P and Q sit between guard
-// regions of one backing array, capped at their length. It runs on every
-// sweep tier this host can run.
+// regions of one backing array, capped at their length. The paired
+// subtest puts the bad rating in either slice of a two-slice sweep. It
+// runs on every sweep tier this host can run.
 func TestSweepsRejectOutOfRangeRows(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
 		const m, n, k, guard = 5, 4, 7, 64
@@ -209,5 +210,6 @@ func TestSweepsRejectOutOfRangeRows(t *testing.T) {
 				}
 			}
 		}
+		t.Run("paired", pairRejectsOutOfRangeRows)
 	})
 }

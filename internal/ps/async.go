@@ -41,7 +41,6 @@ import (
 // runEpochAsync executes one epoch in asynchronous mode.
 func (c *Cluster) runEpochAsync(epoch, total int) error {
 	streams := c.cfg.Strategy.Streams
-	c.snapshotBaseQ()
 
 	coord := c.coordinator(streams)
 	workers, errs := c.runPhase(func(ws *workerState) error {

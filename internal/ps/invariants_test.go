@@ -82,7 +82,7 @@ func TestUntouchedQRowsUnchanged(t *testing.T) {
 	}
 }
 
-// Regression for the FP16 baseQ bug: the fold must diff pushes against the
+// Regression for the FP16 base-row bug: the fold must diff pushes against the
 // encoding round-trip of the base Q, not the raw base. Diffing against the
 // raw base made FP16 quantization error look like an update from every
 // worker, so rows no worker trained drifted toward their FP16 rounding

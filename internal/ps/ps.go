@@ -85,10 +85,6 @@ type Cluster struct {
 	cfg     Config
 	global  *mf.Factors
 	workers []*workerState
-	// baseQ snapshots the global Q each epoch's pulls were served from, so
-	// sync can fold each worker's *delta* against it. Under FP16 it holds
-	// the encode/decode round-trip of the global Q (see snapshotBaseQ).
-	baseQ []float32
 	// evictions records workers removed by fault tolerance.
 	evictions []Eviction
 	// rebalancer drives adaptive epoch-boundary rescheduling (nil when
@@ -99,7 +95,7 @@ type Cluster struct {
 	// loadScratch is maybeRebalance's reused per-epoch load vector.
 	loadScratch []schedule.WorkerLoad
 
-	// deltaPool recycles foldQRows' per-row delta accumulators. A pool
+	// deltaPool recycles foldQRows' per-row delta and base buffers. A pool
 	// (rather than one buffer on the cluster) because async mode folds
 	// different Q slices concurrently from stream goroutines.
 	deltaPool sync.Pool
@@ -194,7 +190,6 @@ func New(cfg Config, workers []WorkerConf) (*Cluster, error) {
 	c := &Cluster{
 		cfg:        cfg,
 		global:     mf.NewFactorsInit(cfg.M, cfg.N, cfg.K, cfg.MeanRating, rng),
-		baseQ:      make([]float32, cfg.N*cfg.K),
 		observer:   cfg.Obs,
 		metrics:    cfg.Obs.RunMetrics(),
 		rebalancer: schedule.New(cfg.Schedule),
@@ -300,11 +295,6 @@ func (c *Cluster) runEpoch(epoch, total int) error {
 	if c.cfg.Strategy.Streams > 1 {
 		return c.runEpochAsync(epoch, total)
 	}
-	// Snapshot the Q every worker is about to pull; sync folds deltas
-	// against it.
-	snap := c.observer.Span(obs.ProcReal, "server", "ps", "snapshot")
-	c.snapshotBaseQ()
-	snap.End()
 	// A worker that fails a phase is settled — evicted or fatal — before
 	// the next phase starts, so an evicted worker never computes or pushes
 	// and its heir trains the absorbed shard the same epoch.
@@ -337,22 +327,6 @@ func (c *Cluster) runEpoch(epoch, total int) error {
 	// Adaptive rescheduling happens strictly at the epoch boundary: every
 	// push is folded, the global model is published, no worker is running.
 	return c.maybeRebalance(epoch, total)
-}
-
-// snapshotBaseQ records the Q this epoch's pulls are served from. Under
-// FP16 the snapshot takes the same encode/decode round-trip the pulls see:
-// a worker that never touches a row pushes back exactly roundtrip(global
-// Q), so diffing against the round-tripped base leaves untouched rows at
-// delta zero. Diffing against the raw global Q (the old behaviour) made
-// quantization error look like an update from every worker — dragging
-// untouched rows toward their FP16 rounding each epoch and inflating the
-// updater count that divides real conflicting deltas.
-func (c *Cluster) snapshotBaseQ() {
-	if c.cfg.Strategy.Encoding == comm.FP16 {
-		fp16.RoundTripSlice(c.baseQ, c.global.Q)
-		return
-	}
-	copy(c.baseQ, c.global.Q)
 }
 
 // hyperFor applies the learning-rate schedule, if any, to the epoch.
@@ -528,26 +502,43 @@ func (c *Cluster) account(st comm.TransferStats) {
 // global model, conflict-aware (see syncAll). Callers must ensure the row
 // range is quiescent: either the bulk-synchronous epoch boundary, or the
 // async slice coordinator's all-workers-pushed condition.
+//
+// Each worker's delta is its pushed row minus the row its pull delivered:
+// the global row as it stands at the fold — global Q changes only here,
+// and each row folds once per epoch, after every pull of it — taken
+// through the FP16 encode/decode round-trip under FP16. A worker that
+// never touches a row pushes back exactly that base, so untouched rows
+// keep a zero delta; diffing an FP16 push against the raw global row
+// would make quantization error look like an update from every worker.
+// The averaged delta is wrapped in float32(...), which rounds it, so
+// arm64 does not fuse it into the add (DESIGN.md §16).
 func (c *Cluster) foldQRows(rowLo, rowHi int) {
 	k := c.cfg.K
 	g := c.global.Q
 	buf, _ := c.deltaPool.Get().(*[]float32)
-	if buf == nil || len(*buf) != k {
-		b := make([]float32, k)
+	if buf == nil || len(*buf) != 2*k {
+		b := make([]float32, 2*k)
 		buf = &b
 	}
 	defer c.deltaPool.Put(buf)
-	rowDelta := *buf
+	rowDelta, rowBase := (*buf)[:k], (*buf)[k:]
+	fp16Pulls := c.cfg.Strategy.Encoding == comm.FP16
 	for row := rowLo; row < rowHi; row++ {
 		lo := row * k
+		base := g[lo : lo+k]
+		if fp16Pulls {
+			fp16.RoundTripSlice(rowBase, base)
+			base = rowBase
+		}
 		updaters := 0
 		for i := range rowDelta {
 			rowDelta[i] = 0
 		}
 		for _, ws := range c.workers {
 			touched := false
-			for i := 0; i < k; i++ {
-				if d := ws.pushQ[lo+i] - c.baseQ[lo+i]; d != 0 {
+			push := ws.pushQ[lo : lo+k]
+			for i := range push {
+				if d := push[i] - base[i]; d != 0 {
 					rowDelta[i] += d
 					touched = true
 				}
@@ -561,7 +552,7 @@ func (c *Cluster) foldQRows(rowLo, rowHi int) {
 		}
 		inv := 1 / float32(updaters)
 		for i := 0; i < k; i++ {
-			g[lo+i] += rowDelta[i] * inv
+			g[lo+i] += float32(rowDelta[i] * inv)
 		}
 	}
 }
