@@ -209,7 +209,11 @@ func walkAxes(sh *sparse.COO, side int) (rows, cols sparse.Axis) {
 // of ML-20m@0.2 (one worker, as train-wide-tcp), laid out in the block
 // walk's order. Each op is one pass over the shard; ns/update is the
 // sweep's cost per rating on whichever tier mf.Kernel reports, which the
-// benchmark logs. EXPERIMENTS.md ("The VEX rating sweeps") has the table.
+// benchmark logs. The <input>_walk rows time one-thread FPSGD epochs over
+// the same shard instead, the block walk that feeds the sweep one block of
+// each of two lanes per stratum (the grid is laid before the timer
+// starts). EXPERIMENTS.md ("The VEX rating sweeps", "Block-walk rows") has
+// the tables.
 func BenchmarkSweep(b *testing.B) {
 	const k = 64
 	b.Logf("rating sweeps: %s", mf.Kernel())
@@ -240,6 +244,17 @@ func BenchmarkSweep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mf.TrainEntries(f, sh.Entries, kernelbench.Hyper)
+			}
+			kernelbench.ReportUpdates(b, len(sh.Entries))
+		})
+		b.Run(in.name+"_walk", func(b *testing.B) {
+			f := mf.NewFactorsInit(train.Rows, train.Cols, k, train.MeanRating(), sparse.NewRand(2))
+			walk := &mf.FPSGD{Threads: 1}
+			walk.Epoch(f, sh, kernelbench.Hyper)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				walk.Epoch(f, sh, kernelbench.Hyper)
 			}
 			kernelbench.ReportUpdates(b, len(sh.Entries))
 		})

@@ -45,10 +45,11 @@ func main() {
 	}
 	fmt.Printf("model: %d users × %d items, k=%d\n", model.M, model.N, model.K)
 
-	rec, err := recommend.New(model, model.M, model.N)
+	rec, err := recommend.NewService(model, model.M, model.N, recommend.ServiceConfig{MaxN: *n})
 	if err != nil {
 		fatal(err)
 	}
+	defer rec.Close()
 
 	var ratings *sparse.COO
 	if *ratingsPath != "" {
@@ -58,10 +59,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if ratings.Rows != model.M || ratings.Cols != model.N {
-			fatal(fmt.Errorf("ratings %dx%d do not match model %dx%d",
-				ratings.Rows, ratings.Cols, model.M, model.N))
-		}
 		if *evalHitRate {
 			train, test, err := ratings.SplitTrainTest(sparse.NewRand(1), 0.1)
 			if err != nil {
@@ -70,7 +67,7 @@ func main() {
 			if err := rec.MarkSeen(train); err != nil {
 				fatal(err)
 			}
-			hr, err := rec.HitRateAtN(test, *n, 4)
+			hr, err := rec.HitRateAtN(test, *n)
 			if err != nil {
 				fatal(err)
 			}
@@ -80,7 +77,7 @@ func main() {
 		}
 	}
 
-	top, err := rec.TopN(int32(*user), *n)
+	top, err := rec.TopNInto(int32(*user), *n, nil)
 	if err != nil {
 		fatal(err)
 	}

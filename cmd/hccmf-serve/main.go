@@ -79,10 +79,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if ratings.Rows != model.M || ratings.Cols != model.N {
-			fatal(fmt.Errorf("ratings %dx%d do not match model %dx%d",
-				ratings.Rows, ratings.Cols, model.M, model.N))
-		}
 		if err := svc.MarkSeen(ratings); err != nil {
 			fatal(err)
 		}

@@ -232,10 +232,12 @@ func main() {
 	}
 
 	if *recN > 0 {
-		rec, err := recommend.New(res.Model, res.Model.M, res.Model.N)
+		rec, err := recommend.NewService(res.Model, res.Model.M, res.Model.N,
+			recommend.ServiceConfig{MaxN: max(*recN, 10)})
 		if err != nil {
 			fatal(err)
 		}
+		defer rec.Close()
 		if err := rec.MarkSeen(res.TrainedData.Train); err != nil {
 			fatal(err)
 		}
@@ -245,7 +247,7 @@ func main() {
 		}
 		fmt.Println()
 		for u := int32(0); u < 3 && int(u) < res.Model.M; u++ {
-			top, err := rec.TopN(u, *recN)
+			top, err := rec.TopNInto(u, *recN, nil)
 			if err != nil {
 				fatal(err)
 			}
@@ -255,7 +257,7 @@ func main() {
 			}
 			fmt.Println()
 		}
-		hr, err := rec.HitRateAtN(res.TrainedData.Test, 10, 4)
+		hr, err := rec.HitRateAtN(res.TrainedData.Test, 10)
 		if err == nil {
 			fmt.Printf("hit-rate@10 on held-out data: %.3f\n", hr)
 		}

@@ -67,7 +67,7 @@ func EstimatePreprocess(plat Platform, spec dataset.Spec, plan Plan) (Preprocess
 	nnzBytes := float64(spec.NNZ) * tripleBytes
 
 	est := PreprocessEstimate{
-		Shuffle:   2 * nnzBytes / bw,
+		Shuffle:   2 * float64(nnzBytes) / bw,
 		Sort:      4 * nnzBytes / bw,
 		Partition: nnzBytes / bw,
 	}
@@ -76,8 +76,8 @@ func EstimatePreprocess(plat Platform, spec dataset.Spec, plan Plan) (Preprocess
 		share := plan.Partition[i]
 		shard := share * nnzBytes
 		// Initial features: the worker's P rows plus the full Q.
-		features := (share*float64(plan.M) + float64(plan.N)) * float64(plan.K) * bytesPer
-		t := (shard + features) / w.Bus.Bandwidth()
+		features := float64((float64(share*float64(plan.M)) + float64(plan.N)) * float64(plan.K) * bytesPer)
+		t := (float64(shard) + features) / w.Bus.Bandwidth()
 		if t > est.Distribute {
 			est.Distribute = t
 		}

@@ -93,7 +93,7 @@ func SimulateRun(plat Platform, spec dataset.Spec, plan Plan, epochs int) (*SimR
 
 		computeTotal := share * float64(spec.NNZ) /
 			(w.Device.EffectiveRate(spec.Name, clampShare(share)) * efficiency)
-		ownedRows := int(share*float64(plan.M) + 0.5)
+		ownedRows := int(float64(share*float64(plan.M)) + 0.5)
 
 		for sj := 0; sj < streams; sj++ {
 			sj := sj

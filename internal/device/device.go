@@ -99,9 +99,9 @@ func (d *Device) EffectiveRate(dataset string, share float64) float64 {
 		share = 1
 	}
 	if d.Kind == GPU {
-		r *= 1 + gpuLoadBias*(1-share)
+		r *= 1 + float64(gpuLoadBias*(1-share))
 	} else {
-		r *= cpuLoadFloor + (1-cpuLoadFloor)*share
+		r *= cpuLoadFloor + float64((1-cpuLoadFloor)*share)
 	}
 	return r
 }
@@ -115,7 +115,7 @@ func (d *Device) RuntimeBandwidth(share float64) float64 {
 		share = 1
 	}
 	if d.Kind == GPU {
-		return d.MemBandwidth * (1 + gpuLoadBias*(1-share))
+		return d.MemBandwidth * (1 + float64(gpuLoadBias*(1-share)))
 	}
 	return d.MemBandwidth
 }

@@ -51,21 +51,25 @@ func servingModel(t *testing.T, users, items, k int) (*mf.Factors, *sparse.COO) 
 	return f, train
 }
 
+// TestTopNIntoZeroAllocs guards the one-shard, one-worker shape: each
+// query is a single full-range scan on the pool, as the CLIs' one-user
+// queries are on a one-CPU host.
 func TestTopNIntoZeroAllocs(t *testing.T) {
 	skipAllocGuardUnderRace(t)
 	f, train := servingModel(t, 200, 500, 16)
-	r, err := New(f, 200, 500)
+	const n = 10
+	svc, err := NewService(f, 200, 500, ServiceConfig{Workers: 1, Shards: 1, MaxN: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.MarkSeen(train); err != nil {
+	defer svc.Close()
+	if err := svc.MarkSeen(train); err != nil {
 		t.Fatal(err)
 	}
-	const n = 10
 	buf := make([]Item, 0, n)
 	var u int32
-	assertZeroAllocs(t, "Recommender.TopNInto", func() {
-		if _, err := r.TopNInto(u%200, n, buf); err != nil {
+	assertZeroAllocs(t, "Service.TopNInto one shard", func() {
+		if _, err := svc.TopNInto(u%200, n, buf); err != nil {
 			t.Fatal(err)
 		}
 		u++

@@ -9,9 +9,9 @@ import (
 
 // naiveTopN is the oracle: score every unseen item, full-sort by the
 // documented order (descending score, ascending ID on ties), take the
-// first n. The heap-based TopN and the Service paths must match it
-// exactly on every randomized model.
-func naiveTopN(model Scorer, seen *seenSet, u int32, items, n int) []Item {
+// first n. Service.TopNInto and Service.TopNBatch must match it exactly
+// on every randomized model.
+func naiveTopN(model Scorer, seen *seenIndex, u int32, items, n int) []Item {
 	all := make([]Item, 0, items)
 	for i := 0; i < items; i++ {
 		if seen.has(u, int32(i)) {
@@ -40,8 +40,8 @@ func equalItems(a, b []Item) bool {
 
 // TestTopNMatchesNaiveReference drives randomized models — including
 // heavily quantized scores (many duplicates) and users with every item
-// seen — through TopN, TopNInto, Service.TopNInto and Service.TopNBatch,
-// comparing each against the full-sort oracle.
+// seen — through Service.TopNInto and Service.TopNBatch at random shard
+// counts, comparing each against the full-sort oracle.
 func TestTopNMatchesNaiveReference(t *testing.T) {
 	rng := sparse.NewRand(77)
 	for trial := 0; trial < 30; trial++ {
@@ -53,10 +53,6 @@ func TestTopNMatchesNaiveReference(t *testing.T) {
 		s := newTable(users, items, func(u, i int) float32 {
 			return float32(int(rng.Uint64() % uint64(levels)))
 		})
-		r, err := New(s, users, items)
-		if err != nil {
-			t.Fatal(err)
-		}
 		svc, err := NewService(s, users, items, ServiceConfig{Workers: 3, Shards: 1 + rng.Intn(5), MaxN: items + 2})
 		if err != nil {
 			t.Fatal(err)
@@ -69,9 +65,6 @@ func TestTopNMatchesNaiveReference(t *testing.T) {
 		}
 		for i := 0; i < items; i++ {
 			train.Add(0, int32(i), 1)
-		}
-		if err := r.MarkSeen(train); err != nil {
-			t.Fatal(err)
 		}
 		if err := svc.MarkSeen(train); err != nil {
 			t.Fatal(err)
@@ -89,23 +82,16 @@ func TestTopNMatchesNaiveReference(t *testing.T) {
 		}
 		svcBuf := make([]Item, 0, n)
 		for u := 0; u < users; u++ {
-			want := naiveTopN(s, &r.seen, int32(u), items, n)
-			got, err := r.TopN(int32(u), n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalItems(got, want) {
-				t.Fatalf("trial %d user %d n=%d: TopN %v != oracle %v", trial, u, n, got, want)
-			}
-			if u == 0 && len(got) != 0 {
-				t.Fatalf("trial %d: all-seen user got items %v", trial, got)
-			}
+			want := naiveTopN(s, &svc.seen, int32(u), items, n)
 			sgot, err := svc.TopNInto(int32(u), n, svcBuf)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !equalItems(sgot, want) {
 				t.Fatalf("trial %d user %d n=%d: Service.TopNInto %v != oracle %v", trial, u, n, sgot, want)
+			}
+			if u == 0 && len(sgot) != 0 {
+				t.Fatalf("trial %d: all-seen user got items %v", trial, sgot)
 			}
 			if !equalItems(bufs[u], want) {
 				t.Fatalf("trial %d user %d n=%d: Service.TopNBatch %v != oracle %v", trial, u, n, bufs[u], want)

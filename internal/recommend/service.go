@@ -28,7 +28,7 @@ import (
 //     pointer exactly once, so a request never mixes two models.
 //
 // MarkSeen is not safe to call concurrently with queries: load the seen
-// set before serving traffic (the daemon does this at startup).
+// set once, before serving traffic (every caller does this at startup).
 type Service struct {
 	users, items int
 	maxN         int
@@ -38,7 +38,7 @@ type Service struct {
 
 	model atomic.Pointer[modelBox]
 	gen   atomic.Int64
-	seen  seenSet
+	seen  seenIndex
 
 	tasks   chan serveTask
 	queries sync.Pool // *query
@@ -117,7 +117,6 @@ func NewService(model Scorer, users, items int, cfg ServiceConfig) (*Service, er
 	s := &Service{
 		users: users, items: items,
 		maxN: maxN, nshards: nshards, workers: workers,
-		seen:  newSeenSet(users),
 		tasks: make(chan serveTask, workers),
 	}
 	// Equal-width contiguous item ranges; the last shard absorbs the
@@ -157,10 +156,16 @@ func (s *Service) MaxN() int { return s.maxN }
 // Generation reports the model generation, incremented by every Reload.
 func (s *Service) Generation() int64 { return s.gen.Load() }
 
-// MarkSeen loads already-rated interactions for seen-item exclusion. Not
-// concurrency-safe with queries; call before serving.
+// MarkSeen loads already-rated interactions for seen-item exclusion; train
+// is only read. It may be called once, before serving; a second call
+// returns an error.
 func (s *Service) MarkSeen(train *sparse.COO) error {
-	return s.seen.mark(train, s.users, s.items)
+	if s.seen.off != nil {
+		return fmt.Errorf("recommend: seen set already marked")
+	}
+	seen, err := newSeenIndex(train, s.users, s.items)
+	s.seen = seen
+	return err
 }
 
 // Reload atomically swaps in a new model of identical dimensions.
@@ -190,7 +195,7 @@ func (s *Service) TopNInto(u int32, n int, buf []Item) ([]Item, error) {
 		return nil, err
 	}
 	model := s.model.Load().s
-	seen := s.seen.rows[u]
+	seen := s.seen.row(u)
 	q := s.queries.Get().(*query)
 	q.wg.Add(s.nshards)
 	for i := 0; i < s.nshards; i++ {
@@ -235,7 +240,7 @@ func (s *Service) TopNBatch(users []int32, n int, bufs [][]Item) error {
 	for i, u := range users {
 		bufs[i] = bufs[i][:0]
 		s.tasks <- serveTask{
-			model: model, seen: s.seen.rows[u], u: u,
+			model: model, seen: s.seen.row(u), u: u,
 			lo: 0, hi: int32(s.items),
 			n: n, dst: &bufs[i], wg: &q.wg,
 		}
@@ -246,6 +251,39 @@ func (s *Service) TopNBatch(users []int32, n int, bufs [][]Item) error {
 		sortDesc(bufs[i])
 	}
 	return nil
+}
+
+// HitRateAtN evaluates the model against held-out interactions: the
+// fraction of test users with at least one held-out item in their top-n,
+// scored through TopNBatch. Users with no test interactions are skipped.
+func (s *Service) HitRateAtN(test *sparse.COO, n int) (float64, error) {
+	held, err := newSeenIndex(test, s.users, s.items)
+	if err != nil {
+		return 0, err
+	}
+	var users []int32
+	for u := int32(0); int(u) < s.users; u++ {
+		if len(held.row(u)) > 0 {
+			users = append(users, u)
+		}
+	}
+	if len(users) == 0 {
+		return 0, fmt.Errorf("recommend: empty test set")
+	}
+	recs := make([][]Item, len(users))
+	if err := s.TopNBatch(users, n, recs); err != nil {
+		return 0, err
+	}
+	hits := 0
+	for k, u := range users {
+		for _, it := range recs[k] {
+			if held.has(u, it.ID) {
+				hits++
+				break
+			}
+		}
+	}
+	return float64(hits) / float64(len(users)), nil
 }
 
 func (s *Service) checkQuery(u int32, n int) error {

@@ -53,19 +53,15 @@ func TestServiceValidation(t *testing.T) {
 	}
 }
 
-// TestServiceMatchesRecommender: the sharded pool path must return exactly
-// what the single-threaded Recommender returns, for several shard counts.
-func TestServiceMatchesRecommender(t *testing.T) {
+// TestServiceShardsMatchNaiveReference: the sharded pool path must return
+// exactly the full-sort oracle's answer, for several shard counts.
+func TestServiceShardsMatchNaiveReference(t *testing.T) {
 	const users, items, k = 40, 123, 8
 	f := mf.NewFactorsInit(users, items, k, 3.5, sparse.NewRand(21))
 	train := sparse.NewCOO(users, items, 0)
 	rng := sparse.NewRand(22)
 	for c := 0; c < 300; c++ {
 		train.Add(int32(rng.Intn(users)), int32(rng.Intn(items)), 1)
-	}
-	ref, _ := New(f, users, items)
-	if err := ref.MarkSeen(train); err != nil {
-		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 3, 7, 16} {
 		svc, err := NewService(f, users, items, ServiceConfig{Workers: 3, Shards: shards, MaxN: 20})
@@ -77,16 +73,13 @@ func TestServiceMatchesRecommender(t *testing.T) {
 		}
 		buf := make([]Item, 0, 10)
 		for u := int32(0); u < users; u++ {
-			want, err := ref.TopN(u, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := naiveTopN(f, &svc.seen, u, items, 10)
 			got, err := svc.TopNInto(u, 10, buf)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !equalItems(got, want) {
-				t.Fatalf("shards=%d user %d: service %v != recommender %v", shards, u, got, want)
+				t.Fatalf("shards=%d user %d: service %v != oracle %v", shards, u, got, want)
 			}
 		}
 		svc.Close()
@@ -155,8 +148,7 @@ func TestServiceConcurrentQueriesAndReload(t *testing.T) {
 		f2.P[i] *= 2
 	}
 
-	ref1, _ := New(f, users, items)
-	ref2, _ := New(f2, users, items)
+	var none seenIndex
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -173,8 +165,8 @@ func TestServiceConcurrentQueriesAndReload(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				w1, _ := ref1.TopN(u, n)
-				w2, _ := ref2.TopN(u, n)
+				w1 := naiveTopN(f, &none, u, items, n)
+				w2 := naiveTopN(f2, &none, u, items, n)
 				if !equalItems(got, w1) && !equalItems(got, w2) {
 					t.Errorf("user %d: response %v matches neither model (%v / %v)", u, got, w1, w2)
 					return

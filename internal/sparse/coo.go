@@ -166,10 +166,7 @@ func (m *COO) ColCountsInto(counts []int) []int {
 // two-pass LSD counting sort keyed on the known (row, col) range — O(NNZ +
 // Rows + Cols) instead of O(NNZ log NNZ) — with a stable comparison-sort
 // fallback for degenerate shapes whose index space dwarfs the entry count.
-func (m *COO) SortByRow() { sortEntries(m, true) }
-
-// SortByCol sorts entries stably by (col, row).
-func (m *COO) SortByCol() { sortEntries(m, false) }
+func (m *COO) SortByRow() { sortEntries(m) }
 
 // Shuffle permutes entries with the Fisher-Yates algorithm driven by the
 // given source, making SGD's sampling order deterministic per seed.

@@ -140,17 +140,6 @@ func TestCOOSortByRow(t *testing.T) {
 	}
 }
 
-func TestCOOSortByCol(t *testing.T) {
-	m := mkTestCOO(t)
-	m.SortByCol()
-	for i := 1; i < len(m.Entries); i++ {
-		a, b := m.Entries[i-1], m.Entries[i]
-		if a.I > b.I || (a.I == b.I && a.U > b.U) {
-			t.Fatalf("entries not sorted by col at %d: %v then %v", i, a, b)
-		}
-	}
-}
-
 func TestCOOShuffleIsPermutation(t *testing.T) {
 	m := mkTestCOO(t)
 	orig := m.Clone()

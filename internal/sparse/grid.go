@@ -91,7 +91,7 @@ func cutGrid(ptr []int64, nLines int, weights []float64) ([]Slice, error) {
 	var consumed int64
 	for s := 0; s < p; s++ {
 		remainingSlices := p - s - 1
-		target := consumed + int64(weights[s]/wsum*float64(total)+0.5)
+		target := consumed + int64(float64(weights[s]/wsum*float64(total))+0.5)
 		if s == p-1 {
 			target = total
 		}

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Counting/radix sort for COO entry grids. SortByRow/SortByCol used to run
+// Counting/radix sort for COO entry grids. SortByRow used to run
 // interface-dispatched sort.Slice — O(NNZ log NNZ) with a closure call per
 // comparison. The (row, col) key range is known, so two stable counting
 // passes (least-significant key first) sort in O(NNZ + Rows + Cols) while
@@ -31,33 +31,22 @@ var sortScratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
 // produce identical orderings.
 const sortFallbackFactor = 8
 
-// sortEntries sorts m.Entries stably by (U, I) when byRow, else by (I, U):
-// two stable counting passes, or a stable comparison sort for very sparse
-// index spaces.
-func sortEntries(m *COO, byRow bool) {
+// sortEntries sorts m.Entries stably by (U, I): two stable counting
+// passes, or a stable comparison sort for very sparse index spaces.
+func sortEntries(m *COO) {
 	entries, rows, cols := m.Entries, m.Rows, m.Cols
 	n := len(entries)
 	if n < 2 {
 		return
 	}
 	if int64(rows)+int64(cols) > sortFallbackFactor*int64(n) {
-		if byRow {
-			sort.SliceStable(entries, func(a, b int) bool {
-				ea, eb := entries[a], entries[b]
-				if ea.U != eb.U {
-					return ea.U < eb.U
-				}
-				return ea.I < eb.I
-			})
-		} else {
-			sort.SliceStable(entries, func(a, b int) bool {
-				ea, eb := entries[a], entries[b]
-				if ea.I != eb.I {
-					return ea.I < eb.I
-				}
+		sort.SliceStable(entries, func(a, b int) bool {
+			ea, eb := entries[a], entries[b]
+			if ea.U != eb.U {
 				return ea.U < eb.U
-			})
-		}
+			}
+			return ea.I < eb.I
+		})
 		return
 	}
 
@@ -68,14 +57,8 @@ func sortEntries(m *COO, byRow bool) {
 	tmp := s.tmp[:n]
 	s.rowCounts = countRatings(s.rowCounts, entries, rows, true)
 	s.colCounts = countRatings(s.colCounts, entries, cols, false)
-
-	if byRow {
-		scatterByCol(tmp, entries, s.colCounts)
-		scatterByRow(entries, tmp, s.rowCounts)
-	} else {
-		scatterByRow(tmp, entries, s.rowCounts)
-		scatterByCol(entries, tmp, s.colCounts)
-	}
+	scatterByCol(tmp, entries, s.colCounts)
+	scatterByRow(entries, tmp, s.rowCounts)
 	sortScratchPool.Put(s)
 }
 

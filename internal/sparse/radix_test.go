@@ -18,15 +18,6 @@ func refSortByRow(e []Rating) {
 	})
 }
 
-func refSortByCol(e []Rating) {
-	sort.SliceStable(e, func(a, b int) bool {
-		if e[a].I != e[b].I {
-			return e[a].I < e[b].I
-		}
-		return e[a].U < e[b].U
-	})
-}
-
 // taggedCOO tags each value with its insertion index so stability
 // violations are visible on duplicate (row, col) keys.
 func taggedCOO(rows, cols, nnz int, seed uint64) *COO {
@@ -52,25 +43,6 @@ func TestSortByRowMatchesStableReference(t *testing.T) {
 		want := append([]Rating(nil), m.Entries...)
 		refSortByRow(want)
 		m.SortByRow()
-		for i := range want {
-			if m.Entries[i] != want[i] {
-				t.Fatalf("%dx%d/%d: entry %d = %v, want %v",
-					tc.rows, tc.cols, tc.nnz, i, m.Entries[i], want[i])
-			}
-		}
-	}
-}
-
-func TestSortByColMatchesStableReference(t *testing.T) {
-	for _, tc := range []struct{ rows, cols, nnz int }{
-		{50, 40, 2000},
-		{4, 4, 600},
-		{4000, 5000, 50}, // fallback path
-	} {
-		m := taggedCOO(tc.rows, tc.cols, tc.nnz, 11)
-		want := append([]Rating(nil), m.Entries...)
-		refSortByCol(want)
-		m.SortByCol()
 		for i := range want {
 			if m.Entries[i] != want[i] {
 				t.Fatalf("%dx%d/%d: entry %d = %v, want %v",

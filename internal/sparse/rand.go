@@ -88,7 +88,7 @@ func mul64(a, b uint64) (hi, lo uint64) {
 
 // Float64 returns a uniform value in [0, 1).
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
+	return float64(float64(r.Uint64()>>11) * (1.0 / (1 << 53)))
 }
 
 // Float32 returns a uniform value in [0, 1).
@@ -105,7 +105,7 @@ func (r *Rand) FillFloat32(dst []float32, offset, scale float32) {
 	var out uint64
 	for i := range dst {
 		out, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
-		dst[i] = scale * (offset + float32(out>>40)*(1.0/(1<<24)))
+		dst[i] = scale * (offset + float32(float32(out>>40)*(1.0/(1<<24))))
 	}
 	r.s = [4]uint64{s0, s1, s2, s3}
 }
@@ -126,7 +126,7 @@ func (r *Rand) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}
