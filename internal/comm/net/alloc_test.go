@@ -170,3 +170,25 @@ func BenchmarkPushFP16(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPayloadFP32 moves the wide Q into and out of an FP32 payload
+// slot at a frame's 24-byte offset, as both ends of every FP32 pull, push
+// and end-of-epoch publish do.
+func BenchmarkPayloadFP32(b *testing.B) {
+	_, _, q := benchWideQ()
+	frame := make([]byte, headerSize+4*len(q))
+	payload := frame[headerSize:]
+	b.Run("put", func(b *testing.B) {
+		b.SetBytes(int64(len(payload)))
+		for i := 0; i < b.N; i++ {
+			putPayload(payload, q, comm.FP32)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		dst := make([]float32, len(q))
+		b.SetBytes(int64(len(payload)))
+		for i := 0; i < b.N; i++ {
+			decodePayload(dst, payload, comm.FP32)
+		}
+	})
+}

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
 	"hccmf/internal/comm"
 	"hccmf/internal/fp16"
@@ -291,6 +292,10 @@ func putPayload(dst []byte, src []float32, enc comm.Encoding) {
 		fp16.EncodeWire(dst, src)
 	default:
 		dst = dst[:4*len(src)]
+		if v := float32View(dst); v != nil {
+			copy(v, src)
+			return
+		}
 		for i, v := range src {
 			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
 		}
@@ -305,10 +310,30 @@ func decodePayload(dst []float32, payload []byte, enc comm.Encoding) {
 		fp16.DecodeWire(dst, payload)
 	default:
 		payload = payload[:4*len(dst)]
+		if v := float32View(payload); v != nil {
+			copy(dst, v)
+			return
+		}
 		for i := range dst {
 			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 		}
 	}
+}
+
+// littleEndian reports whether this host stores a float32 low byte first,
+// i.e. whether a []float32 already has the FP32 wire layout.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// float32View returns the FP32 payload b as the []float32 it holds (four
+// little-endian bytes per value), or nil when that view is not the
+// in-memory layout: on a big-endian host, or when b is not 4-byte
+// aligned. Every production payload is aligned, because the frame header
+// is 24 bytes; a misaligned one takes the per-element loop.
+func float32View(b []byte) []float32 {
+	if !littleEndian || len(b) == 0 || uintptr(unsafe.Pointer(unsafe.SliceData(b)))%4 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
 }
 
 // helloPayload encodes the handshake dimensions and capability bits.

@@ -2,8 +2,11 @@ package commnet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hccmf/internal/comm"
 	"hccmf/internal/fp16"
@@ -189,5 +192,44 @@ func TestSchemaConstant(t *testing.T) {
 	}
 	if wireVersion != 1 {
 		t.Fatalf("wireVersion = %d does not match %s", wireVersion, WireSchema)
+	}
+}
+
+// TestFP32PayloadViewMatchesLoop checks that an FP32 payload moved through
+// the []float32 view (a 4-byte-aligned slot, as in every frame) and one
+// moved by the per-element loop (a slot one byte off) carry identical
+// bytes, the little-endian wire layout, and decode to identical floats,
+// NaN payloads and signed zeros included.
+func TestFP32PayloadViewMatchesLoop(t *testing.T) {
+	for n := 0; n <= 17; n++ {
+		src := make([]float32, n)
+		for i := range src {
+			src[i] = math.Float32frombits(uint32(i)*0x9e3779b1 ^ 0x80000000*uint32(i&1))
+		}
+		want := make([]byte, 4*n)
+		for i, v := range src {
+			binary.LittleEndian.PutUint32(want[4*i:], math.Float32bits(v))
+		}
+		// A word array keeps the slot at offset 0 4-byte aligned: a short
+		// []byte may come from the tiny allocator at any address.
+		words := make([]uint32, n+1)
+		backing := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 4*n+4)
+		for _, off := range []int{0, 1} {
+			slot := backing[off : off+4*n]
+			if view := float32View(slot) != nil; view != (off == 0 && n > 0 && littleEndian) {
+				t.Fatalf("n=%d off=%d: view taken = %v", n, off, view)
+			}
+			putPayload(slot, src, comm.FP32)
+			if !bytes.Equal(slot, want) {
+				t.Fatalf("n=%d off=%d: payload % x, want % x", n, off, slot, want)
+			}
+			got := make([]float32, n)
+			decodePayload(got, slot, comm.FP32)
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(src[i]) {
+					t.Fatalf("n=%d off=%d: decoded[%d] = %#08x, want %#08x", n, off, i, math.Float32bits(got[i]), math.Float32bits(src[i]))
+				}
+			}
+		}
 	}
 }

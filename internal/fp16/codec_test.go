@@ -86,3 +86,17 @@ func BenchmarkDecodeSlice(b *testing.B) {
 		DecodeSlice(dst, src)
 	}
 }
+
+// BenchmarkRoundTripSlice round-trips the wide Q one 64-float row at a
+// time, as ps.foldQRows takes each row's FP16 base.
+func BenchmarkRoundTripSlice(b *testing.B) {
+	src := benchQ()
+	dst := make([]float32, 64)
+	b.SetBytes(int64(4 * len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < len(src); lo += 64 {
+			RoundTripSlice(dst, src[lo:lo+64])
+		}
+	}
+}

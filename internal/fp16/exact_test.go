@@ -82,37 +82,88 @@ func TestFromFloat32MatchesReference(t *testing.T) {
 }
 
 // TestEncodeSliceMatchesReference runs the same sweep through the slice
-// encoder, whose loop inlines FromFloat32.
+// encoder on each tier, then every span of a sample that covers each
+// rounding class, checking that nothing outside the span is written.
 func TestEncodeSliceMatchesReference(t *testing.T) {
-	src := make([]float32, 1<<19)
-	dst := make([]Bits16, len(src))
-	for _, lo := range roundingLows {
-		for hi := range src {
-			src[hi] = math.Float32frombits(uint32(hi)<<13 | lo)
-		}
-		EncodeSlice(dst, src)
-		for i, v := range src {
-			if want := referenceFromFloat32(v); dst[i] != want {
-				t.Fatalf("EncodeSlice(%#08x) = %#04x, reference %#04x", math.Float32bits(v), dst[i], want)
+	forEachTier(t, func(t *testing.T) {
+		src := make([]float32, 1<<19)
+		dst := make([]Bits16, len(src))
+		for _, lo := range roundingLows {
+			for hi := range src {
+				src[hi] = math.Float32frombits(uint32(hi)<<13 | lo)
+			}
+			EncodeSlice(dst, src)
+			for i, v := range src {
+				if want := referenceFromFloat32(v); dst[i] != want {
+					t.Fatalf("EncodeSlice(%#08x) = %#04x, reference %#04x", math.Float32bits(v), dst[i], want)
+				}
 			}
 		}
-	}
+		sample := wireSample(25)
+		for _, sp := range spans {
+			off, n := sp[0], sp[1]
+			got := make([]Bits16, len(sample))
+			for i := range got {
+				got[i] = sentinel16
+			}
+			EncodeSlice(got[off:off+n], sample[off:off+n])
+			for i, v := range sample {
+				want := sentinel16
+				if i >= off && i < off+n {
+					want = referenceFromFloat32(v)
+				}
+				if got[i] != want {
+					t.Fatalf("span [%d,%d): element %d = %#04x, want %#04x", off, off+n, i, got[i], want)
+				}
+			}
+		}
+	})
 }
 
-// TestDecodeSliceMatchesToFloat32 checks the table decode on all 65,536
-// binary16 patterns, comparing bits so NaN payloads count too.
+// sentinel16 and sentinel32 fill the space around a converted span; the
+// codec never writes them there.
+const (
+	sentinel16 Bits16 = 0x7e5a
+	sentinel32 uint32 = 0x7fc0dead
+)
+
+// TestDecodeSliceMatchesToFloat32 checks the decode on all 65,536 binary16
+// patterns on each tier, comparing bits so NaN payloads count too, then
+// every span of the patterns starting at the subnormals and at the NaNs.
 func TestDecodeSliceMatchesToFloat32(t *testing.T) {
-	src := make([]Bits16, 1<<16)
-	for i := range src {
-		src[i] = Bits16(i)
-	}
-	dst := make([]float32, len(src))
-	DecodeSlice(dst, src)
-	for i, h := range src {
-		if got, want := math.Float32bits(dst[i]), math.Float32bits(h.ToFloat32()); got != want {
-			t.Fatalf("DecodeSlice(%#04x) = %#08x, ToFloat32 %#08x", uint16(h), got, want)
+	forEachTier(t, func(t *testing.T) {
+		src := make([]Bits16, 1<<16)
+		for i := range src {
+			src[i] = Bits16(i)
 		}
-	}
+		dst := make([]float32, len(src))
+		DecodeSlice(dst, src)
+		for i, h := range src {
+			if got, want := math.Float32bits(dst[i]), math.Float32bits(h.ToFloat32()); got != want {
+				t.Fatalf("DecodeSlice(%#04x) = %#08x, ToFloat32 %#08x", uint16(h), got, want)
+			}
+		}
+		for _, base := range []int{0x0001, 0x7c00, 0xfbf8} {
+			sample := src[base : base+25]
+			for _, sp := range spans {
+				off, n := sp[0], sp[1]
+				got := make([]float32, len(sample))
+				for i := range got {
+					got[i] = math.Float32frombits(sentinel32)
+				}
+				DecodeSlice(got[off:off+n], sample[off:off+n])
+				for i, h := range sample {
+					want := sentinel32
+					if i >= off && i < off+n {
+						want = math.Float32bits(h.ToFloat32())
+					}
+					if math.Float32bits(got[i]) != want {
+						t.Fatalf("span [%d,%d) from %#04x: element %d = %#08x, want %#08x", off, off+n, base, i, math.Float32bits(got[i]), want)
+					}
+				}
+			}
+		}
+	})
 }
 
 // wireSample spans every rounding class: normals, ties, subnormals,
@@ -126,53 +177,75 @@ func wireSample(n int) []float32 {
 }
 
 // TestWireCodecMatchesSlices checks EncodeWire/DecodeWire against the
-// slice codec on both paths: the in-place view (aligned buffer) and the
-// stack-staged fallback (a buffer offset by one byte), across several
-// stage lengths.
+// scalar conversions on each tier and both paths: the in-place view
+// (aligned buffer) and the stack-staged fallback (a buffer offset by one
+// byte), across every length up to two blocks and several stage lengths.
 func TestWireCodecMatchesSlices(t *testing.T) {
-	for _, n := range []int{0, 1, stageLen - 1, stageLen, 3*stageLen + 5} {
-		src := wireSample(n)
-		want := make([]Bits16, n)
-		EncodeSlice(want, src)
-		wantF := make([]float32, n)
-		DecodeSlice(wantF, want)
-
-		backing := make([]byte, 2*n+1)
-		for _, off := range []int{0, 1} {
-			buf := backing[off : off+2*n]
-			EncodeWire(buf, src)
-			for i, h := range want {
-				if got := Bits16(buf[2*i]) | Bits16(buf[2*i+1])<<8; got != h {
-					t.Fatalf("n=%d off=%d: EncodeWire[%d] = %#04x, want %#04x", n, off, i, got, h)
+	forEachTier(t, func(t *testing.T) {
+		lengths := []int{stageLen - 1, stageLen, 3*stageLen + 5}
+		for n := 0; n <= 17; n++ {
+			lengths = append(lengths, n)
+		}
+		for _, n := range lengths {
+			src := wireSample(n)
+			backing := make([]byte, 2*n+1)
+			for _, off := range []int{0, 1} {
+				buf := backing[off : off+2*n]
+				EncodeWire(buf, src)
+				for i, v := range src {
+					if got, want := Bits16(buf[2*i])|Bits16(buf[2*i+1])<<8, FromFloat32(v); got != want {
+						t.Fatalf("n=%d off=%d: EncodeWire[%d] = %#04x, want %#04x", n, off, i, got, want)
+					}
 				}
-			}
-			got := make([]float32, n)
-			DecodeWire(got, buf)
-			for i := range got {
-				if math.Float32bits(got[i]) != math.Float32bits(wantF[i]) {
-					t.Fatalf("n=%d off=%d: DecodeWire[%d] = %v, want %v", n, off, i, got[i], wantF[i])
+				got := make([]float32, n)
+				DecodeWire(got, buf)
+				for i, v := range src {
+					if want := FromFloat32(v).ToFloat32(); math.Float32bits(got[i]) != math.Float32bits(want) {
+						t.Fatalf("n=%d off=%d: DecodeWire[%d] = %v, want %v", n, off, i, got[i], want)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
+// TestRoundTripSliceMatchesScalar checks the round trip against the scalar
+// conversions on each tier: a long input, in place, and every span.
 func TestRoundTripSliceMatchesScalar(t *testing.T) {
-	src := wireSample(3*stageLen + 7)
-	dst := make([]float32, len(src))
-	RoundTripSlice(dst, src)
-	for i, v := range src {
-		if want := FromFloat32(v).ToFloat32(); math.Float32bits(dst[i]) != math.Float32bits(want) {
-			t.Fatalf("RoundTripSlice[%d](%v) = %v, want %v", i, v, dst[i], want)
+	forEachTier(t, func(t *testing.T) {
+		src := wireSample(3*stageLen + 7)
+		dst := make([]float32, len(src))
+		RoundTripSlice(dst, src)
+		for i, v := range src {
+			if want := FromFloat32(v).ToFloat32(); math.Float32bits(dst[i]) != math.Float32bits(want) {
+				t.Fatalf("RoundTripSlice[%d](%v) = %v, want %v", i, v, dst[i], want)
+			}
 		}
-	}
-	// In place.
-	RoundTripSlice(src, src)
-	for i := range src {
-		if math.Float32bits(src[i]) != math.Float32bits(dst[i]) {
-			t.Fatalf("in-place RoundTripSlice diverged at %d", i)
+		for _, sp := range spans {
+			off, n := sp[0], sp[1]
+			got := make([]float32, 25)
+			for i := range got {
+				got[i] = math.Float32frombits(sentinel32)
+			}
+			RoundTripSlice(got[off:off+n], src[off:off+n])
+			for i := range got {
+				want := sentinel32
+				if i >= off && i < off+n {
+					want = math.Float32bits(dst[i])
+				}
+				if math.Float32bits(got[i]) != want {
+					t.Fatalf("span [%d,%d): element %d = %#08x, want %#08x", off, off+n, i, math.Float32bits(got[i]), want)
+				}
+			}
 		}
-	}
+		// In place.
+		RoundTripSlice(src, src)
+		for i := range src {
+			if math.Float32bits(src[i]) != math.Float32bits(dst[i]) {
+				t.Fatalf("in-place RoundTripSlice diverged at %d", i)
+			}
+		}
+	})
 }
 
 func TestWireCodecLengthMismatchPanics(t *testing.T) {
@@ -193,19 +266,22 @@ func TestWireCodecLengthMismatchPanics(t *testing.T) {
 }
 
 func TestCodecDoesNotAllocate(t *testing.T) {
-	src := wireSample(3 * stageLen)
-	bits := make([]Bits16, len(src))
-	wire := make([]byte, 2*len(src))
-	dst := make([]float32, len(src))
-	DecodeSlice(dst, bits) // fill the table outside the measurement
-	if a := testing.AllocsPerRun(20, func() {
-		EncodeSlice(bits, src)
-		DecodeSlice(dst, bits)
-		EncodeWire(wire, src)
-		DecodeWire(dst, wire)
-		EncodeWire(wire[1:len(wire)-1], src[:len(src)-1])
-		RoundTripSlice(dst, src)
-	}); a != 0 {
-		t.Fatalf("codec allocates %v times per run, want 0", a)
-	}
+	forEachTier(t, func(t *testing.T) {
+		src := wireSample(3 * stageLen)
+		bits := make([]Bits16, len(src))
+		wire := make([]byte, 2*len(src))
+		dst := make([]float32, len(src))
+		DecodeSlice(dst, bits) // fill the table outside the measurement
+		if a := testing.AllocsPerRun(20, func() {
+			EncodeSlice(bits, src)
+			DecodeSlice(dst, bits)
+			EncodeWire(wire, src)
+			DecodeWire(dst, wire)
+			EncodeWire(wire[1:len(wire)-1], src[:len(src)-1])
+			RoundTripSlice(dst, src)
+			RoundTripSlice(dst[:13], src[3:16])
+		}); a != 0 {
+			t.Fatalf("codec allocates %v times per run, want 0", a)
+		}
+	})
 }

@@ -6,8 +6,17 @@
 //
 // The scalar conversions implement round-to-nearest-even, gradual underflow
 // to subnormals, NaN payload preservation (quieting), and overflow to
-// infinity — the same semantics as hardware F16C/cvt instructions, so the
-// simulated transport behaves like the paper's AVX-accelerated codec.
+// infinity — the same semantics as the hardware F16C instructions.
+//
+// The slice codec (EncodeSlice, DecodeSlice, RoundTripSlice and the wire
+// forms built on them) has two tiers with the same bits. On amd64 hosts
+// whose CPU has F16C and AVX and whose OS saves YMM state, a CPUID gate
+// decided once at init runs VCVTPS2PH (imm8 0, round to nearest even) and
+// VCVTPH2PS on 8 values per instruction, as the paper's AVX-accelerated
+// codec does; a tail of fewer than 8 values takes the scalar conversion.
+// Everywhere else (other architectures, -tags noasm, pre-F16C hosts) the
+// portable tier runs: the scalar encode inlined into a loop, and a decode
+// table filled once from ToFloat32.
 package fp16
 
 import "math"

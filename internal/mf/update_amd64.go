@@ -5,38 +5,16 @@ package mf
 import (
 	"fmt"
 
+	"hccmf/internal/cpu"
 	"hccmf/internal/sparse"
 )
 
 // useVEX is the CPUID gate, decided once at package init: the VEX sweeps
 // in update_amd64.s run only on a host whose CPU has AVX and whose OS
-// saves the YMM registers. Every other amd64 host runs the portable Go
-// loops, which compute the same bits (DESIGN.md §16).
-var useVEX = vexSupported()
-
-// vexSupported checks what the sweeps' instructions need: CPUID.1:ECX
-// AVX (bit 28) and OSXSAVE (bit 27), then XCR0 bits 1–2 (the OS saves
-// XMM and YMM state). The sweeps use no AVX2 instruction, so CPUID.7 is
-// not consulted.
-func vexSupported() bool {
-	const avx, osxsave = 1 << 28, 1 << 27
-	if maxID, _, _, _ := cpuid(0, 0); maxID < 1 {
-		return false
-	}
-	_, _, ecx, _ := cpuid(1, 0)
-	if ecx&(avx|osxsave) != avx|osxsave {
-		return false
-	}
-	xcr0, _ := xgetbv()
-	return xcr0&6 == 6
-}
-
-// cpuid executes CPUID for leaf eaxArg, subleaf ecxArg (update_amd64.s).
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv reads XCR0, the OS-enabled register state (update_amd64.s). Only
-// call it once CPUID reports OSXSAVE.
-func xgetbv() (eax, edx uint32)
+// saves the YMM registers (cpu.AVX). Every other amd64 host runs the
+// portable Go loops, which compute the same bits (DESIGN.md §16). The
+// sweeps use no AVX2 instruction, so AVX is all the gate asks for.
+var useVEX = cpu.AVX
 
 // sgdSweep is the VEX SGD kernel (update_amd64.s): it applies one update
 // per entry, in order, to the k-wide rows U of p and I of q, bit-identical
