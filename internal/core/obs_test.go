@@ -11,7 +11,7 @@ import (
 )
 
 // TestObservedRunEndToEnd drives an instrumented real-training run and
-// checks that every layer reported: engine counters, ps phase histograms,
+// checks that every layer reported: ps update counts and phase histograms,
 // comm transfer counters, sim gauges, and both exporters produce valid
 // documents containing real and simulated events.
 func TestObservedRunEndToEnd(t *testing.T) {
@@ -40,11 +40,11 @@ func TestObservedRunEndToEnd(t *testing.T) {
 	}
 
 	workers := len(res.Plan.Partition)
-	if got := o.Run.Epochs.Value(); got != int64(5*workers) {
-		t.Fatalf("engine epochs = %d, want %d (5 epochs × %d workers)", got, 5*workers, workers)
+	if got := o.Run.Phase[obs.Compute].Count(); got != int64(5*workers) {
+		t.Fatalf("compute phases = %d, want %d (5 epochs × %d workers)", got, 5*workers, workers)
 	}
-	if o.Run.Updates.Value() == 0 {
-		t.Fatal("no updates counted")
+	if got, want := o.Run.Updates.Value(), int64(5*res.TrainedData.Train.NNZ()); got != want {
+		t.Fatalf("updates = %d, want %d (5 epochs × train nnz)", got, want)
 	}
 	if got := o.Run.BusBytes.Value(); got != res.CommStats.BusBytes {
 		t.Fatalf("observed bus bytes %d != CommStats %d", got, res.CommStats.BusBytes)

@@ -53,10 +53,18 @@ func TestPlanNetflixMatchesPaperChoices(t *testing.T) {
 
 // TestContractClass covers both DESIGN.md §8 classes: a synchronous plan
 // is bit-exact; async streams and a live rebalancer each make a run
-// statistical, and the class names every reason.
+// statistical. The rebalancer is named only where it can re-shard: a
+// bulk-synchronous plan with two or more workers.
 func TestContractClass(t *testing.T) {
 	syncPlan := planFor(t, dataset.Netflix, PlanOptions{})
 	asyncPlan := planFor(t, dataset.YahooR1, PlanOptions{})
+	onePlan, err := PlanRun(PaperPlatformHetero().FirstWorkers(1), dataset.Netflix, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(onePlan.Platform.Workers) != 1 || onePlan.Strategy.Streams > 1 {
+		t.Fatalf("one-worker plan: %d workers, %d streams", len(onePlan.Platform.Workers), onePlan.Strategy.Streams)
+	}
 	live := schedule.Config{Policy: schedule.Throughput}
 	for _, tc := range []struct {
 		name  string
@@ -67,7 +75,8 @@ func TestContractClass(t *testing.T) {
 		{"sync", syncPlan, schedule.Config{}, "bit-exact"},
 		{"async", asyncPlan, schedule.Config{}, "statistical (async streams)"},
 		{"sync, rebalanced", syncPlan, live, "statistical (live rebalancer)"},
-		{"async, rebalanced", asyncPlan, live, "statistical (async streams, live rebalancer)"},
+		{"async, rebalanced", asyncPlan, live, "statistical (async streams)"},
+		{"one worker, rebalanced", onePlan, live, "bit-exact"},
 	} {
 		if got := ContractClass(tc.plan, tc.sched); got != tc.want {
 			t.Errorf("%s: ContractClass = %q, want %q", tc.name, got, tc.want)

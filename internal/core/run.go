@@ -74,10 +74,9 @@ type RunConfig struct {
 	// GOMAXPROCS evenly across the workers' engines.
 	Tuning Tuning
 	// Obs, when non-nil, instruments the run (see internal/obs): the real-
-	// execution cluster reports phase spans and run metrics through it,
-	// transfers are counted via a comm.Observed wrap, engines report epoch
-	// throughput, and the simulated results land as gauges plus ProcSim
-	// trace events.
+	// execution cluster reports phase spans, update counts and run metrics
+	// through it, transfers are counted via a comm.Observed wrap, and the
+	// simulated results land as gauges plus ProcSim trace events.
 	Obs *obs.Observer
 	// OnEpoch, when non-nil, is called after every real-execution epoch
 	// with the 0-based epoch index, the planned total, the epoch's held-out
@@ -279,10 +278,8 @@ func runReal(cfg RunConfig, plan Plan, sim *SimResult, res *Result) error {
 	// logical transfer, retries already folded into its stats. Counters live
 	// here only — ps.account keeps feeding CommStats independently.
 	if run := cfg.Obs.RunMetrics(); run != nil {
-		var now func() time.Time
-		if clock := run.Clock(); clock != nil {
-			now = func() time.Time { return time.Unix(0, int64(clock()*1e9)) }
-		}
+		tr := cfg.Obs.Tracer // the observer's one clock; Now is 0 on a nil tracer
+		now := func() time.Time { return time.Unix(0, int64(tr.Now()*1e9)) }
 		transport = comm.NewObserved(transport, now, func(op string, st comm.TransferStats, seconds float64, failed bool) {
 			run.CountTransfer(obs.TransferSample{
 				BusBytes:   st.BusBytes,
@@ -303,9 +300,6 @@ func runReal(cfg RunConfig, plan Plan, sim *SimResult, res *Result) error {
 	}
 	shards := make([]RealShard, len(confs))
 	for i, conf := range confs {
-		if m, ok := conf.Engine.(mf.Metered); ok {
-			m.SetMetrics(cfg.Obs.RunMetrics().EngineMetrics())
-		}
 		shards[i] = RealShard{
 			Name:  conf.Name,
 			RowLo: conf.RowLo, RowHi: conf.RowHi,
@@ -334,10 +328,14 @@ func runReal(cfg RunConfig, plan Plan, sim *SimResult, res *Result) error {
 	}
 
 	threads := cfg.Tuning.evalThreads()
+	var evalSeconds *obs.Histogram
+	if run := cfg.Obs.RunMetrics(); run != nil {
+		evalSeconds = run.EvalSeconds
+	}
 	evaluate := func(model *mf.Factors) float64 {
-		span := cfg.Obs.Span(obs.ProcReal, "server", "core", "eval")
+		span := cfg.Obs.Span(obs.ProcReal, "server", "core", "eval", evalSeconds)
 		rmse := mf.RMSEParallel(model, test.Entries, threads)
-		cfg.Obs.RunMetrics().ObserveEval(span.End())
+		span.End()
 		return rmse
 	}
 	curve := &metrics.Curve{Label: "HCC-MF/" + spec.Name}
@@ -428,15 +426,16 @@ func EngineFor(d *device.Device, budget int) mf.Engine {
 // seed gives the same factor bits at any GOMAXPROCS — or "statistical",
 // where only the final RMSE is promised within a band, followed by what
 // puts the run there: async streams (more than one per worker, writing
-// the worker's P rows lock-free) or the rebalancer under live timing.
+// the worker's P rows lock-free) or the rebalancer under live timing. The
+// rebalancer only re-shards a bulk-synchronous run of two or more workers
+// (ps's maybeRebalance), so it is named only there.
 // EngineFor's engines all walk the deterministic block schedule, so no
 // real run trains with Hogwild.
 func ContractClass(p Plan, sched schedule.Config) string {
 	var why []string
 	if p.Strategy.Streams > 1 {
 		why = append(why, "async streams")
-	}
-	if sched.Policy != schedule.Off {
+	} else if sched.Enabled() && len(p.Platform.Workers) >= 2 {
 		why = append(why, "live rebalancer")
 	}
 	if len(why) == 0 {

@@ -62,9 +62,10 @@ func scheduleProblem(b *testing.B, adaptive bool) *ps.Cluster {
 	for i := 0; i < schedNNZ; i++ {
 		full.Add(int32(rng.Intn(schedRows)), int32(rng.Intn(schedCols)), 1+4*rng.Float32())
 	}
-	csr := sparse.NewCSRFromCOO(full)
 	weights := []float64{0.25, 0.25, 0.25, 0.25}
-	slices, err := sparse.CutRowGrid(csr, weights)
+	// Only the cut is taken from RowShards; each shard gathers its entries
+	// in generation order, so every worker trains the same entry stream.
+	slices, _, err := sparse.RowShards(full, weights)
 	if err != nil {
 		b.Fatal(err)
 	}

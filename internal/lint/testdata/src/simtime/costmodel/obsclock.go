@@ -11,6 +11,6 @@ func MintClock() func() float64 {
 // UseInjected is the sanctioned pattern: the observer arrives pre-wired
 // with its clock, and the sim package only calls nil-safe methods on it.
 func UseInjected(o *obs.Observer) {
-	span := o.Span(obs.ProcReal, "w0", "ps", "pull")
+	span := o.Span(obs.ProcReal, "w0", "ps", "pull", nil)
 	_ = span
 }

@@ -3,6 +3,11 @@
 // run) and "computing power utilization" (actual over ideal, where the
 // ideal is the sum of every processor's standalone computing power). It
 // also carries the convergence-curve record used for Figure 7.
+//
+// It stays apart from internal/obs because it computes the paper's
+// Eq. 8, Table 4 and Figure 7 quantities from a run's results, after the
+// fact, and holds no run instruments; obs measures a run while it is in
+// flight.
 package metrics
 
 import (

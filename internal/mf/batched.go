@@ -30,7 +30,5 @@ func (bt *Batched) Name() string { return fmt.Sprintf("batched-%d", bt.Groups) }
 //
 // lint:hotpath
 func (bt *Batched) Epoch(f *Factors, train *sparse.COO, h HyperParams) {
-	start := bt.metrics.EpochStart()
 	bt.Walk(f, train, h, gridSide(train.Cols, f.K), bt.Groups)
-	bt.metrics.EpochDone(start, int64(len(train.Entries)))
 }

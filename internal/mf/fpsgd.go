@@ -31,9 +31,7 @@ func (fp *FPSGD) Name() string {
 //
 // lint:hotpath
 func (fp *FPSGD) Epoch(f *Factors, train *sparse.COO, h HyperParams) {
-	start := fp.metrics.EpochStart()
 	fp.Walk(f, train, h, gridSide(train.Cols, f.K), fp.Threads)
-	fp.metrics.EpochDone(start, int64(len(train.Entries)))
 }
 
 // tileBytesDefault is a conservative per-core slice of L2 (typical

@@ -31,13 +31,6 @@ func (hw *Hogwild) Name() string { return fmt.Sprintf("hogwild-%d", hw.Threads) 
 //
 // lint:hotpath
 func (hw *Hogwild) Epoch(f *Factors, train *sparse.COO, h HyperParams) {
-	start := hw.metrics.EpochStart()
-	hw.epoch(f, train, h)
-	hw.metrics.EpochDone(start, int64(len(train.Entries)))
-}
-
-// lint:hotpath
-func (hw *Hogwild) epoch(f *Factors, train *sparse.COO, h HyperParams) {
 	threads := hw.Threads
 	if threads < 1 {
 		threads = 1

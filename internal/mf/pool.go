@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 
-	"hccmf/internal/obs"
 	"hccmf/internal/sparse"
 )
 
@@ -74,9 +73,6 @@ type sweeper struct {
 	pool *sweepPool
 	size int
 	wg   sync.WaitGroup
-	// metrics is the optional observability bundle installed by SetMetrics
-	// (see metered.go); nil keeps the epoch hooks inert.
-	metrics *obs.EngineMetrics
 }
 
 // ensure returns the engine's pool, (re)building it when the requested

@@ -23,16 +23,19 @@ func NewObserver(traceCapacity int, clock func() float64) *Observer {
 	return &Observer{
 		Registry: reg,
 		Tracer:   NewTracer(traceCapacity, clock),
-		Run:      NewRunMetrics(reg).WithClock(clock),
+		Run:      NewRunMetrics(reg),
 	}
 }
 
-// Span opens a tracer span; inert on a nil observer.
-func (o *Observer) Span(proc, track, cat, name string) Span {
+// Span opens a tracer span whose End also observes its seconds into h (nil
+// h: the span is only traced); inert on a nil observer.
+func (o *Observer) Span(proc, track, cat, name string, h *Histogram) Span {
 	if o == nil {
 		return Span{}
 	}
-	return o.Tracer.Span(proc, track, cat, name)
+	s := o.Tracer.Span(proc, track, cat, name)
+	s.hist = h
+	return s
 }
 
 // Instant records a zero-duration marker; no-op on a nil observer.
@@ -84,20 +87,16 @@ func (p Phase) String() string {
 }
 
 // RunMetrics is the standard instrument set of one end-to-end run, shared
-// across the layers: mf engines bump the update/epoch counters, ps feeds
-// the phase and epoch histograms, the comm observer feeds the transfer
-// counters, and core sets the sim gauges.
+// across the layers: ps counts updates and feeds the phase and epoch
+// histograms through its spans, the comm observer feeds the transfer
+// counters, and core sets the sim gauges and times evaluation.
 type RunMetrics struct {
-	// Updates counts applied rating updates; Epochs counts engine epochs.
+	// Updates counts the rating updates the compute phases applied.
 	Updates *Counter
-	Epochs  *Counter
 	// EpochSeconds and EvalSeconds distribute per-epoch training and RMSE
 	// evaluation wall time.
 	EpochSeconds *Histogram
 	EvalSeconds  *Histogram
-	// EngineEpochSeconds distributes individual engine Epoch calls (one
-	// worker's local pass), as opposed to the cluster-wide EpochSeconds.
-	EngineEpochSeconds *Histogram
 	// Phase distributes per-worker phase wall time, indexed by Phase
 	// (pull, compute, push, sync).
 	Phase [4]*Histogram
@@ -124,62 +123,32 @@ type RunMetrics struct {
 	// makespan gain (the value the hysteresis threshold gates on).
 	Rebalances   *Counter
 	ScheduleGain *Gauge
-
-	// clock times engine epochs (nil disables engine-side timing).
-	clock func() float64
 }
 
 // NewRunMetrics registers the standard run instruments on r.
 func NewRunMetrics(r *Registry) *RunMetrics {
 	m := &RunMetrics{
-		Updates:            r.Counter("train/updates_total", "rating updates applied by all engines"),
-		Epochs:             r.Counter("train/engine_epochs_total", "engine Epoch calls completed"),
-		EpochSeconds:       MustHistogram(r, "train/epoch_seconds", "cluster epoch wall time", DurationBuckets),
-		EvalSeconds:        MustHistogram(r, "train/eval_seconds", "held-out RMSE evaluation wall time", DurationBuckets),
-		EngineEpochSeconds: MustHistogram(r, "train/engine_epoch_seconds", "single-engine local epoch wall time", DurationBuckets),
-		BusBytes:           r.Counter("comm/bus_bytes_total", "payload bytes crossing the worker-server channel"),
-		Copies:             r.Counter("comm/copies_total", "end-to-end memory copies of transfer payloads"),
-		Retries:            r.Counter("comm/retries_total", "failed transfer attempts absorbed by retry"),
-		Transfers:          r.Counter("comm/transfers_total", "pull/push operations completed"),
-		TransferErrors:     r.Counter("comm/transfer_errors_total", "pull/push operations that failed after retries"),
-		WireBytes:          r.Counter("comm/wire_bytes_total", "octets actually crossing the network, headers included"),
-		Frames:             r.Counter("comm/frames_total", "hccmf-wire frames sent and received"),
-		Handshakes:         r.Counter("comm/handshakes_total", "connections dialled and handshaken"),
-		NetSeconds:         MustHistogram(r, "comm/net_seconds", "wire operation latency", DurationBuckets),
-		Evictions:          r.Counter("ps/evictions_total", "workers evicted by fault tolerance"),
-		Rebalances:         r.Counter("schedule/rebalances_total", "adaptive epoch-boundary re-shards performed"),
-		ScheduleGain:       r.Gauge("schedule/predicted_gain", "latest predicted relative makespan gain of a re-solve"),
+		Updates:        r.Counter("train/updates_total", "rating updates applied by the compute phases"),
+		EpochSeconds:   MustHistogram(r, "train/epoch_seconds", "cluster epoch wall time", DurationBuckets),
+		EvalSeconds:    MustHistogram(r, "train/eval_seconds", "held-out RMSE evaluation wall time", DurationBuckets),
+		BusBytes:       r.Counter("comm/bus_bytes_total", "payload bytes crossing the worker-server channel"),
+		Copies:         r.Counter("comm/copies_total", "end-to-end memory copies of transfer payloads"),
+		Retries:        r.Counter("comm/retries_total", "failed transfer attempts absorbed by retry"),
+		Transfers:      r.Counter("comm/transfers_total", "pull/push operations completed"),
+		TransferErrors: r.Counter("comm/transfer_errors_total", "pull/push operations that failed after retries"),
+		WireBytes:      r.Counter("comm/wire_bytes_total", "octets actually crossing the network, headers included"),
+		Frames:         r.Counter("comm/frames_total", "hccmf-wire frames sent and received"),
+		Handshakes:     r.Counter("comm/handshakes_total", "connections dialled and handshaken"),
+		NetSeconds:     MustHistogram(r, "comm/net_seconds", "wire operation latency", DurationBuckets),
+		Evictions:      r.Counter("ps/evictions_total", "workers evicted by fault tolerance"),
+		Rebalances:     r.Counter("schedule/rebalances_total", "adaptive epoch-boundary re-shards performed"),
+		ScheduleGain:   r.Gauge("schedule/predicted_gain", "latest predicted relative makespan gain of a re-solve"),
 	}
 	for p := Pull; p <= Sync; p++ {
 		m.Phase[p] = MustHistogram(r, "ps/phase_seconds/"+p.String(),
 			"per-worker "+p.String()+" phase wall time", DurationBuckets)
 	}
 	return m
-}
-
-// WithClock sets the clock engine-side timing uses and returns m (nil
-// passes through).
-func (m *RunMetrics) WithClock(clock func() float64) *RunMetrics {
-	if m != nil {
-		m.clock = clock
-	}
-	return m
-}
-
-// ObserveEpoch feeds one cluster-wide epoch duration; no-op on nil.
-func (m *RunMetrics) ObserveEpoch(seconds float64) {
-	if m == nil {
-		return
-	}
-	m.EpochSeconds.Observe(seconds)
-}
-
-// ObserveEval feeds one RMSE evaluation duration; no-op on nil.
-func (m *RunMetrics) ObserveEval(seconds float64) {
-	if m == nil {
-		return
-	}
-	m.EvalSeconds.Observe(seconds)
 }
 
 // CountEviction accounts one evicted worker; no-op on nil.
@@ -205,14 +174,6 @@ func (m *RunMetrics) SetScheduleGain(gain float64) {
 		return
 	}
 	m.ScheduleGain.Set(gain)
-}
-
-// ObservePhase feeds one phase duration; no-op on nil or out-of-range p.
-func (m *RunMetrics) ObservePhase(p Phase, seconds float64) {
-	if m == nil || p < Pull || p > Sync {
-		return
-	}
-	m.Phase[p].Observe(seconds)
 }
 
 // TransferSample is one observed logical transfer, retries already folded
@@ -254,53 +215,5 @@ func (m *RunMetrics) CountTransfer(s TransferSample) {
 		m.Frames.Add(int64(s.Frames))
 		m.Handshakes.Add(int64(s.Handshakes))
 		m.NetSeconds.Observe(s.Seconds)
-	}
-}
-
-// Clock exposes the observer clock (seconds); nil when timing is disabled.
-func (m *RunMetrics) Clock() func() float64 {
-	if m == nil {
-		return nil
-	}
-	return m.clock
-}
-
-// EngineMetrics is the slice of RunMetrics the mf engines see: update and
-// epoch counters and the engine epoch histogram. The engines call
-// EpochStart/EpochDone around each local pass; with a nil bundle both are
-// free function calls that touch nothing.
-type EngineMetrics struct {
-	updates *Counter
-	epochs  *Counter
-	seconds *Histogram
-	clock   func() float64
-}
-
-// EngineMetrics derives the engine bundle (nil in → nil out).
-func (m *RunMetrics) EngineMetrics() *EngineMetrics {
-	if m == nil {
-		return nil
-	}
-	return &EngineMetrics{updates: m.Updates, epochs: m.Epochs, seconds: m.EngineEpochSeconds, clock: m.clock}
-}
-
-// EpochStart reads the engine clock (0 when timing is disabled).
-func (m *EngineMetrics) EpochStart() float64 {
-	if m == nil || m.clock == nil {
-		return 0
-	}
-	return m.clock()
-}
-
-// EpochDone records one finished engine epoch: the updates applied and,
-// when the clock is enabled, the epoch duration.
-func (m *EngineMetrics) EpochDone(start float64, updates int64) {
-	if m == nil {
-		return
-	}
-	m.updates.Add(updates)
-	m.epochs.Inc()
-	if m.clock != nil {
-		m.seconds.Observe(m.clock() - start)
 	}
 }

@@ -9,9 +9,8 @@
 //   - Zero dependencies: stdlib only, like the rest of the module.
 //   - Allocation-conscious hot path: metric updates are single atomic
 //     operations (histograms add one bounded bucket scan), and span
-//     recording writes into a preallocated ring buffer, so instrumented
-//     steady-state training epochs stay 0 allocs/op (enforced by the
-//     AllocsPerRun guards in internal/mf).
+//     recording writes into a preallocated ring buffer, so timing a phase
+//     allocates nothing (TestObserverSpanFeedsHistogram).
 //   - Snapshot-on-read: collection never blocks writers; exporters take a
 //     point-in-time copy under the registry lock while the atomic cells
 //     keep absorbing updates.

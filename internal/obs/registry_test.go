@@ -49,14 +49,10 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	}
 	var m *RunMetrics
 	m.CountTransfer(TransferSample{BusBytes: 10, Copies: 1, Retries: 1, Frames: 2, Failed: true})
-	m.ObservePhase(0, 1)
-	if m.Clock() != nil {
-		t.Fatal("nil metrics must yield a nil clock")
-	}
-	var em *EngineMetrics
-	em.EpochDone(em.EpochStart(), 10)
 	var o *Observer
-	o.Span(ProcReal, "w", "c", "n").End()
+	if d := o.Span(ProcReal, "w", "c", "n", h).End(); d != 0 {
+		t.Fatalf("nil observer span duration = %v", d)
+	}
 	o.Instant(ProcReal, "w", "c", "n", "", 0)
 	if o.RunMetrics() != nil {
 		t.Fatal("nil observer must yield nil run metrics")

@@ -142,6 +142,9 @@ type Span struct {
 	cat   string
 	name  string
 	start float64
+	// hist, when non-nil, also receives the span's seconds at End (see
+	// Observer.Span).
+	hist *Histogram
 }
 
 // End records the span and reports its duration in clock seconds.
@@ -155,6 +158,7 @@ func (s Span) EndArg(argName string, arg float64) float64 {
 	end := s.t.clock()
 	s.t.record(Event{Proc: s.proc, Track: s.track, Cat: s.cat, Name: s.name,
 		Start: s.start, End: end, ArgName: argName, Arg: arg})
+	s.hist.Observe(end - s.start)
 	return end - s.start
 }
 

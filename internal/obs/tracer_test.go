@@ -85,6 +85,34 @@ func TestNilTracerIsInert(t *testing.T) {
 	}
 }
 
+// An observer span records its event and observes the same seconds into
+// its histogram, once, without allocating; a nil histogram only traces.
+func TestObserverSpanFeedsHistogram(t *testing.T) {
+	clk := &fakeClock{}
+	o := NewObserver(1<<10, clk.read)
+	h := o.Run.Phase[Compute]
+	sp := o.Span(ProcReal, "w", "ps", "compute", h)
+	clk.advance(0.5)
+	if d := sp.EndArg("slice", 2); d != 0.5 {
+		t.Fatalf("span duration = %v, want 0.5", d)
+	}
+	if h.Count() != 1 || h.Sum() != 0.5 {
+		t.Fatalf("histogram count=%d sum=%v, want 1 and 0.5", h.Count(), h.Sum())
+	}
+	o.Span(ProcReal, "w", "ps", "plain", nil).End()
+	if evs := o.Tracer.Events(); len(evs) != 2 || evs[0].Arg != 2 || evs[1].Name != "plain" {
+		t.Fatalf("events = %+v", evs)
+	}
+	if h.Count() != 1 {
+		t.Fatalf("a span with no histogram observed into one: count=%d", h.Count())
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		o.Span(ProcReal, "w", "ps", "compute", h).End()
+	}); n != 0 {
+		t.Fatalf("observer span allocs/op = %v, want 0", n)
+	}
+}
+
 func TestTracerConcurrentRecording(t *testing.T) {
 	tr := NewTracer(1<<12, WallClock())
 	var wg sync.WaitGroup

@@ -103,31 +103,32 @@ func (c *Cluster) streamRun(ws *workerState, coord *sliceCoordinator, sl itemSli
 	// folded only after every worker (hence this one) has pushed it, and
 	// every push follows the pull, so no fold can precede any pull of the
 	// same slice.
-	span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "pull")
+	span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "pull", c.metrics.Phase[obs.Pull])
 	st, err := tr.Pull(ws.local.Q[lo:hi], c.global.Q[lo:hi], comm.Xfer{
 		Shard: comm.GlobalShard(comm.MatrixQ, lo, hi),
 		Enc:   enc,
 	})
 	c.account(st)
-	c.metrics.ObservePhase(obs.Pull, span.EndArg("slice", float64(sj)))
+	span.EndArg("slice", float64(sj))
 	if err != nil {
 		return fmt.Errorf("ps: async pull slice %d for %q: %v", sj, ws.conf.Name, err)
 	}
 
 	// Compute. Concurrent streams share ws.local.P — deliberately
 	// unsynchronised (see the package comment above).
-	span = c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "compute")
+	span = c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "compute", c.metrics.Phase[obs.Compute])
 	mf.TrainEntries(ws.local, chunk, h)
-	c.metrics.ObservePhase(obs.Compute, span.EndArg("slice", float64(sj)))
+	span.EndArg("slice", float64(sj))
+	c.metrics.Updates.Add(int64(len(chunk)))
 
 	// Push the slice into the worker's push buffer.
-	span = c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "push")
+	span = c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "push", c.metrics.Phase[obs.Push])
 	st, err = tr.Push(ws.pushQ[lo:hi], ws.local.Q[lo:hi], comm.Xfer{
 		Shard: comm.WorkerShard(comm.MatrixQ, ws.id, lo, hi),
 		Enc:   enc,
 	})
 	c.account(st)
-	c.metrics.ObservePhase(obs.Push, span.EndArg("slice", float64(sj)))
+	span.EndArg("slice", float64(sj))
 	if err != nil {
 		return fmt.Errorf("ps: async push slice %d for %q: %v", sj, ws.conf.Name, err)
 	}
@@ -297,10 +298,10 @@ func (sc *sliceCoordinator) arrive(ws *workerState, sj int) {
 // foldSlice folds one quiescent slice, recorded as a server sync span.
 func (sc *sliceCoordinator) foldSlice(sj int) {
 	c := sc.cluster
-	span := c.observer.Span(obs.ProcReal, "server", "ps", "sync")
+	span := c.observer.Span(obs.ProcReal, "server", "ps", "sync", c.metrics.Phase[obs.Sync])
 	sl := sc.slices[sj]
 	c.foldQRows(sl.lo, sl.hi)
-	c.metrics.ObservePhase(obs.Sync, span.EndArg("slice", float64(sj)))
+	span.EndArg("slice", float64(sj))
 }
 
 // drop releases an evicted worker's outstanding arrivals: every slice it

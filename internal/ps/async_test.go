@@ -6,6 +6,7 @@ import (
 	"hccmf/internal/comm"
 	"hccmf/internal/dataset"
 	"hccmf/internal/mf"
+	"hccmf/internal/obs"
 	"hccmf/internal/raceflag"
 	"hccmf/internal/sparse"
 )
@@ -230,6 +231,34 @@ func TestAsyncEpochConverges(t *testing.T) {
 	}
 	if err := c.Global().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Async streams train outside any engine, so ps counts their updates where
+// each stream computes: every epoch applies the whole training set once,
+// in one compute span per worker and stream.
+func TestAsyncCountsUpdatesAndPhases(t *testing.T) {
+	skipAsyncUnderRace(t)
+	const epochs = 3
+	full, confs := buildProblem(t, 120, 80, 6000, []float64{0.4, 0.6}, 35)
+	for _, streams := range []int{2, 4} {
+		cfg := defaultConfig(120, 80)
+		cfg.Strategy = comm.Strategy{QOnly: true, Encoding: comm.FP32, Streams: streams}
+		cfg.MeanRating = full.MeanRating()
+		cfg.Obs = obs.NewObserver(0, nil)
+		c, err := New(cfg, confs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Train(epochs, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := counterValue(t, cfg.Obs.Registry, "train/updates_total"), int64(epochs*full.NNZ()); got != want {
+			t.Errorf("streams=%d: train/updates_total = %d, want %d (epochs × nnz)", streams, got, want)
+		}
+		if got, want := cfg.Obs.Run.Phase[obs.Compute].Count(), int64(epochs*len(confs)*streams); got != want {
+			t.Errorf("streams=%d: compute phases = %d, want %d (epochs × workers × streams)", streams, got, want)
+		}
 	}
 }
 

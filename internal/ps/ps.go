@@ -13,6 +13,7 @@
 package ps
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -66,7 +67,8 @@ type Config struct {
 	// and re-shards when the predicted makespan gain clears the hysteresis
 	// threshold. The zero value (Policy Off) keeps the static split.
 	// Rebalancing needs per-worker timing: either an Obs observer with a
-	// clock, or a deterministic Schedule.Measure hook.
+	// tracer, or a deterministic Schedule.Measure hook; New rejects
+	// Throughput with neither.
 	Schedule schedule.Config
 	// EvictOnFailure enables graceful degradation: a worker whose
 	// transfers still fail after the transport's own retries is evicted —
@@ -109,8 +111,10 @@ type Cluster struct {
 	coord        *sliceCoordinator
 	coordStreams int
 
-	// observer/metrics mirror cfg.Obs; both are nil-safe on every path, so
-	// uninstrumented clusters pay only dead branches.
+	// observer mirrors cfg.Obs and metrics its run bundle, an empty one
+	// when cfg.Obs is nil: every instrument in it is then nil, so each
+	// update and span is a no-op and uninstrumented clusters pay only
+	// dead branches.
 	observer *obs.Observer
 	metrics  *obs.RunMetrics
 
@@ -186,12 +190,16 @@ func New(cfg Config, workers []WorkerConf) (*Cluster, error) {
 		}
 	}
 
+	if cfg.Schedule.Enabled() && cfg.Schedule.Measure == nil && (cfg.Obs == nil || cfg.Obs.Tracer == nil) {
+		return nil, errors.New("ps: rebalancing needs per-worker timing: an Obs observer with a tracer, or Schedule.Measure")
+	}
+
 	rng := sparse.NewRand(cfg.Seed)
 	c := &Cluster{
 		cfg:        cfg,
 		global:     mf.NewFactorsInit(cfg.M, cfg.N, cfg.K, cfg.MeanRating, rng),
 		observer:   cfg.Obs,
-		metrics:    cfg.Obs.RunMetrics(),
+		metrics:    cmp.Or(cfg.Obs.RunMetrics(), new(obs.RunMetrics)),
 		rebalancer: schedule.New(cfg.Schedule),
 	}
 	for i := range workers {
@@ -285,9 +293,9 @@ func (c *Cluster) RunEpoch(epoch, total int) error {
 	if epoch < 0 || total <= 0 || epoch >= total {
 		return fmt.Errorf("ps: epoch %d of %d", epoch, total)
 	}
-	span := c.observer.Span(obs.ProcReal, "server", "ps", "epoch")
+	span := c.observer.Span(obs.ProcReal, "server", "ps", "epoch", c.metrics.EpochSeconds)
 	err := c.runEpoch(epoch, total)
-	c.metrics.ObserveEpoch(span.EndArg("epoch", float64(epoch)))
+	span.EndArg("epoch", float64(epoch))
 	return err
 }
 
@@ -303,11 +311,10 @@ func (c *Cluster) runEpoch(epoch, total int) error {
 	}
 	h := c.hyperFor(epoch)
 	if err := c.phase(epoch, func(ws *workerState) error {
-		span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "compute")
+		span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "compute", c.metrics.Phase[obs.Compute])
 		ws.conf.Engine.Epoch(ws.local, ws.conf.Shard, h)
-		sec := span.End()
-		c.metrics.ObservePhase(obs.Compute, sec)
-		ws.epochSeconds += sec
+		ws.epochSeconds += span.End()
+		c.metrics.Updates.Add(int64(len(ws.conf.Shard.Entries)))
 		return nil
 	}); err != nil {
 		return err
@@ -317,9 +324,9 @@ func (c *Cluster) runEpoch(epoch, total int) error {
 	}
 	// Sync runs on the server thread (the paper's Sync thread), draining
 	// all push buffers.
-	span := c.observer.Span(obs.ProcReal, "server", "ps", "sync")
+	span := c.observer.Span(obs.ProcReal, "server", "ps", "sync", c.metrics.Phase[obs.Sync])
 	c.syncAll(epoch, total)
-	c.metrics.ObservePhase(obs.Sync, span.End())
+	span.End()
 	// P changes at sync only when it was pushed this epoch.
 	if err := c.publishGlobal(!c.cfg.Strategy.QOnly || epoch == total-1); err != nil {
 		return err
@@ -385,15 +392,8 @@ func (c *Cluster) transportFor(ws *workerState) comm.Transport {
 // Transfer stats are accounted even when the transfer fails: a retried or
 // truncated attempt consumed real bus time.
 func (c *Cluster) pull(ws *workerState, epoch int) error {
-	span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "pull")
-	err := c.pullData(ws, epoch)
-	sec := span.End()
-	c.metrics.ObservePhase(obs.Pull, sec)
-	ws.epochSeconds += sec
-	return err
-}
-
-func (c *Cluster) pullData(ws *workerState, epoch int) error {
+	span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "pull", c.metrics.Phase[obs.Pull])
+	defer func() { ws.epochSeconds += span.End() }()
 	enc := c.cfg.Strategy.Encoding
 	tr := c.transportFor(ws)
 	// Q always travels.
@@ -421,15 +421,8 @@ func (c *Cluster) pullData(ws *workerState, epoch int) error {
 
 // push uploads the worker's updates into its push buffers.
 func (c *Cluster) push(ws *workerState, epoch, total int) error {
-	span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "push")
-	err := c.pushData(ws, epoch, total)
-	sec := span.End()
-	c.metrics.ObservePhase(obs.Push, sec)
-	ws.epochSeconds += sec
-	return err
-}
-
-func (c *Cluster) pushData(ws *workerState, epoch, total int) error {
+	span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "push", c.metrics.Phase[obs.Push])
+	defer func() { ws.epochSeconds += span.End() }()
 	enc := c.cfg.Strategy.Encoding
 	tr := c.transportFor(ws)
 	st, err := tr.Push(ws.pushQ, ws.local.Q, comm.Xfer{

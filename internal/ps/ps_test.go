@@ -34,8 +34,9 @@ func buildProblem(t testing.TB, m, n, nnz int, weights []float64, seed uint64) (
 	}
 	full.Shuffle(rng)
 
-	csr := sparse.NewCSRFromCOO(full)
-	slices, err := sparse.CutRowGrid(csr, weights)
+	// Only the cut is taken from RowShards; each shard gathers its entries
+	// in the shuffled order, which the golden hashes pin.
+	slices, _, err := sparse.RowShards(full, weights)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,6 +272,31 @@ func TestRebalanceSkipsAsyncMode(t *testing.T) {
 	}
 }
 
+// A Throughput policy with neither an observer nor a Measure hook would
+// leave every measured second 0, so no Step could ever re-shard: New
+// refuses it, and accepts either source of timing.
+func TestNewRejectsUntimedRebalancer(t *testing.T) {
+	_, confs := buildProblem(t, 60, 40, 1000, []float64{0.5, 0.5}, 52)
+	cfg := defaultConfig(60, 40)
+	cfg.Schedule = schedule.Config{Policy: schedule.Throughput}
+	if _, err := New(cfg, confs); err == nil {
+		t.Fatal("New accepted a Throughput policy with no timing source")
+	}
+	cfg.Obs = &obs.Observer{}
+	if _, err := New(cfg, confs); err == nil {
+		t.Fatal("New accepted a Throughput policy with an observer that has no tracer")
+	}
+	cfg.Obs = obs.NewObserver(0, nil)
+	if _, err := New(cfg, confs); err != nil {
+		t.Fatalf("observer-timed rebalancer: %v", err)
+	}
+	cfg.Obs = nil
+	cfg.Schedule.Measure = driftMeasure
+	if _, err := New(cfg, confs); err != nil {
+		t.Fatalf("Measure-timed rebalancer: %v", err)
+	}
+}
+
 // counterValue reads one counter's value out of a registry dump.
 func counterValue(t *testing.T, reg *obs.Registry, name string) int64 {
 	t.Helper()

@@ -1,9 +1,105 @@
 package sparse
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// CSR is a compressed sparse row index over a rating matrix, kept as the
+// test oracle of RowShards: a serial counting sort whose row-major gather
+// and greedy cut (CutRowGrid) RowShards must reproduce exactly. RowPtr has
+// Rows+1 entries; the entries of row r live at positions
+// [RowPtr[r], RowPtr[r+1]) of Col/Val.
+type CSR struct {
+	Rows   int
+	Cols   int
+	RowPtr []int64
+	Col    []int32
+	Val    []float32
+}
+
+// NewCSRFromCOO builds a CSR index from a COO matrix using a counting sort
+// over rows; entries within a row keep their COO relative order (stable).
+func NewCSRFromCOO(m *COO) *CSR {
+	c := &CSR{
+		Rows:   m.Rows,
+		Cols:   m.Cols,
+		RowPtr: make([]int64, m.Rows+1),
+		Col:    make([]int32, len(m.Entries)),
+		Val:    make([]float32, len(m.Entries)),
+	}
+	for _, e := range m.Entries {
+		c.RowPtr[e.U+1]++
+	}
+	for r := 0; r < m.Rows; r++ {
+		c.RowPtr[r+1] += c.RowPtr[r]
+	}
+	next := make([]int64, m.Rows)
+	copy(next, c.RowPtr[:m.Rows])
+	for _, e := range m.Entries {
+		pos := next[e.U]
+		next[e.U]++
+		c.Col[pos] = e.I
+		c.Val[pos] = e.V
+	}
+	return c
+}
+
+// NNZ reports the number of stored entries.
+func (c *CSR) NNZ() int { return len(c.Col) }
+
+// RowNNZ reports the number of entries in row r.
+func (c *CSR) RowNNZ(r int) int { return int(c.RowPtr[r+1] - c.RowPtr[r]) }
+
+// RangeNNZ reports the number of entries in rows [lo, hi).
+func (c *CSR) RangeNNZ(lo, hi int) int64 {
+	return c.RowPtr[hi] - c.RowPtr[lo]
+}
+
+// ToCOO converts back to coordinate form (row-major entry order).
+func (c *CSR) ToCOO() *COO {
+	out := NewCOO(c.Rows, c.Cols, c.NNZ())
+	for r := 0; r < c.Rows; r++ {
+		for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
+			out.Entries = append(out.Entries, Rating{U: int32(r), I: c.Col[p], V: c.Val[p]})
+		}
+	}
+	return out
+}
+
+// Validate checks CSR structural invariants.
+func (c *CSR) Validate() error {
+	if len(c.RowPtr) != c.Rows+1 {
+		return fmt.Errorf("sparse: RowPtr length %d, want %d", len(c.RowPtr), c.Rows+1)
+	}
+	if c.RowPtr[0] != 0 {
+		return fmt.Errorf("sparse: RowPtr[0]=%d, want 0", c.RowPtr[0])
+	}
+	if c.RowPtr[c.Rows] != int64(len(c.Col)) || len(c.Col) != len(c.Val) {
+		return fmt.Errorf("sparse: inconsistent lengths rowptr-end=%d col=%d val=%d",
+			c.RowPtr[c.Rows], len(c.Col), len(c.Val))
+	}
+	for r := 0; r < c.Rows; r++ {
+		if c.RowPtr[r+1] < c.RowPtr[r] {
+			return fmt.Errorf("sparse: RowPtr not monotone at row %d", r)
+		}
+	}
+	for i, col := range c.Col {
+		if col < 0 || int(col) >= c.Cols {
+			return fmt.Errorf("sparse: Col[%d]=%d out of range [0,%d)", i, col, c.Cols)
+		}
+	}
+	return nil
+}
+
+// CutRowGrid cuts the matrix into len(weights) contiguous row ranges whose
+// nnz counts match the weights as closely as a contiguous cut allows.
+// Weights must be positive and sum to ~1 (they are renormalised). The cut
+// walks rows greedily, closing a slice when its nnz reaches the target.
+func CutRowGrid(c *CSR, weights []float64) ([]Slice, error) {
+	return cutGrid(c.RowPtr, c.Rows, weights)
+}
 
 func randomCOO(seed uint64, rows, cols, nnz int) *COO {
 	rng := NewRand(seed)

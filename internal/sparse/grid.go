@@ -43,33 +43,24 @@ func PreferredGrid(rows, cols int) GridKind {
 	return ColGrid
 }
 
-// Slice describes one worker's shard of the rating matrix under a row or
-// column grid: the half-open index range [Lo, Hi) along the grid dimension
-// and the number of stored entries inside it.
+// Slice describes one worker's shard of the rating matrix under a row
+// grid: the half-open row range [Lo, Hi) and the number of stored entries
+// inside it.
 type Slice struct {
 	Lo  int
 	Hi  int
 	NNZ int64
 }
 
-// Span reports the number of rows (or columns) in the slice.
+// Span reports the number of rows in the slice.
 func (s Slice) Span() int { return s.Hi - s.Lo }
 
-// CutRowGrid cuts the matrix into len(weights) contiguous row ranges whose
-// nnz counts match the weights as closely as a contiguous cut allows.
-// Weights must be positive and sum to ~1 (they are renormalised). The cut
-// walks rows greedily, closing a slice when its nnz reaches the target.
-func CutRowGrid(c *CSR, weights []float64) ([]Slice, error) {
-	return cutGrid(c.RowPtr, c.Rows, weights)
-}
-
-// CutColGrid cuts a column grid. It requires the caller to supply the CSR of
-// the transposed matrix (column-major index); this keeps the hot path free
-// of an implicit transpose.
-func CutColGrid(ct *CSR, weights []float64) ([]Slice, error) {
-	return cutGrid(ct.RowPtr, ct.Rows, weights)
-}
-
+// cutGrid cuts nLines lines, whose entries start at the prefix offsets
+// ptr (len nLines+1), into len(weights) contiguous ranges whose nnz counts
+// match the weights as closely as a contiguous cut allows. Weights must be
+// positive; they are renormalised. The cut walks lines greedily, closing a
+// slice when its nnz reaches the target, and gives every slice at least
+// one line.
 func cutGrid(ptr []int64, nLines int, weights []float64) ([]Slice, error) {
 	p := len(weights)
 	if p == 0 {

@@ -121,18 +121,6 @@ func TestCutRowGridUnnormalisedWeights(t *testing.T) {
 	}
 }
 
-func TestCutColGrid(t *testing.T) {
-	m := randomCOO(23, 100, 2000, 40000)
-	ct := NewCSRFromCOO(m.Transpose())
-	slices, err := CutColGrid(ct, []float64{0.5, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slices[len(slices)-1].Hi != m.Cols {
-		t.Fatalf("col grid does not cover columns: %+v", slices)
-	}
-}
-
 // NewBlockGrid keeps every entry, each inside its block's row and column
 // ranges, and its block rows cut exactly the row band it is given: on a
 // shard holding rows [100, 164) of 200, every block row gets ratings.

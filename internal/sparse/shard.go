@@ -24,9 +24,10 @@ type shardScratch struct {
 var shardScratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
 
 // RowShards cuts m into len(weights) contiguous row-range shards whose nnz
-// counts match the weights as closely as a contiguous cut allows (the same
-// greedy cut as CutRowGrid). Entries within each shard are in row-major
-// order, stable within a row — identical to gathering from a CSR.
+// counts match the weights as closely as a contiguous cut allows (cutGrid's
+// greedy cut). Entries within each shard are in row-major order, stable
+// within a row — identical to gathering from a CSR, which
+// TestRowShardsMatchesCSRGather checks against a CSR oracle.
 //
 // The counting sort runs over chunks of the entries in parallel: each
 // chunk counts its rows, the cursors are laid out chunk-major (a row's
