@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -10,12 +11,22 @@ import (
 	"hccmf/internal/sparse"
 )
 
-// Asynchronous computing-transmission (paper Section 3.4, Strategy 3;
-// Figure 6): each worker runs Streams concurrent pull→compute→push
-// pipelines. A stream owns one item-range slice of Q: it pulls only that
-// slice, trains the shard entries whose items fall inside it, and pushes
-// the slice back — so the per-epoch feature traffic stays one Q per worker
-// while one stream's transfers overlap the others' compute.
+// The epoch pipeline (paper Sections 3.1 and 3.4, Figure 6). Every epoch,
+// each worker pulls the global P once if the strategy is naive, then runs
+// one pull → compute → push stream per item slice of Q, then pushes its P
+// band if the strategy calls for it. A stream pulls only its slice, trains
+// the shard entries whose items fall inside it and pushes the slice back,
+// so the per-epoch feature traffic stays one Q per worker whatever the
+// slice count. The server folds a Q slice as soon as every worker has
+// pushed it (sliceCoordinator) and does the rest once the epoch's workers
+// have all returned (runEpoch).
+//
+// Strategy.Streams == 1 is one slice over [0, N), run inline on the
+// worker's goroutine: the bulk-synchronous epoch, whose compute is the
+// worker's engine over its shard. Strategy 3's asynchronous
+// computing-transmission is Streams > 1: the slices run on goroutines, so
+// one stream's transfers overlap the others' compute, and each stream
+// trains its chunk with mf.TrainEntries.
 //
 // The slices are cut by rating count, not item count (ratingSlices), so
 // the streams carry equal compute. Under skewed item popularity this makes
@@ -26,7 +37,8 @@ import (
 // slice (sliceChunks), so even the wide tail slice keeps its Q rows in
 // cache while P streams.
 //
-// Two consequences the paper calls out are reproduced faithfully:
+// Two consequences the paper calls out are reproduced faithfully when
+// there is more than one slice:
 //
 //   - Streams of one worker update the same local P rows concurrently
 //     (a user's ratings span item slices). This is lock-free by design —
@@ -38,137 +50,167 @@ import (
 //     every worker's stream has pushed it, overlapping the remaining
 //     slices' computation instead of queueing after the slowest worker.
 
-// runEpochAsync executes one epoch in asynchronous mode.
-func (c *Cluster) runEpochAsync(epoch, total int) error {
-	streams := c.cfg.Strategy.Streams
+// trainFunc trains worker ws's ratings in item slice sj and returns how
+// many it applied.
+type trainFunc func(ws *workerState, sj int, h mf.HyperParams) int
 
-	coord := c.coordinator(streams)
-	workers, errs := c.runPhase(func(ws *workerState) error {
-		return c.workerEpochAsync(ws, coord, epoch, total)
-	})
-	evicted, err := c.settle(epoch, workers, errs)
-	if err != nil {
-		return err
-	}
-	// Slices an evicted worker never delivered must still fold — the
-	// survivors' pushes are in the buffers waiting on its arrival count.
-	for _, ws := range evicted {
-		coord.drop(ws)
-	}
-	// Publish once the epoch's folds have all landed. Mid-epoch folds need
-	// no earlier publish: within an epoch every pull of a slice precedes
-	// its fold, so remote pulls correctly see the epoch-start model.
-	return c.publishGlobal(!c.cfg.Strategy.QOnly || epoch == total-1)
+// trainShard is the one-slice compute: the worker's engine over its shard.
+func trainShard(ws *workerState, _ int, h mf.HyperParams) int {
+	ws.conf.Engine.Epoch(ws.local, ws.conf.Shard, h)
+	return len(ws.conf.Shard.Entries)
 }
 
-// workerEpochAsync runs one worker's stream pipelines for one epoch.
-func (c *Cluster) workerEpochAsync(ws *workerState, coord *sliceCoordinator, epoch, total int) error {
+// trainChunk is a stream's compute over its tile-major chunk. Concurrent
+// streams share ws.local.P — deliberately unsynchronised (see above).
+func (c *Cluster) trainChunk(ws *workerState, sj int, h mf.HyperParams) int {
+	chunk := ws.sliceChunks(c.coord)[sj]
+	mf.TrainEntries(ws.local, chunk, h)
+	return len(chunk)
+}
+
+// workerEpoch runs one worker's epoch. With one slice the P transfers ride
+// in the stream's own pull and push spans, so a bulk-synchronous epoch
+// records one span per worker and phase; with more they get spans of
+// their own around the streams. Each stream returns its span seconds and
+// they are added to ws.epochSeconds here, on the worker's goroutine.
+func (c *Cluster) workerEpoch(ws *workerState, coord *sliceCoordinator, epoch, total int, train trainFunc) error {
 	h := c.hyperFor(epoch)
-	slices := coord.slices
-	chunks := ws.sliceChunks(coord)
+	pullP := !c.cfg.Strategy.QOnly
+	pushP := pullP || epoch == total-1
+	n := len(coord.slices)
+	if n == 1 {
+		secs, err := c.stream(ws, 0, h, train, pullP, pushP)
+		ws.epochSeconds += secs
+		return err
+	}
+	if pullP {
+		if err := c.timedP(ws, false); err != nil {
+			return err
+		}
+	}
+	// Lay the chunks out before the streams read them.
+	ws.sliceChunks(coord)
+	secs := make([]float64, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	errs := make([]error, len(slices))
-	for sj := range slices {
+	for sj := range n {
 		wg.Add(1)
 		go func(sj int) {
 			defer wg.Done()
-			errs[sj] = c.streamRun(ws, coord, slices[sj], chunks[sj], sj, h)
+			secs[sj], errs[sj] = c.stream(ws, sj, h, train, false, false)
 		}(sj)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	var err error
+	for sj := range n {
+		ws.epochSeconds += secs[sj]
+		err = cmp.Or(err, errs[sj])
 	}
-	// The worker's P rows travel once, on the final push (Q-only) or every
-	// epoch (naive mode), after all streams have quiesced.
-	if !c.cfg.Strategy.QOnly || epoch == total-1 {
-		if err := c.pushP(ws, epoch, total); err != nil {
-			return err
-		}
-		c.foldP(ws, epoch, total)
+	if err != nil {
+		return err
+	}
+	if pushP {
+		return c.timedP(ws, true)
 	}
 	return nil
 }
 
-// streamRun is one pull→compute→push pipeline over an item slice.
-func (c *Cluster) streamRun(ws *workerState, coord *sliceCoordinator, sl itemSlice, chunk []sparse.Rating, sj int, h mf.HyperParams) error {
-	k := c.cfg.K
-	lo, hi := sl.lo*k, sl.hi*k
+// stream is one pull → compute → push pipeline over item slice sj, which
+// then tells the server the slice is pushed. pullP and pushP add the P
+// transfers to its pull and push spans. It returns its span seconds.
+//
+// The Q pull is safe concurrently: within an epoch a slice is folded only
+// after every worker (hence this one) has pushed it, and every push
+// follows the pull, so no fold can precede any pull of the same slice.
+func (c *Cluster) stream(ws *workerState, sj int, h mf.HyperParams, train trainFunc, pullP, pushP bool) (float64, error) {
+	sl := c.coord.slices[sj]
+	lo, hi := sl.lo*c.cfg.K, sl.hi*c.cfg.K
 	enc := c.cfg.Strategy.Encoding
 	tr := c.transportFor(ws)
 
-	// Pull the Q slice. Safe concurrently: within an epoch a slice is
-	// folded only after every worker (hence this one) has pushed it, and
-	// every push follows the pull, so no fold can precede any pull of the
-	// same slice.
 	span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "pull", c.metrics.Phase[obs.Pull])
-	st, err := tr.Pull(ws.local.Q[lo:hi], c.global.Q[lo:hi], comm.Xfer{
-		Shard: comm.GlobalShard(comm.MatrixQ, lo, hi),
-		Enc:   enc,
-	})
-	c.account(st)
-	span.EndArg("slice", float64(sj))
+	var err error
+	if pullP {
+		err = c.moveP(ws, false)
+	}
+	if err == nil {
+		st, qerr := tr.Pull(ws.local.Q[lo:hi], c.global.Q[lo:hi], comm.Xfer{
+			Shard: comm.GlobalShard(comm.MatrixQ, lo, hi),
+			Enc:   enc,
+		})
+		c.account(st)
+		if qerr != nil {
+			err = fmt.Errorf("ps: pull Q slice %d for %q: %v", sj, ws.conf.Name, qerr)
+		}
+	}
+	secs := span.EndArg("slice", float64(sj))
 	if err != nil {
-		return fmt.Errorf("ps: async pull slice %d for %q: %v", sj, ws.conf.Name, err)
+		return secs, err
 	}
 
-	// Compute. Concurrent streams share ws.local.P — deliberately
-	// unsynchronised (see the package comment above).
 	span = c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "compute", c.metrics.Phase[obs.Compute])
-	mf.TrainEntries(ws.local, chunk, h)
-	span.EndArg("slice", float64(sj))
-	c.metrics.Updates.Add(int64(len(chunk)))
+	updates := train(ws, sj, h)
+	secs += span.EndArg("slice", float64(sj))
+	c.metrics.Updates.Add(int64(updates))
 
-	// Push the slice into the worker's push buffer.
 	span = c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "push", c.metrics.Phase[obs.Push])
-	st, err = tr.Push(ws.pushQ[lo:hi], ws.local.Q[lo:hi], comm.Xfer{
+	st, err := tr.Push(ws.pushQ[lo:hi], ws.local.Q[lo:hi], comm.Xfer{
 		Shard: comm.WorkerShard(comm.MatrixQ, ws.id, lo, hi),
 		Enc:   enc,
 	})
 	c.account(st)
-	span.EndArg("slice", float64(sj))
 	if err != nil {
-		return fmt.Errorf("ps: async push slice %d for %q: %v", sj, ws.conf.Name, err)
+		err = fmt.Errorf("ps: push Q slice %d for %q: %v", sj, ws.conf.Name, err)
+	} else if pushP {
+		err = c.moveP(ws, true)
 	}
-
-	// Tell the server; it folds the slice once all workers delivered it.
-	coord.arrive(ws, sj)
-	return nil
+	secs += span.EndArg("slice", float64(sj))
+	if err != nil {
+		return secs, err
+	}
+	c.coord.arrive(ws, sj)
+	return secs, nil
 }
 
-// pushP uploads the worker's P rows (final Q-only push, or every naive-
-// mode epoch).
-func (c *Cluster) pushP(ws *workerState, epoch, total int) error {
-	enc := c.cfg.Strategy.Encoding
-	var src []float32
-	var shard comm.Shard
-	if c.cfg.Strategy.QOnly {
-		lo, hi := ws.conf.RowLo*c.cfg.K, ws.conf.RowHi*c.cfg.K
-		src = ws.local.P[lo:hi]
-		shard = comm.WorkerShard(comm.MatrixP, ws.id, lo, hi)
-	} else {
-		src = ws.local.P
-		shard = comm.WorkerShard(comm.MatrixP, ws.id, 0, len(ws.local.P))
+// timedP runs one P transfer (see moveP) in a pull or push span of its own.
+func (c *Cluster) timedP(ws *workerState, push bool) error {
+	name, phase := "pull", obs.Pull
+	if push {
+		name, phase = "push", obs.Push
 	}
-	st, err := c.transportFor(ws).Push(ws.pushP, src, comm.Xfer{Shard: shard, Enc: enc})
+	span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", name, c.metrics.Phase[phase])
+	err := c.moveP(ws, push)
+	ws.epochSeconds += span.End()
+	return err
+}
+
+// moveP pulls the complete global P into the worker's replica (naive
+// strategy), or pushes the worker's P into its push buffer: the complete
+// P under the naive strategy, its own rows on Q-only's final push.
+// Transfer stats are accounted even when the transfer fails: a retried or
+// truncated attempt consumed real bus time.
+func (c *Cluster) moveP(ws *workerState, push bool) error {
+	tr := c.transportFor(ws)
+	x := comm.Xfer{Shard: comm.GlobalShard(comm.MatrixP, 0, len(c.global.P)), Enc: c.cfg.Strategy.Encoding}
+	op := "pull"
+	var st comm.TransferStats
+	var err error
+	if push {
+		op = "push"
+		lo, hi := 0, len(ws.local.P)
+		if c.cfg.Strategy.QOnly {
+			lo, hi = ws.conf.RowLo*c.cfg.K, ws.conf.RowHi*c.cfg.K
+		}
+		x.Shard = comm.WorkerShard(comm.MatrixP, ws.id, lo, hi)
+		st, err = tr.Push(ws.pushP, ws.local.P[lo:hi], x)
+	} else {
+		st, err = tr.Pull(ws.local.P, c.global.P, x)
+	}
 	c.account(st)
 	if err != nil {
-		return fmt.Errorf("ps: push P for %q: %v", ws.conf.Name, err)
+		return fmt.Errorf("ps: %s P for %q: %v", op, ws.conf.Name, err)
 	}
 	return nil
-}
-
-// foldP lands the worker's authoritative P rows in the global model.
-// Row-grid ranges are disjoint, so concurrent workers never collide.
-func (c *Cluster) foldP(ws *workerState, epoch, total int) {
-	lo, hi := ws.conf.RowLo*c.cfg.K, ws.conf.RowHi*c.cfg.K
-	if c.cfg.Strategy.QOnly {
-		copy(c.global.P[lo:hi], ws.pushP)
-	} else {
-		copy(c.global.P[lo:hi], ws.pushP[lo:hi])
-	}
 }
 
 // itemSlice is one stream's contiguous item range [lo, hi).
@@ -246,14 +288,16 @@ type sliceCoordinator struct {
 // is unchanged; only the bookkeeping is rewound each epoch. The slices are
 // cut by rating count over the union of all workers' shards, once: they
 // stay cluster-wide, so every worker pulls, pushes and folds the same
-// ranges.
+// ranges. One stream is one slice over [0, N), whatever the counts.
 func (c *Cluster) coordinator(streams int) *sliceCoordinator {
 	sc := c.coord
 	if sc == nil || c.coordStreams != streams {
 		counts := make([]int64, c.cfg.N)
-		for _, ws := range c.workers {
-			for _, e := range ws.conf.Shard.Entries {
-				counts[e.I]++
+		if streams > 1 {
+			for _, ws := range c.workers {
+				for _, e := range ws.conf.Shard.Entries {
+					counts[e.I]++
+				}
 			}
 		}
 		slices := ratingSlices(counts, streams)

@@ -19,9 +19,10 @@ import (
 const asyncGoldenHash = 0x76caa21d90395611
 
 // TestAsyncStreamGolden pins the bits the async stream compute produces:
-// one worker, one stream (so no concurrent P writer), FP32, Q-only, a
-// fixed seed and 2 epochs. RunEpoch sends only Streams > 1 down the async
-// path, so the test drives runEpochAsync directly.
+// one worker, one slice (so no concurrent P writer), FP32, Q-only, a fixed
+// seed and 2 epochs. RunEpoch trains one slice with the worker's engine,
+// so the test drives the epoch pipeline with the streams' compute,
+// trainChunk (mf.TrainEntries over the tile-major chunk), directly.
 func TestAsyncStreamGolden(t *testing.T) {
 	const m, n, epochs = 120, 80, 2
 	full, confs := buildProblem(t, m, n, 6000, []float64{1}, 11)
@@ -34,7 +35,7 @@ func TestAsyncStreamGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e := 0; e < epochs; e++ {
-		if err := c.runEpochAsync(e, epochs); err != nil {
+		if err := c.epochWith(e, epochs, c.trainChunk); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,12 +2,14 @@ package ps
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
 
 	"hccmf/internal/comm"
 	"hccmf/internal/mf"
+	"hccmf/internal/obs"
 )
 
 // mustFaulty wraps comm.NewFaulty for tests whose literal specs are valid
@@ -76,93 +78,90 @@ func TestChaosTransientFaultRates(t *testing.T) {
 
 // A worker whose link is permanently down exhausts its retry budget and is
 // evicted; the survivors absorb its rows and the run completes with a
-// model that covers all of P.
-func TestEvictionReassignsRowsSync(t *testing.T) {
+// model that covers all of P. Eviction settles at the epoch boundary for
+// every strategy and slice count: in the epoch the worker dies only the
+// survivors' shards train, and from the next epoch the heir trains the
+// dead worker's shard too. With four slices the coordinator must also
+// release the dead worker's undelivered slices so the survivors' pushes
+// still fold.
+func TestEvictionReassignsRows(t *testing.T) {
+	const m, n, epochs = 120, 80, 25
 	for _, mode := range []struct {
 		name  string
 		strat comm.Strategy
 	}{
-		{"naive", comm.Strategy{Encoding: comm.FP32, Streams: 1}},
-		{"q-only", comm.Strategy{QOnly: true, Encoding: comm.FP32, Streams: 1}},
+		{"naive", comm.Strategy{Encoding: comm.FP32}},
+		{"q-only", comm.Strategy{QOnly: true, Encoding: comm.FP32}},
 	} {
-		t.Run(mode.name, func(t *testing.T) {
-			full, confs := buildProblem(t, 120, 80, 6000, []float64{0.3, 0.3, 0.4}, 42)
-			confs[1].Transport = comm.NewRetrying(
-				mustFaulty(comm.MustNew(comm.Spec{Kind: comm.KindShared, Workers: 4}), comm.FaultSpec{Transient: 1, Seed: 5}),
-				comm.RetryPolicy{Attempts: 3})
-			cfg := defaultConfig(120, 80)
-			cfg.Strategy = mode.strat
-			cfg.MeanRating = full.MeanRating()
-			cfg.EvictOnFailure = true
-			c, err := New(cfg, confs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Train(25, nil); err != nil {
-				t.Fatalf("run did not survive a dead worker: %v", err)
-			}
-			ev := c.Evictions()
-			if len(ev) != 1 || ev[0].Worker != confs[1].Name || ev[0].Epoch != 0 {
-				t.Fatalf("evictions = %+v", ev)
-			}
-			if c.Workers() != 2 {
-				t.Fatalf("workers = %d after eviction", c.Workers())
-			}
-			// Survivor ranges must cover [0, M) with no overlap.
-			covered := make([]int, 120)
-			for _, ws := range c.workers {
-				for r := ws.conf.RowLo; r < ws.conf.RowHi; r++ {
-					covered[r]++
+		for _, streams := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/streams=%d", mode.name, streams), func(t *testing.T) {
+				if streams > 1 {
+					skipAsyncUnderRace(t)
 				}
-			}
-			for r, n := range covered {
-				if n != 1 {
-					t.Fatalf("row %d owned by %d workers after eviction", r, n)
+				full, confs := buildProblem(t, m, n, 6000, []float64{0.3, 0.3, 0.4}, 42)
+				confs[1].Transport = comm.NewRetrying(
+					mustFaulty(comm.MustNew(comm.Spec{Kind: comm.KindShared, Workers: 4}), comm.FaultSpec{Transient: 1, Seed: 5}),
+					comm.RetryPolicy{Attempts: 3})
+				cfg := defaultConfig(m, n)
+				cfg.Strategy = mode.strat
+				cfg.Strategy.Streams = streams
+				cfg.MeanRating = full.MeanRating()
+				cfg.EvictOnFailure = true
+				cfg.Obs = obs.NewObserver(0, nil)
+				c, err := New(cfg, confs)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if err := c.Global().Validate(); err != nil {
-				t.Fatal(err)
-			}
-			// The final model must cover the evicted rows: training on the
-			// full entry set still converges.
-			if rmse := mf.RMSE(c.Snapshot(), full.Entries); rmse > 0.5 {
-				t.Fatalf("model incomplete after eviction: RMSE %v", rmse)
-			}
-			if rmse := mf.RMSE(c.Global(), full.Entries); rmse > 0.5 {
-				t.Fatalf("global model incomplete after eviction: RMSE %v", rmse)
-			}
-		})
-	}
-}
-
-// Eviction in asynchronous mode: the coordinator must release the dead
-// worker's undelivered slices so the survivors' pushes still fold.
-func TestEvictionReassignsRowsAsync(t *testing.T) {
-	skipAsyncUnderRace(t)
-	full, confs := buildProblem(t, 120, 80, 6000, []float64{0.5, 0.5}, 43)
-	confs[1].Transport = comm.NewRetrying(
-		mustFaulty(comm.MustNew(comm.Spec{Kind: comm.KindShared, Workers: 4}), comm.FaultSpec{Transient: 1, Seed: 6}),
-		comm.RetryPolicy{Attempts: 2})
-	cfg := defaultConfig(120, 80)
-	cfg.Strategy = comm.Strategy{QOnly: true, Encoding: comm.FP32, Streams: 4}
-	cfg.MeanRating = full.MeanRating()
-	cfg.EvictOnFailure = true
-	c, err := New(cfg, confs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Train(25, nil); err != nil {
-		t.Fatalf("async run did not survive a dead worker: %v", err)
-	}
-	ev := c.Evictions()
-	if len(ev) != 1 || ev[0].InheritedBy != confs[0].Name {
-		t.Fatalf("evictions = %+v", ev)
-	}
-	if rmse := mf.RMSE(c.Snapshot(), full.Entries); rmse > 0.6 {
-		t.Fatalf("async model incomplete after eviction: RMSE %v", rmse)
-	}
-	if rmse := mf.RMSE(c.Global(), full.Entries); rmse > 0.6 {
-		t.Fatalf("async global model incomplete after eviction: RMSE %v", rmse)
+				updates := func() int64 { return counterValue(t, cfg.Obs.Registry, "train/updates_total") }
+				if err := c.RunEpoch(0, epochs); err != nil {
+					t.Fatalf("epoch 0 did not survive a dead worker: %v", err)
+				}
+				if got, want := updates(), int64(confs[0].Shard.NNZ()+confs[2].Shard.NNZ()); got != want {
+					t.Fatalf("train/updates_total = %d after the death epoch, want the survivors' %d", got, want)
+				}
+				if err := c.RunEpoch(1, epochs); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := updates(), int64(confs[0].Shard.NNZ()+confs[2].Shard.NNZ()+full.NNZ()); got != want {
+					t.Fatalf("train/updates_total = %d after epoch 1, want %d (+ every train rating)", got, want)
+				}
+				for e := 2; e < epochs; e++ {
+					if err := c.RunEpoch(e, epochs); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ev := c.Evictions()
+				if len(ev) != 1 || ev[0].Worker != confs[1].Name || ev[0].Epoch != 0 || ev[0].InheritedBy != confs[0].Name {
+					t.Fatalf("evictions = %+v", ev)
+				}
+				if c.Workers() != 2 {
+					t.Fatalf("workers = %d after eviction", c.Workers())
+				}
+				// Survivor ranges must cover [0, M) with no overlap.
+				covered := make([]int, m)
+				for _, ws := range c.workers {
+					for r := ws.conf.RowLo; r < ws.conf.RowHi; r++ {
+						covered[r]++
+					}
+				}
+				for r, n := range covered {
+					if n != 1 {
+						t.Fatalf("row %d owned by %d workers after eviction", r, n)
+					}
+				}
+				if err := c.Global().Validate(); err != nil {
+					t.Fatal(err)
+				}
+				// The final model must cover the evicted rows: training on the
+				// full entry set still converges.
+				if rmse := mf.RMSE(c.Snapshot(), full.Entries); rmse > 0.5 {
+					t.Fatalf("model incomplete after eviction: RMSE %v", rmse)
+				}
+				if rmse := mf.RMSE(c.Global(), full.Entries); rmse > 0.5 {
+					t.Fatalf("global model incomplete after eviction: RMSE %v", rmse)
+				}
+			})
+		}
 	}
 }
 
@@ -252,9 +251,10 @@ func (k *killable) Push(dst, src []float32, x comm.Xfer) (comm.TransferStats, er
 }
 
 // An heir whose multi-thread FPSGD engine already laid out its own shard
-// must train the ratings it inherits: every inherited row with a rating
-// moves in the heir's next epoch. The worker dies after epoch 0, so the
-// heir's block layout predates the merge.
+// must train the ratings it inherits. The worker dies in epoch 1, so the
+// heir's block layout predates the merge. Eviction settles at the epoch
+// boundary: after epoch 1 the inherited rows are the dead worker's
+// salvaged replica, and every one with a rating moves in epoch 2.
 func TestEvictionHeirTrainsMergedShard(t *testing.T) {
 	const m, n = 120, 80
 	full, confs := buildProblem(t, m, n, 8000, []float64{0.5, 0.5}, 43)
@@ -293,17 +293,26 @@ func TestEvictionHeirTrainsMergedShard(t *testing.T) {
 	if got, want := len(heir.conf.Shard.Entries), len(full.Entries); got != want {
 		t.Fatalf("heir shard holds %d ratings, want %d", got, want)
 	}
-	for r := lo; r < hi; r++ {
-		if !rated[r] {
-			continue
-		}
+	sameRow := func(r int) bool {
 		row := heir.local.P[r*cfg.K : (r+1)*cfg.K]
 		old := before[(r-lo)*cfg.K : (r-lo+1)*cfg.K]
-		same := true
 		for j := range row {
-			same = same && math.Float32bits(row[j]) == math.Float32bits(old[j])
+			if math.Float32bits(row[j]) != math.Float32bits(old[j]) {
+				return false
+			}
 		}
-		if same {
+		return true
+	}
+	for r := lo; r < hi; r++ {
+		if !sameRow(r) {
+			t.Fatalf("inherited row %d changed in the epoch its owner died", r)
+		}
+	}
+	if err := c.RunEpoch(2, 3); err != nil {
+		t.Fatal(err)
+	}
+	for r := lo; r < hi; r++ {
+		if rated[r] && sameRow(r) {
 			t.Fatalf("inherited row %d was not trained by the heir", r)
 		}
 	}

@@ -22,9 +22,10 @@ import (
 // The server salvages those rows directly (a memory copy, not a transfer —
 // nothing is bus-charged), lands them in the global model, and seeds the
 // heir's replica with them, mirroring preprocessing step ③. The dying
-// worker's current-epoch compute may be partially lost; that is the same
-// "small part of the training results is lost" trade the async mode
-// already accepts.
+// worker's current-epoch compute may be partially lost, and its shard goes
+// untrained for the rest of the epoch it dies in; that is the same "small
+// part of the training results is lost" trade the async streams already
+// accept.
 
 // Eviction records one worker's removal from the cluster.
 type Eviction struct {
@@ -45,11 +46,12 @@ func (c *Cluster) Evictions() []Eviction {
 	return append([]Eviction(nil), c.evictions...)
 }
 
-// settle inspects one phase's per-worker errors. With EvictOnFailure off
-// the first failure aborts the run, exactly the pre-fault-tolerance
-// behaviour. With it on, every failed worker is evicted and the epoch
-// continues with the survivors; the evicted states are returned so the
-// async coordinator can release their pending slices.
+// settle inspects one epoch's per-worker errors at the epoch boundary.
+// With EvictOnFailure off the first failure aborts the run, exactly the
+// pre-fault-tolerance behaviour. With it on, every failed worker is
+// evicted and the run continues with the survivors, the heirs training
+// the absorbed shards from the next epoch; the evicted states are returned
+// so the slice coordinator can release their pending slices.
 func (c *Cluster) settle(epoch int, workers []*workerState, errs []error) ([]*workerState, error) {
 	var failed []*workerState
 	cause := make(map[*workerState]error)
@@ -175,7 +177,7 @@ func (c *Cluster) inherit(dead, heir *workerState) {
 		Entries: append(append(merged, own...), gone...)}
 	heir.conf.RowLo, heir.conf.RowHi = newLo, newHi
 	heir.conf.Weight += dead.conf.Weight
-	// The async chunk cache buckets the old shard; rebuild lazily.
+	// The stream chunk cache buckets the old shard; rebuild lazily.
 	heir.chunks = nil
 
 	// Rebuild the P push buffer for the widened range, pre-filled from the

@@ -7,6 +7,15 @@
 // server's sync thread folds each push into the global model with one
 // multiply-add per parameter.
 //
+// Every epoch runs one pipeline (async.go): each worker cuts the cycle into
+// item slices of Q, one pull → compute → push stream per slice, and the
+// server folds a slice once every worker has pushed it. One slice
+// (Strategy.Streams == 1) is the bulk-synchronous epoch, whose compute is
+// the worker's engine; more slices are the paper's Strategy 3, whose
+// streams overlap one slice's transfers with another's compute. Either
+// way the server settles failed workers, folds P, publishes the model and
+// rebalances once per epoch, after every worker has returned.
+//
 // The package deals only in *correctness* (real updates, real RMSE).
 // Simulated timing of the same cycle lives in internal/core, which charges
 // the cost model against a simengine platform.
@@ -98,16 +107,17 @@ type Cluster struct {
 	loadScratch []schedule.WorkerLoad
 
 	// deltaPool recycles foldQRows' per-row delta and base buffers. A pool
-	// (rather than one buffer on the cluster) because async mode folds
-	// different Q slices concurrently from stream goroutines.
+	// (rather than one buffer on the cluster) because a multi-slice epoch
+	// folds different Q slices concurrently from stream goroutines.
 	deltaPool sync.Pool
 	// phaseWorkers/phaseErrs are runPhase's reused scratch; valid only for
-	// the duration of one phase (settle reads them before the next starts).
+	// the duration of one epoch (settle reads them before the next starts).
 	phaseWorkers []*workerState
 	phaseErrs    []error
 	// snapScratch is Train's reused observer snapshot (see Train).
 	snapScratch *mf.Factors
-	// coord is the async mode's reused slice coordinator (see coordinator).
+	// coord is the epoch pipeline's reused slice coordinator (see
+	// coordinator).
 	coord        *sliceCoordinator
 	coordStreams int
 
@@ -135,12 +145,13 @@ type workerState struct {
 	pushQ []float32
 	pushP []float32
 	// chunks caches the shard bucketed by item slice and tile-ordered
-	// (async mode; see sliceChunks).
+	// (multi-slice epochs; see sliceChunks).
 	chunks [][]sparse.Rating
 	// epochSeconds accumulates this epoch's measured pull+compute+push
 	// span durations for the rebalancer. Written only by the worker's own
-	// phase goroutine; the WaitGroup barrier between phases orders the
-	// writes against the server's epoch-boundary read and reset.
+	// epoch goroutine (streams return their seconds to it); runPhase's
+	// WaitGroup orders the writes against the server's epoch-boundary read
+	// and reset.
 	epochSeconds float64
 }
 
@@ -288,7 +299,7 @@ func (c *Cluster) Workers() int { return len(c.workers) }
 
 // RunEpoch executes one full pull → compute → push → sync cycle. epoch is
 // 0-based; total is the planned epoch count (the strategy needs both to
-// place the first full pull and the final full push).
+// place the final P push).
 func (c *Cluster) RunEpoch(epoch, total int) error {
 	if epoch < 0 || total <= 0 || epoch >= total {
 		return fmt.Errorf("ps: epoch %d of %d", epoch, total)
@@ -301,34 +312,52 @@ func (c *Cluster) RunEpoch(epoch, total int) error {
 
 func (c *Cluster) runEpoch(epoch, total int) error {
 	if c.cfg.Strategy.Streams > 1 {
-		return c.runEpochAsync(epoch, total)
+		return c.epochWith(epoch, total, c.trainChunk)
 	}
-	// A worker that fails a phase is settled — evicted or fatal — before
-	// the next phase starts, so an evicted worker never computes or pushes
-	// and its heir trains the absorbed shard the same epoch.
-	if err := c.phase(epoch, func(ws *workerState) error { return c.pull(ws, epoch) }); err != nil {
+	return c.epochWith(epoch, total, trainShard)
+}
+
+// epochWith runs one epoch with train as every stream's compute: each
+// worker's slice pipeline (workerEpoch), then the server's epoch boundary.
+// A worker that fails is settled — evicted or fatal — once the epoch's
+// workers have all returned, so its heir trains the absorbed shard from
+// the next epoch on.
+func (c *Cluster) epochWith(epoch, total int, train trainFunc) error {
+	coord := c.coordinator(c.cfg.Strategy.Streams)
+	workers, errs := c.runPhase(func(ws *workerState) error {
+		return c.workerEpoch(ws, coord, epoch, total, train)
+	})
+	evicted, err := c.settle(epoch, workers, errs)
+	if err != nil {
 		return err
 	}
-	h := c.hyperFor(epoch)
-	if err := c.phase(epoch, func(ws *workerState) error {
-		span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "compute", c.metrics.Phase[obs.Compute])
-		ws.conf.Engine.Epoch(ws.local, ws.conf.Shard, h)
-		ws.epochSeconds += span.End()
-		c.metrics.Updates.Add(int64(len(ws.conf.Shard.Entries)))
-		return nil
-	}); err != nil {
-		return err
+	// Slices an evicted worker never delivered must still fold — the
+	// survivors' pushes are in the buffers waiting on its arrival count.
+	for _, ws := range evicted {
+		coord.drop(ws)
 	}
-	if err := c.phase(epoch, func(ws *workerState) error { return c.push(ws, epoch, total) }); err != nil {
-		return err
+	// The P fold: each worker's own rows land verbatim (row-grid ranges
+	// are disjoint, so no blending is needed). A naive push buffer holds
+	// the full P, but only the worker's own rows are authoritative — the
+	// rest is the stale pull, which folding would let workers revert each
+	// other with. Folding here, with no worker running, keeps it clear of
+	// every naive P pull.
+	withP := !c.cfg.Strategy.QOnly || epoch == total-1
+	if withP {
+		k := c.cfg.K
+		for _, ws := range c.workers {
+			lo, hi := ws.conf.RowLo*k, ws.conf.RowHi*k
+			band := ws.pushP
+			if !c.cfg.Strategy.QOnly {
+				band = band[lo:hi]
+			}
+			copy(c.global.P[lo:hi], band)
+		}
 	}
-	// Sync runs on the server thread (the paper's Sync thread), draining
-	// all push buffers.
-	span := c.observer.Span(obs.ProcReal, "server", "ps", "sync", c.metrics.Phase[obs.Sync])
-	c.syncAll(epoch, total)
-	span.End()
-	// P changes at sync only when it was pushed this epoch.
-	if err := c.publishGlobal(!c.cfg.Strategy.QOnly || epoch == total-1); err != nil {
+	// Publish once the epoch's folds have all landed. Mid-epoch folds need
+	// no earlier publish: within an epoch every pull of a slice precedes
+	// its fold, so remote pulls correctly see the epoch-start model.
+	if err := c.publishGlobal(withP); err != nil {
 		return err
 	}
 	// Adaptive rescheduling happens strictly at the epoch boundary: every
@@ -347,9 +376,9 @@ func (c *Cluster) hyperFor(epoch int) mf.HyperParams {
 
 // runPhase executes fn once per current worker concurrently, returning the
 // worker snapshot the results are aligned to (evictions mutate c.workers,
-// so callers must not index into it with the phase's error slice). Both
-// returned slices are scratch reused by the next phase; settle consumes
-// them within the phase, nothing may retain them.
+// so callers must not index into it with the error slice). Both returned
+// slices are scratch reused by the next epoch; settle consumes them within
+// the epoch, nothing may retain them.
 func (c *Cluster) runPhase(fn func(*workerState) error) ([]*workerState, []error) {
 	c.phaseWorkers = append(c.phaseWorkers[:0], c.workers...)
 	workers := c.phaseWorkers
@@ -372,13 +401,6 @@ func (c *Cluster) runPhase(fn func(*workerState) error) ([]*workerState, []error
 	return workers, errs
 }
 
-// phase runs one bulk-synchronous phase and settles its failures.
-func (c *Cluster) phase(epoch int, fn func(*workerState) error) error {
-	workers, errs := c.runPhase(fn)
-	_, err := c.settle(epoch, workers, errs)
-	return err
-}
-
 // transportFor resolves the worker's link (per-worker override or the
 // cluster-wide transport).
 func (c *Cluster) transportFor(ws *workerState) comm.Transport {
@@ -388,103 +410,6 @@ func (c *Cluster) transportFor(ws *workerState) comm.Transport {
 	return c.cfg.Transport
 }
 
-// pull downloads the feature data the strategy calls for this epoch.
-// Transfer stats are accounted even when the transfer fails: a retried or
-// truncated attempt consumed real bus time.
-func (c *Cluster) pull(ws *workerState, epoch int) error {
-	span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "pull", c.metrics.Phase[obs.Pull])
-	defer func() { ws.epochSeconds += span.End() }()
-	enc := c.cfg.Strategy.Encoding
-	tr := c.transportFor(ws)
-	// Q always travels.
-	st, err := tr.Pull(ws.local.Q, c.global.Q, comm.Xfer{
-		Shard: comm.GlobalShard(comm.MatrixQ, 0, len(c.global.Q)),
-		Enc:   enc,
-	})
-	c.account(st)
-	if err != nil {
-		return fmt.Errorf("ps: pull Q for %q: %v", ws.conf.Name, err)
-	}
-	if !c.cfg.Strategy.QOnly {
-		// Naive baseline: the complete P every epoch.
-		st, err := tr.Pull(ws.local.P, c.global.P, comm.Xfer{
-			Shard: comm.GlobalShard(comm.MatrixP, 0, len(c.global.P)),
-			Enc:   enc,
-		})
-		c.account(st)
-		if err != nil {
-			return fmt.Errorf("ps: pull P for %q: %v", ws.conf.Name, err)
-		}
-	}
-	return nil
-}
-
-// push uploads the worker's updates into its push buffers.
-func (c *Cluster) push(ws *workerState, epoch, total int) error {
-	span := c.observer.Span(obs.ProcReal, ws.conf.Name, "ps", "push", c.metrics.Phase[obs.Push])
-	defer func() { ws.epochSeconds += span.End() }()
-	enc := c.cfg.Strategy.Encoding
-	tr := c.transportFor(ws)
-	st, err := tr.Push(ws.pushQ, ws.local.Q, comm.Xfer{
-		Shard: comm.WorkerShard(comm.MatrixQ, ws.id, 0, len(ws.pushQ)),
-		Enc:   enc,
-	})
-	c.account(st)
-	if err != nil {
-		return fmt.Errorf("ps: push Q for %q: %v", ws.conf.Name, err)
-	}
-	switch {
-	case !c.cfg.Strategy.QOnly:
-		// Naive baseline: full P every epoch.
-		st, err := tr.Push(ws.pushP, ws.local.P, comm.Xfer{
-			Shard: comm.WorkerShard(comm.MatrixP, ws.id, 0, len(ws.pushP)),
-			Enc:   enc,
-		})
-		c.account(st)
-		if err != nil {
-			return fmt.Errorf("ps: push P for %q: %v", ws.conf.Name, err)
-		}
-	case epoch == total-1:
-		// Final Q-only push adds the worker's own P rows.
-		lo, hi := ws.conf.RowLo*c.cfg.K, ws.conf.RowHi*c.cfg.K
-		st, err := tr.Push(ws.pushP, ws.local.P[lo:hi], comm.Xfer{
-			Shard: comm.WorkerShard(comm.MatrixP, ws.id, lo, hi),
-			Enc:   enc,
-		})
-		c.account(st)
-		if err != nil {
-			return fmt.Errorf("ps: push P for %q: %v", ws.conf.Name, err)
-		}
-	}
-	return nil
-}
-
-// syncAll folds every worker's push buffers into the global model with the
-// paper's one-multiply-add-per-parameter rule, applied conflict-aware per
-// Q row: q ← q + Σ_i (q_i − q_base)/c, where c counts the workers that
-// actually updated the row this epoch. Rows trained by a single worker
-// take its delta verbatim (no damping of the effective learning rate);
-// rows hit by several workers — the WAW conflicts the row grid cannot
-// avoid — are averaged among the actual updaters, which keeps the Zipf
-// head stable. Each worker's own P rows are copied verbatim (row-grid
-// ranges are disjoint, so no blending is needed).
-func (c *Cluster) syncAll(epoch, total int) {
-	c.foldQRows(0, c.cfg.N)
-	for _, ws := range c.workers {
-		lo, hi := ws.conf.RowLo*c.cfg.K, ws.conf.RowHi*c.cfg.K
-		switch {
-		case !c.cfg.Strategy.QOnly:
-			// The push buffer holds the full P; only the worker's own rows
-			// are authoritative — the rest is the stale pull, which the
-			// server ignores (folding it would let workers revert each
-			// other).
-			copy(c.global.P[lo:hi], ws.pushP[lo:hi])
-		case epoch == total-1:
-			copy(c.global.P[lo:hi], ws.pushP)
-		}
-	}
-}
-
 func (c *Cluster) account(st comm.TransferStats) {
 	c.mu.Lock()
 	c.stats.Add(st)
@@ -492,9 +417,15 @@ func (c *Cluster) account(st comm.TransferStats) {
 }
 
 // foldQRows folds every worker's pushed Q rows in [rowLo, rowHi) into the
-// global model, conflict-aware (see syncAll). Callers must ensure the row
-// range is quiescent: either the bulk-synchronous epoch boundary, or the
-// async slice coordinator's all-workers-pushed condition.
+// global model with the paper's one-multiply-add-per-parameter rule,
+// applied conflict-aware per row: q ← q + Σ_i (q_i − q_base)/c, where c
+// counts the workers that actually updated the row this epoch. Rows
+// trained by a single worker take its delta verbatim (no damping of the
+// effective learning rate); rows hit by several workers — the WAW
+// conflicts the row grid cannot avoid — are averaged among the actual
+// updaters, which keeps the Zipf head stable. Workers are summed in
+// roster order. The slice coordinator calls it once every worker has
+// pushed the rows, so the range is quiescent.
 //
 // Each worker's delta is its pushed row minus the row its pull delivered:
 // the global row as it stands at the fold — global Q changes only here,

@@ -1,6 +1,9 @@
 package ps
 
 import (
+	"fmt"
+	"math"
+	"sync/atomic"
 	"testing"
 
 	"hccmf/internal/comm"
@@ -142,24 +145,77 @@ func TestQOnlyMovesLessData(t *testing.T) {
 	}
 }
 
+// Every strategy moves exactly the bytes comm.Strategy.RunBytes charges,
+// at one slice and at four: slicing Q changes when the transfers happen,
+// not what they carry, and the naive strategy pulls P whatever the slice
+// count.
 func TestBusBytesMatchStrategyAccounting(t *testing.T) {
 	_, confs := buildProblem(t, 100, 30, 2000, []float64{0.5, 0.5}, 4)
+	for _, strat := range []struct {
+		name  string
+		strat comm.Strategy
+	}{
+		{"P&Q", comm.Strategy{Encoding: comm.FP32}},
+		{"Q", comm.Strategy{QOnly: true, Encoding: comm.FP32}},
+		{"half-Q", comm.Strategy{QOnly: true, Encoding: comm.FP16}},
+	} {
+		for _, streams := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/streams=%d", strat.name, streams), func(t *testing.T) {
+				if streams > 1 {
+					skipAsyncUnderRace(t)
+				}
+				cfg := defaultConfig(100, 30)
+				cfg.Strategy = strat.strat
+				cfg.Strategy.Streams = streams
+				c, err := New(cfg, confs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				const epochs = 5
+				if err := c.Train(epochs, nil); err != nil {
+					t.Fatal(err)
+				}
+				var want int64
+				for _, w := range confs {
+					want += cfg.Strategy.RunBytes(cfg.K, cfg.M, cfg.N, w.RowHi-w.RowLo, epochs)
+				}
+				if got := c.CommStats().BusBytes; got != want {
+					t.Fatalf("BusBytes = %d, strategy accounting says %d", got, want)
+				}
+			})
+		}
+	}
+}
+
+// A naive-strategy worker running four streams starts epoch 0 from the
+// server's initial P, pulled before any stream computes, not from its
+// zeroed replica. The streams' compute is a no-op that checks the replica,
+// so nothing writes P concurrently and the test also runs under -race.
+func TestAsyncNaiveWorkerStartsFromServerP(t *testing.T) {
+	_, confs := buildProblem(t, 100, 30, 2000, []float64{0.5, 0.5}, 4)
 	cfg := defaultConfig(100, 30)
-	cfg.Strategy = comm.Strategy{QOnly: true, Encoding: comm.FP16, Streams: 1}
+	cfg.Strategy = comm.Strategy{Encoding: comm.FP32, Streams: 4}
 	c, err := New(cfg, confs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const epochs = 5
-	if err := c.Train(epochs, nil); err != nil {
+	initial := append([]float32(nil), c.Global().P...)
+	var calls atomic.Int64
+	check := func(ws *workerState, sj int, _ mf.HyperParams) int {
+		calls.Add(1)
+		for i, v := range ws.local.P {
+			if math.Float32bits(v) != math.Float32bits(initial[i]) {
+				t.Errorf("%s slice %d: P[%d] = %v, want the server's initial %v", ws.conf.Name, sj, i, v, initial[i])
+				return 0
+			}
+		}
+		return 0
+	}
+	if err := c.epochWith(0, 2, check); err != nil {
 		t.Fatal(err)
 	}
-	var want int64
-	for _, w := range confs {
-		want += cfg.Strategy.RunBytes(cfg.K, cfg.M, cfg.N, w.RowHi-w.RowLo, epochs)
-	}
-	if got := c.CommStats().BusBytes; got != want {
-		t.Fatalf("BusBytes = %d, strategy accounting says %d", got, want)
+	if got, want := calls.Load(), int64(len(confs)*4); got != want {
+		t.Fatalf("%d stream computes, want %d", got, want)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // The planner's DP0/DP1/DP2 split is computed once from calibrated rates;
 // this file revisits it at every sync barrier. The cluster accumulates
 // each worker's measured pull+compute+push seconds (the span durations
-// the phase wrappers already record for the obs histograms — no new
+// the epoch pipeline already records for the obs histograms — no new
 // measurement hot path), feeds them to schedule.Rebalancer, and when the
 // predicted makespan gain clears the hysteresis threshold it re-shards
 // the training data with sparse.RowShards and migrates the factor state,
@@ -58,10 +58,10 @@ func (c *Cluster) maybeRebalance(epoch, total int) error {
 	for _, ws := range c.workers {
 		ws.epochSeconds = 0
 	}
-	// The async mode's staggered slices never quiesce per worker, so its
-	// measurements do not isolate one worker's throughput; rebalancing is
-	// a bulk-synchronous feature. The final epoch has no successor to
-	// re-shard for.
+	// Concurrent streams overlap one worker's transfers and compute, so
+	// the sum of their span seconds does not measure that worker's
+	// throughput; only one-slice runs rebalance. The final epoch has no
+	// successor to re-shard for.
 	if c.cfg.Strategy.Streams > 1 || epoch == total-1 || len(c.workers) < 2 {
 		return nil
 	}
@@ -186,7 +186,7 @@ func (c *Cluster) reshard(shares []float64) error {
 		} else {
 			copy(ws.pushP[lo:hi], ws.local.P[lo:hi])
 		}
-		// The async chunk cache buckets the old shard; rebuild lazily.
+		// The stream chunk cache buckets the old shard; rebuild lazily.
 		ws.chunks = nil
 	}
 	return nil
